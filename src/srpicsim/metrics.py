@@ -75,17 +75,13 @@ def _reordered_flags(trace: Sequence[Packet]) -> tuple[list[int], list[bool]]:
     return offsets, flags
 
 
-def reordered_count(trace: Sequence[Packet]) -> tuple[int, float]:
-    """Count of reordered packets and the reordering ratio (count/total)."""
-    _, flags = _reordered_flags(trace)
+def _count(flags: list[bool]) -> tuple[int, float]:
     n = len(flags)
     count = sum(flags)
     return count, (count / n if n else 0.0)
 
 
-def max_reordering_extent(trace: Sequence[Packet]) -> int:
-    """Largest extent over all reordered packets, 0 when none."""
-    offsets, flags = _reordered_flags(trace)
+def _max_extent(offsets: list[int], flags: list[bool]) -> int:
     seen: list[int] = []
     best = 0
     for off, reordered in zip(offsets, flags):
@@ -95,6 +91,16 @@ def max_reordering_extent(trace: Sequence[Packet]) -> int:
                 best = greater_before
         insort(seen, off)
     return best
+
+
+def reordered_count(trace: Sequence[Packet]) -> tuple[int, float]:
+    """Count of reordered packets and the reordering ratio (count/total)."""
+    return _count(_reordered_flags(trace)[1])
+
+
+def max_reordering_extent(trace: Sequence[Packet]) -> int:
+    """Largest extent over all reordered packets, 0 when none."""
+    return _max_extent(*_reordered_flags(trace))
 
 
 def _block_index(partition: Sequence[int], n: int) -> list[int]:
@@ -117,8 +123,13 @@ def classify_block_reordering(
     A reordered packet is intra-block when every earlier-arriving packet
     with a greater sequence lies in the same block, inter-block otherwise.
     """
-    offsets, flags = _reordered_flags(trace)
-    blocks = _block_index(partition, len(trace))
+    return _classify(*_reordered_flags(trace), partition)
+
+
+def _classify(
+    offsets: list[int], flags: list[bool], partition: Sequence[int]
+) -> tuple[int, int]:
+    blocks = _block_index(partition, len(flags))
     intra = inter = 0
     for i, reordered in enumerate(flags):
         if not reordered:
@@ -136,17 +147,20 @@ def classify_block_reordering(
 def reorder_report(
     trace: Sequence[Packet], partition: Sequence[int] | None = None
 ) -> ReorderReport:
-    """Full report on one trace; block fields filled when a partition is given."""
-    count, ratio = reordered_count(trace)
-    extent = max_reordering_extent(trace)
+    """Full report on one trace; block fields filled when a partition is given.
+
+    The reordered flags are computed once and shared by every field.
+    """
+    offsets, flags = _reordered_flags(trace)
+    count, ratio = _count(flags)
     intra = inter = None
     if partition is not None:
-        intra, inter = classify_block_reordering(trace, partition)
+        intra, inter = _classify(offsets, flags, partition)
     return ReorderReport(
         total_packets=len(trace),
         reordered_count=count,
         ratio=ratio,
-        max_extent=extent,
+        max_extent=_max_extent(offsets, flags),
         intra_block=intra,
         inter_block=inter,
     )

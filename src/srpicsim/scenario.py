@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Iterable
 
 import yaml
@@ -164,25 +164,43 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 def override_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """Return a copy of ``cfg`` with one (possibly nested) field replaced.
+    """Return a validated copy of ``cfg`` with one (possibly nested) field replaced.
 
     ``beta`` and ``delta`` are shorthands for ``fwd.beta`` and
-    ``fwd.drop_rate``.
+    ``fwd.drop_rate``.  The value is coerced to the field's declared type;
+    an integer field rejects a value with a fractional part.
     """
     aliases = {"beta": "fwd.beta", "delta": "fwd.drop_rate"}
     dotted = aliases.get(param, param)
-    parts = dotted.split(".")
-    if len(parts) == 1:
-        if parts[0] not in {f.name for f in fields(cfg)}:
-            raise ConfigError(f"sweep parameter {param!r} is not a scenario field")
-        return replace(cfg, **{parts[0]: value})
-    if len(parts) == 2:
-        section_name, leaf = parts
-        section = getattr(cfg, section_name, None)
-        if section is None or leaf not in {f.name for f in fields(section)}:
-            raise ConfigError(f"sweep parameter {param!r} is not a scenario field")
-        return replace(cfg, **{section_name: replace(section, **{leaf: value})})
-    raise ConfigError(f"sweep parameter {param!r} is not a scenario field")
+    section_name, _, leaf = dotted.rpartition(".")
+    owner = getattr(cfg, section_name, None) if section_name else cfg
+    field_types = {f.name: f.type for f in fields(owner)} if is_dataclass(owner) else {}
+    if leaf not in field_types:
+        raise ConfigError(f"sweep parameter {param!r} is not a scenario field")
+    coerced = _coerce(param, field_types[leaf], value)
+    try:
+        updated = replace(owner, **{leaf: coerced})
+    except ValueError as exc:  # a section's own range check
+        raise ConfigError(f"{param}: {exc}") from exc
+    out = replace(cfg, **{section_name: updated}) if section_name else updated
+    out.validate()
+    return out
+
+
+_SWEEPABLE = {"float": float, "int": int, "bool": bool}
+
+
+def _coerce(param: str, declared, value: float):
+    kind = declared if isinstance(declared, str) else getattr(declared, "__name__", "")
+    if kind not in _SWEEPABLE:
+        raise ConfigError(f"sweep parameter {param!r} is not numeric and cannot be swept")
+    try:
+        coerced = _SWEEPABLE[kind](value)
+    except (OverflowError, ValueError):
+        coerced = None
+    if coerced is None or coerced != value:
+        raise ConfigError(f"{param}: {value!r} is not a valid {kind}")
+    return coerced
 
 
 # ---------------------------------------------------------------------------

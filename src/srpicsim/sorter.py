@@ -84,9 +84,6 @@ def accept(manager: SrpicManager, p: Packet) -> list[Packet] | None:
     return None
 
 
-flush_manager = SrpicManager.flush
-
-
 class SrpicEngine:
     """Sorting engine over all flows seen on one receive path.
 
@@ -181,15 +178,3 @@ class SrpicEngine:
             out.extend(self.ingest(p))
         out.extend(self.end_cycle())
         return out
-
-
-def find_or_create_manager(engine: SrpicEngine, key: FlowKey) -> SrpicManager:
-    return engine.find_or_create_manager(key)
-
-
-def flush_all(engine: SrpicEngine) -> list[Packet]:
-    return engine.flush_all()
-
-
-def process_cycle(engine: SrpicEngine, fetched: list[Packet]) -> list[Packet]:
-    return engine.process_cycle(fetched)

@@ -19,13 +19,22 @@ times are tracked and checked against the per-block and whole-ring delay
 bounds on every run, but delivery timestamps ignore the hold (it is
 microseconds against millisecond RTTs), so a run whose arrivals are
 already in order is event-for-event identical with the sorter on or off.
+
+The heap holds only packet arrivals, ACK arrivals and retransmission
+timeouts.  The ring drain runs inline: the loop keeps the next service
+completion in one attribute and serves the ring whenever that instant is
+not later than the next heap event, so service wins ties as before.  The
+retransmission timer is lazy: re-arming moves a deadline attribute, and
+an event is pushed only when the deadline moves earlier than every
+timeout event already queued; a queued timeout that finds the deadline
+moved later queues one event at the new deadline.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -242,12 +251,19 @@ def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[tuple]
 
 
 def _mark_sacked(state: SenderState, blocks) -> None:
-    for bstart, bend in blocks:
-        for seg in state.retransmit_queue:
-            if seq_cmp(seg.seq, bstart) >= 0 and seq_cmp(
-                (seg.seq + seg.length) % SEQ_MOD, bend
-            ) <= 0:
+    # A segment is sacked when one block covers it: seq_cmp(seq, start) >= 0
+    # and seq_cmp(end, block end) <= 0, written out inline.
+    for seg in state.retransmit_queue:
+        if seg.sacked:
+            continue
+        seq = seg.seq
+        end = (seq + seg.length) % SEQ_MOD
+        for bstart, bend in blocks:
+            if (seq - bstart) % SEQ_MOD <= SEQ_HALF and (
+                end == bend or (end - bend) % SEQ_MOD > SEQ_HALF
+            ):
                 seg.sacked = True
+                break
 
 
 def _on_dupack(state: SenderState, ack: AckRecord, now: float, actions: list) -> None:
@@ -398,10 +414,12 @@ def sender_start(state: SenderState, now: float = 0.0) -> list[tuple]:
 # Event-driven transfer simulation
 # ---------------------------------------------------------------------------
 
-_PRIO_SERVICE = 0
+# Heap priorities break ties at one instant.  Ring service, which is not
+# on the heap, comes before all of them.
 _PRIO_ARRIVAL = 1
 _PRIO_ACK = 2
 _PRIO_RTO = 3
+_INF = float("inf")
 
 
 def _derive_seed(run_seed: int, stream_id: int, label: str) -> int:
@@ -454,9 +472,14 @@ class _StreamSim:
         self.now = 0.0
         self._heap: list[tuple] = []
         self._evseq = 0
-        self._rto_deadline = float("inf")
+        self._rto_deadline = _INF
+        # The expiry that passes the deadline check first, and the snd_una
+        # snapshot of the arming it stands for.
+        self._rto_fire = _INF
+        self._rto_snapshot = 0
+        self._rto_queued: list[float] = []  # queued timeout instants, latest first
         self.ring: deque[Packet] = deque()
-        self.draining = False
+        self._svc_t = _INF  # next ring service completion; inf while idle
         self._cycle_count = 0
         self.cycle_sizes: list[int] = []
         self._fetch_time: dict[int, float] = {}
@@ -497,22 +520,36 @@ class _StreamSim:
         self._push(p.arrival_time, _PRIO_ARRIVAL, "arr", p)
 
     def _arm_rto(self) -> None:
-        # One authoritative timer: re-arming supersedes queued expirations.
-        if self.sender.retransmit_queue:
-            self._rto_deadline = self.now + self.sender.rto_us()
-            self._push(self._rto_deadline, _PRIO_RTO, "rto", self.sender.snd_una)
-        else:
-            self._rto_deadline = float("inf")
+        # One authoritative timer: re-arming supersedes the previous deadline.
+        if not self.sender.retransmit_queue:
+            self._rto_deadline = _INF
+            return
+        deadline = self.now + self.sender.rto_us()
+        # A timeout is due from 1e-9 before its deadline, so the expiry of
+        # an earlier arming that falls in [deadline - 1e-9, deadline] still
+        # fires first, and judges progress by its own snd_una snapshot.
+        if not deadline - 1e-9 <= self._rto_fire <= deadline:
+            self._rto_fire = deadline
+            self._rto_snapshot = self.sender.snd_una
+        self._rto_deadline = deadline
+        self._queue_rto()
+
+    def _queue_rto(self) -> None:
+        # A timeout event already queued at or before the firing instant
+        # will come back to it; only an earlier instant needs an event now.
+        queued = self._rto_queued
+        if not queued or self._rto_fire < queued[-1]:
+            queued.append(self._rto_fire)
+            self._push(self._rto_fire, _PRIO_RTO, "rto", self._rto_snapshot)
 
     # -- receive path -------------------------------------------------------
 
     def _on_arrival(self, p: Packet) -> None:
         self.arrival_trace.append(p)
         self.ring.append(p)
-        if not self.draining:
-            self.draining = True
+        if self._svc_t == _INF:
             self._cycle_count = 0
-            self._push(self.now + self.t_intr_us + self.quantum_us, _PRIO_SERVICE, "svc")
+            self._svc_t = self.now + self.t_intr_us + self.quantum_us
 
     def _on_service(self) -> None:
         p = self.ring.popleft()
@@ -523,12 +560,12 @@ class _StreamSim:
         else:
             self._deliver_one(p, self.now)
         if self.ring:
-            self._push(self.now + self.quantum_us, _PRIO_SERVICE, "svc")
+            self._svc_t = self.now + self.quantum_us
         else:
             if self.engine is not None:
                 self._deliver(self.engine.end_cycle())
             self.cycle_sizes.append(self._cycle_count)
-            self.draining = False
+            self._svc_t = _INF
 
     def _deliver(self, emitted: list[Packet]) -> None:
         for p in emitted:
@@ -562,11 +599,13 @@ class _StreamSim:
             self._arm_rto()
 
     def _on_rto(self, snapshot: int) -> None:
+        self._rto_queued.pop()  # events leave the heap latest-queued first
         if not self.sender.retransmit_queue:
-            self._rto_deadline = float("inf")
+            self._rto_deadline = _INF
             return
         if self.now + 1e-9 < self._rto_deadline:
-            return  # superseded by a later re-arm
+            self._queue_rto()  # re-armed since: wait for the new deadline
+            return
         if self.sender.snd_una == snapshot:
             self._emit_actions(sender_on_timeout(self.sender, self.now))
         self._arm_rto()
@@ -576,19 +615,22 @@ class _StreamSim:
     def run(self) -> TransferMetrics:
         self._emit_actions(sender_start(self.sender, 0.0))
         self._arm_rto()
-        handlers = {
-            "arr": self._on_arrival,
-            "svc": lambda _: self._on_service(),
-            "ack": self._on_ack,
-            "rto": self._on_rto,
-        }
+        handlers = {"arr": self._on_arrival, "ack": self._on_ack, "rto": self._on_rto}
         heap = self._heap
-        while heap:
-            t, _prio, _n, kind, payload = heapq.heappop(heap)
-            if t > self.hard_stop_us:
+        hard_stop = self.hard_stop_us
+        while True:
+            t = self._svc_t
+            if heap and heap[0][0] < t:
+                t, _prio, _n, kind, payload = heapq.heappop(heap)
+                if t > hard_stop:
+                    break
+                self.now = t
+                handlers[kind](payload)
+            elif t > hard_stop:  # also ends the run once nothing is pending
                 break
-            self.now = t
-            handlers[kind](payload)
+            else:
+                self.now = t
+                self._on_service()
         return self._metrics()
 
     def _metrics(self) -> TransferMetrics:
@@ -623,22 +665,39 @@ def _first_copies(trace: list[Packet]) -> list[Packet]:
 
     Retransmissions duplicate payload bytes; the reordering metrics are
     defined only on duplicate-free traces, so later copies are excluded.
+    Payloads must be nonempty, as every simulated segment's is.
     """
     kept: list[Packet] = []
-    intervals: list[tuple[int, int]] = []  # sorted, disjoint (start, end)
+    # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
+    # Ranges that touch are merged, so the lists stay as short as the
+    # number of holes.
+    starts: list[int] = []
+    ends: list[int] = []
     for p in trace:
-        s, e = p.seq, p.seq + p.payload_len
-        i = bisect_left(intervals, (s,))
-        if i < len(intervals) and intervals[i][0] < e:
+        s = p.seq
+        e = s + p.payload_len
+        i = bisect_left(starts, s)
+        right = i < len(starts)
+        if right and starts[i] < e:
             continue
-        if i > 0 and intervals[i - 1][1] > s:
+        if i and ends[i - 1] > s:
             continue
-        insort(intervals, (s, e))
         kept.append(p)
+        if i and ends[i - 1] == s:
+            if right and starts[i] == e:
+                ends[i - 1] = ends.pop(i)
+                del starts[i]
+            else:
+                ends[i - 1] = e
+        elif right and starts[i] == e:
+            starts[i] = s
+        else:
+            starts.insert(i, s)
+            ends.insert(i, e)
     return kept
 
 
-def _aggregate(streams: list[TransferMetrics], duration_s: float) -> TransferMetrics:
+def _aggregate(streams: list[TransferMetrics]) -> TransferMetrics:
     def rep_sum(reports: list[ReorderReport]) -> ReorderReport:
         total = sum(r.total_packets for r in reports)
         count = sum(r.reordered_count for r in reports)
@@ -677,4 +736,4 @@ def run_transfer(
     streams = [
         _StreamSim(cfg, run_seed, sid, srpic_on).run() for sid in range(cfg.num_streams)
     ]
-    return TransferResult(streams=streams, aggregate=_aggregate(streams, cfg.duration))
+    return TransferResult(streams=streams, aggregate=_aggregate(streams))

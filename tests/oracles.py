@@ -3,9 +3,13 @@
 These deliberately avoid the package's incremental algorithms: the
 reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
+The ``reference_*`` functions are the straightforward earlier forms of
+helpers that were since rewritten for speed.
 """
 
-from srpicsim.packets import FlowKey, Packet
+from bisect import bisect_left, insort
+
+from srpicsim.packets import SEQ_MOD, FlowKey, Packet, seq_cmp
 
 FLOW = FlowKey(1, 2, 1000, 2000)
 
@@ -82,3 +86,30 @@ def naive_coalescing_blocks(arrivals, t_intr_us, quantum_us):
         blocks.append(served)
         i += served
     return blocks
+
+
+def reference_first_copies(trace):
+    """First-arriving copy of each payload range, against a sorted list of
+    (start, end) tuples, one per kept packet."""
+    kept = []
+    intervals = []  # sorted, disjoint (start, end)
+    for p in trace:
+        s, e = p.seq, p.seq + p.payload_len
+        i = bisect_left(intervals, (s,))
+        if i < len(intervals) and intervals[i][0] < e:
+            continue
+        if i > 0 and intervals[i - 1][1] > s:
+            continue
+        insort(intervals, (s, e))
+        kept.append(p)
+    return kept
+
+
+def reference_mark_sacked(state, blocks):
+    """Mark every queued segment that one SACK block covers, via seq_cmp."""
+    for bstart, bend in blocks:
+        for seg in state.retransmit_queue:
+            if seq_cmp(seg.seq, bstart) >= 0 and seq_cmp(
+                (seg.seq + seg.length) % SEQ_MOD, bend
+            ) <= 0:
+                seg.sacked = True

@@ -133,6 +133,35 @@ class TestOracleAgreement:
         )
 
 
+class TestReportSharesOnePass:
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True)
+    def test_report_equals_separate_functions(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=24))
+        order = data.draw(st.permutations(list(range(n))))
+        # Packets 3 bytes long at stride 5, shifted so some traces wrap 2**32.
+        base = data.draw(st.sampled_from([0, (1 << 32) - 40]))
+        trace = make_trace([(base + 5 * i) % (1 << 32) for i in order], [3] * n)
+        cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)))))
+        partition = [b - a for a, b in zip([0] + cuts, cuts + [n]) if b - a > 0]
+        report = reorder_report(trace, partition)
+        count, ratio = reordered_count(trace)
+        assert (report.total_packets, report.reordered_count, report.ratio) == (n, count, ratio)
+        assert report.max_extent == max_reordering_extent(trace)
+        assert (report.intra_block, report.inter_block) == classify_block_reordering(
+            trace, partition
+        )
+        plain = reorder_report(trace)
+        assert (plain.intra_block, plain.inter_block) == (None, None)
+        assert plain.max_extent == report.max_extent
+
+    def test_report_raises_like_the_parts(self):
+        with pytest.raises(OverlappingSegmentsError):
+            reorder_report(make_trace([0, 5], [10, 10]), [2])
+        with pytest.raises(PartitionError):
+            reorder_report(make_trace([1, 2, 3]), [2, 2])
+
+
 class TestSortingTheorems:
     def _sorted_by_blocks(self, trace, block):
         out = []

@@ -96,6 +96,31 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             override_param(cfg, "nope.nope", 1.0)
 
+    def test_override_param_coerces_to_field_type(self):
+        cfg = tiny_cfg()
+        point = override_param(cfg, "num_streams", 2.0)
+        assert point.num_streams == 2 and type(point.num_streams) is int
+        assert type(override_param(cfg, "srpic.block_size", 16.0).srpic.block_size) is int
+        assert override_param(cfg, "sack_enabled", 1.0).sack_enabled is True
+        for param, value in (
+            ("srpic.block_size", 1.5),
+            ("num_streams", float("inf")),
+            ("sack_enabled", 2.0),
+            ("beta", float("nan")),
+            ("name", 1.0),
+            ("fwd", 1.0),
+            ("fwd.beta.x", 1.0),
+            ("seeds.real", 1.0),
+        ):
+            with pytest.raises(ConfigError):
+                override_param(cfg, param, value)
+
+    def test_override_param_validates_result(self):
+        cfg = tiny_cfg()
+        for param, value in (("num_streams", 0.0), ("beta", -1.0), ("srpic.block_size", 1024.0)):
+            with pytest.raises(ConfigError):
+                override_param(cfg, param, value)
+
 
 class TestRunScenario:
     def test_row_shape_and_order(self):
@@ -244,6 +269,19 @@ class TestCli:
         assert code == 0
         rows = parse_csv(out_csv.read_text(encoding="utf-8"))
         assert {r["scenario"] for r in rows} == {"tiny[beta=0]", "tiny[beta=0.01]"}
+
+    def test_sweep_over_integer_field(self, tiny_config, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        args = ["sweep", str(tiny_config), "--param", "num_streams", "--values", "2"]
+        assert main(args + ["--seed-count", "1", "--out", str(out_csv)]) == 0
+        rows = parse_csv(out_csv.read_text(encoding="utf-8"))
+        assert {r["scenario"] for r in rows} == {"tiny[num_streams=2]"}
+        assert sorted(r["stream_id"] for r in rows) == [0, 0, 1, 1]
+
+    def test_sweep_rejects_fractional_integer_exits_2(self, tiny_config, capsys):
+        args = ["sweep", str(tiny_config), "--param", "srpic.block_size", "--values", "1.5"]
+        assert main(args) == 2
+        assert "srpic.block_size" in capsys.readouterr().err
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -1,20 +1,29 @@
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
-from srpicsim.packets import FlowKey, Packet
+from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet
 from srpicsim.scenario import ScenarioConfig
 from srpicsim.tcp import (
     MSS,
     AckRecord,
     ReceiverState,
+    SegmentRecord,
     SenderState,
+    _first_copies,
+    _mark_sacked,
     _StreamSim,
     receiver_on_segment,
     run_transfer,
     sender_on_ack,
     sender_start,
 )
+
+from oracles import make_trace, reference_first_copies, reference_mark_sacked
 
 FLOW = FlowKey(1, 2, 3, 4)
 
@@ -297,3 +306,80 @@ class TestTransfer:
         assert res.aggregate.goodput_proxy == pytest.approx(
             sum(s.goodput_proxy for s in res.streams)
         )
+
+
+class TestRewrittenHelpers:
+    """The fast helpers agree with their straightforward earlier forms."""
+
+    @given(
+        segs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=300),
+                st.integers(min_value=1, max_value=40),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=400, derandomize=True)
+    def test_first_copies_matches_reference(self, segs):
+        # Small sequence space: duplicates, partial overlaps, exact touches.
+        trace = make_trace([s for s, _ in segs], [n for _, n in segs])
+        assert [id(p) for p in _first_copies(trace)] == [
+            id(p) for p in reference_first_copies(trace)
+        ]
+
+    def test_first_copies_keeps_retransmission_out(self):
+        trace = make_trace([0, 20, 10, 20, 10, 30], [10] * 6)
+        kept = _first_copies(trace)
+        assert [p.send_index for p in kept] == [0, 1, 2, 5]
+
+    @given(data=st.data())
+    @settings(max_examples=400, derandomize=True)
+    def test_mark_sacked_matches_reference_across_the_wrap(self, data):
+        base = data.draw(
+            st.sampled_from([0, SEQ_MOD - 5 * MSS, SEQ_MOD - 1, SEQ_HALF - 3 * MSS])
+        )
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        queue = [
+            SegmentRecord(
+                seq=(base + i * MSS) % SEQ_MOD,
+                length=MSS,
+                sacked=data.draw(st.booleans()),
+            )
+            for i in range(n)
+        ]
+        # Block edges near the queue's segment edges, some exactly 2**31 away.
+        edge = st.builds(
+            lambda k, d, far: (base + k * MSS + d + (SEQ_HALF if far else 0)) % SEQ_MOD,
+            st.integers(min_value=-2, max_value=n + 2),
+            st.sampled_from([0, 0, -1, 1]),
+            st.booleans(),
+        )
+        blocks = tuple(
+            data.draw(st.lists(st.tuples(edge, edge), min_size=1, max_size=3))
+        )
+        state = SenderState()
+        state.retransmit_queue.extend(queue)
+        expected = copy.deepcopy(state)
+        _mark_sacked(state, blocks)
+        reference_mark_sacked(expected, blocks)
+        assert [s.sacked for s in state.retransmit_queue] == [
+            s.sacked for s in expected.retransmit_queue
+        ]
+
+    @pytest.mark.parametrize(
+        "seq, block",
+        [
+            (SEQ_HALF, (0, SEQ_HALF + MSS)),  # start exactly 2**31 below seq
+            (0, (SEQ_HALF, MSS)),  # start exactly 2**31 above seq
+            (0, (0, SEQ_HALF + MSS)),  # end exactly 2**31 below block end
+            (SEQ_MOD - MSS, (SEQ_MOD - MSS, 0)),  # segment ends at the wrap
+        ],
+    )
+    def test_mark_sacked_serial_distance_edges(self, seq, block):
+        state = SenderState()
+        state.retransmit_queue.append(SegmentRecord(seq=seq, length=MSS))
+        expected = copy.deepcopy(state)
+        _mark_sacked(state, (block,))
+        reference_mark_sacked(expected, (block,))
+        assert state.retransmit_queue[0].sacked == expected.retransmit_queue[0].sacked
