@@ -2,8 +2,10 @@
 
 The loop drains the receive ring inline and keeps a single lazily queued
 retransmission timer.  These tests tie both to independent references:
-the offline coalescing model replayed on the loop's own arrival times, and
-the exact timeout schedule of a path that drops everything.
+the offline coalescing model replayed on the loop's own arrival times, the
+exact timeout schedule of a path that drops everything, and the outcome
+of a run whose ACKs re-arm the timer several times at one instant (values
+from the loop that queued one timeout event per arming).
 """
 
 from pathlib import Path
@@ -12,8 +14,8 @@ import pytest
 
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, simulate_coalescing
-from srpicsim.scenario import ScenarioConfig, load_scenario
-from srpicsim.tcp import _StreamSim
+from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
+from srpicsim.tcp import _StreamSim, run_transfer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -50,3 +52,22 @@ def test_total_loss_timeout_schedule(srpic_on):
     assert sim.sender.segments_sent == 13
     assert sim.sender.rto_backoff == 8
     assert sim.now == 1.4e6
+
+
+def test_rearms_at_one_instant_keep_the_first_expiry():
+    # With no reverse delay, the ACKs of one sorter flush all arrive at the
+    # flush instant, and each re-arms the timer to the same deadline.  The
+    # expiry of the first of those armings fires, sees that snd_una moved
+    # after it was armed, and restarts the timer instead of retransmitting.
+    cfg = ScenarioConfig(
+        name="unit",
+        duration=0.3,
+        fwd=PathConfig(alpha_ms=0.0, beta=0.2, drop_rate=0.02),
+        rev=PathConfig(alpha_ms=0.0, beta=0.3, drop_rate=0.0),
+        srpic=SrpicSettings(enabled=True, block_size=32, ringbuffer_size=32),
+        coalescing=CoalescingParams(t_intr_us=0.0, r_sn_pps=1e5),
+        max_cwnd=2,
+        segment_spacing_us=0.5,
+    )
+    m = run_transfer(cfg, seed=136, srpic=True).aggregate
+    assert (m.pkts_retrans, m.segments_sent, m.bytes_acked) == (1, 23, 31856)
