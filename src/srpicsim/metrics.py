@@ -14,7 +14,7 @@ payload byte.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,14 +82,18 @@ def _count(flags: list[bool]) -> tuple[int, float]:
 
 
 def _max_extent(offsets: list[int], flags: list[bool]) -> int:
+    # ``seen`` holds the earlier offsets in ascending order.  A packet that
+    # is not reordered starts at or above every one of them, so it appends.
     seen: list[int] = []
     best = 0
     for off, reordered in zip(offsets, flags):
         if reordered:
-            greater_before = len(seen) - bisect_right(seen, off)
-            if greater_before > best:
-                best = greater_before
-        insort(seen, off)
+            i = bisect_right(seen, off)
+            if len(seen) - i > best:
+                best = len(seen) - i
+            seen.insert(i, off)
+        else:
+            seen.append(off)
     return best
 
 

@@ -328,11 +328,6 @@ class TestRewrittenHelpers:
             id(p) for p in reference_first_copies(trace)
         ]
 
-    def test_first_copies_keeps_retransmission_out(self):
-        trace = make_trace([0, 20, 10, 20, 10, 30], [10] * 6)
-        kept = _first_copies(trace)
-        assert [p.send_index for p in kept] == [0, 1, 2, 5]
-
     @given(data=st.data())
     @settings(max_examples=400, derandomize=True)
     def test_mark_sacked_matches_reference_across_the_wrap(self, data):
