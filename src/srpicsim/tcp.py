@@ -23,7 +23,7 @@ already in order is event-for-event identical with the sorter on or off.
 The heap holds only packet arrivals, ACK arrivals and retransmission
 timeouts.  The ring drain runs inline: the loop keeps the next service
 completion in one attribute and serves the ring whenever that instant is
-not later than the next heap event, so service wins ties as before.  The
+not later than the next heap event, so service wins every tie.  The
 retransmission timer is lazy: re-arming moves a deadline attribute, and
 an event is pushed only when the deadline moves earlier than every
 timeout event already queued; a queued timeout that finds the deadline
