@@ -3,13 +3,17 @@
 These deliberately avoid the package's incremental algorithms: the
 reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
-The ``reference_*`` functions are the straightforward earlier forms of
-helpers that were since rewritten for speed.
+The ``reference_*`` functions and ``ReferenceEngine`` are the
+straightforward earlier forms of code that was since rewritten for speed.
 """
 
 from bisect import bisect_left, insort
+from dataclasses import replace
 
-from srpicsim.packets import SEQ_MOD, FlowKey, Packet, seq_cmp
+from srpicsim.channel import PathStreams
+from srpicsim.metrics import PartitionError
+from srpicsim.packets import SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
+from srpicsim.sorter import SrpicEngine, accept
 
 FLOW = FlowKey(1, 2, 1000, 2000)
 
@@ -113,3 +117,66 @@ def reference_mark_sacked(state, blocks):
                 (seg.seq + seg.length) % SEQ_MOD, bend
             ) <= 0:
                 seg.sacked = True
+
+
+def reference_classify(offsets, flags, partition):
+    """Intra/inter split by scanning every earlier packet of each
+    reordered one: inter when an earlier, greater offset lies in another
+    block."""
+    n = len(flags)
+    if any(b <= 0 for b in partition) or sum(partition) != n:
+        raise PartitionError(
+            f"block lengths {list(partition)} do not cover a {n}-packet trace"
+        )
+    blocks = []
+    for b, length in enumerate(partition):
+        blocks.extend([b] * length)
+    intra = inter = 0
+    for i, reordered in enumerate(flags):
+        if not reordered:
+            continue
+        cross = any(
+            offsets[j] > offsets[i] and blocks[j] != blocks[i] for j in range(i)
+        )
+        if cross:
+            inter += 1
+        else:
+            intra += 1
+    return intra, inter
+
+
+def reference_apply_path(trace, cfg):
+    """Path emulation copying each survivor with ``dataclasses.replace``."""
+    streams = PathStreams(cfg)
+    survivors = []
+    for p in trace:
+        dropped = streams.next_dropped()
+        delay = streams.next_delay_us()
+        if dropped:
+            continue
+        survivors.append(replace(p, arrival_time=p.send_time + delay))
+    survivors.sort(key=lambda p: (p.arrival_time, p.send_index))
+    return survivors
+
+
+class ReferenceEngine(SrpicEngine):
+    """Sorter engine with the plain ``ingest``/``flush_all`` pair: every
+    packet marks its flow active and every manager is flushed."""
+
+    def ingest(self, p):
+        if not is_suitable(p):
+            return [p]
+        m = self.find_or_create_manager(p.flow)
+        self._active_this_cycle.add(p.flow)
+        out = accept(m, p) or []
+        self.global_packet_cnt += 1
+        if self.global_packet_cnt >= self.ringbuffer_size:
+            out = out + self.flush_all()
+        return out
+
+    def flush_all(self):
+        out = []
+        for key in self.manager_order:
+            out.extend(self.managers[key].flush())
+        self.global_packet_cnt = 0
+        return out

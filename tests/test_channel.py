@@ -1,10 +1,14 @@
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig, PathStreams, apply_path
 from srpicsim.metrics import reordered_count
-from srpicsim.packets import FlowKey, Packet
+from srpicsim.packets import FlowKey, Packet, TcpFlags
+
+from oracles import reference_apply_path
 
 FLOW = FlowKey(9, 8, 7, 6)
 
@@ -90,6 +94,44 @@ class TestApplyPath:
             means.append(statistics.mean(ratios))
         assert all(b >= a for a, b in zip(means, means[1:]))
         assert means[-1] > means[0]
+
+
+class TestApplyPathOracle:
+    @given(
+        send_slots=st.lists(st.integers(min_value=0, max_value=40), max_size=60),
+        drop_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        beta=st.sampled_from([0.0, 0.002, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, derandomize=True)
+    def test_matches_reference(self, send_slots, drop_rate, beta, seed):
+        # Few distinct send instants, so many packets share one.
+        trace = [
+            Packet(
+                flow=FLOW,
+                seq=(i * 1000) % 2**32,
+                payload_len=1 + i % 3,
+                flags=TcpFlags.ACK if i % 5 else TcpFlags.FIN,
+                is_fragment=i % 7 == 0,
+                has_disallowed_options=i % 11 == 0,
+                send_index=i,
+                send_time=slot * 5.0,
+            )
+            for i, slot in enumerate(sorted(send_slots))
+        ]
+        cfg = PathConfig(alpha_ms=0.01, beta=beta, drop_rate=drop_rate, seed=seed)
+        assert apply_path(trace, cfg) == reference_apply_path(trace, cfg)
+
+    def test_tied_arrivals_keep_send_order(self):
+        trace = [
+            Packet(flow=FLOW, seq=i, payload_len=1, send_index=i, send_time=7.0)
+            for i in range(20)
+        ]
+        cfg = PathConfig(alpha_ms=1.0, beta=0.0, seed=4)
+        out = apply_path(trace, cfg)
+        assert out == reference_apply_path(trace, cfg)
+        assert [p.send_index for p in out] == list(range(20))
+        assert all(p.arrival_time == 1007.0 for p in out)
 
 
 class TestPathConfig:

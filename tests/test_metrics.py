@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from srpicsim.metrics import (
     OverlappingSegmentsError,
     PartitionError,
+    _reordered_flags,
     classify_block_reordering,
     max_reordering_extent,
     reorder_report,
@@ -19,6 +20,7 @@ from oracles import (
     brute_max_extent,
     brute_reordered_count,
     make_trace,
+    reference_classify,
 )
 
 
@@ -131,6 +133,59 @@ class TestOracleAgreement:
         assert classify_block_reordering(trace, partition) == brute_classify(
             trace, partition
         )
+
+
+class TestClassifierOracles:
+    """The classifier against the quadratic scan it replaced and against
+    the brute-force definition, on byte traces that may wrap 2**32."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True)
+    def test_matches_reference_and_brute(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=24))
+        starts = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=20_000),
+                    min_size=n,
+                    max_size=n,
+                    unique=True,
+                )
+            )
+        )
+        lens = []
+        for i, s in enumerate(starts):
+            gap = (starts[i + 1] - s) if i + 1 < n else 1500
+            lens.append(data.draw(st.integers(min_value=0, max_value=gap)))
+        order = data.draw(st.permutations(list(range(n))))
+        offsets = [starts[i] for i in order]
+        lens = [lens[i] for i in order]
+        # A base just below 2**32 makes the trace straddle the wrap.
+        base = data.draw(
+            st.one_of(st.just(0), st.integers(min_value=(1 << 32) - 20_000, max_value=(1 << 32) - 1))
+        )
+        trace = make_trace([(base + off) % (1 << 32) for off in offsets], lens)
+        shape = data.draw(st.sampled_from(["one block", "single packets", "random"]))
+        if shape == "one block":
+            partition = [n]
+        elif shape == "single packets":
+            partition = [1] * n
+        else:
+            cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)))))
+            partition = [b - a for a, b in zip([0] + cuts, cuts + [n]) if b - a > 0]
+        got = classify_block_reordering(trace, partition)
+        assert got == reference_classify(*_reordered_flags(trace), partition)
+        assert got == brute_classify(make_trace(offsets, lens), partition)
+        report = reorder_report(trace, partition)
+        assert (report.intra_block, report.inter_block) == got
+
+    def test_partition_errors_match_reference(self):
+        offsets, flags = _reordered_flags(make_trace([3, 1, 2]))
+        for partition in ([2, 2], [3, 0], [4, -1], [1, 1]):
+            with pytest.raises(PartitionError):
+                reference_classify(offsets, flags, partition)
+            with pytest.raises(PartitionError):
+                classify_block_reordering(make_trace([3, 1, 2]), partition)
 
 
 class TestReportSharesOnePass:

@@ -1,7 +1,10 @@
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srpicsim.packets import (
+    DISQUALIFYING_FLAGS,
     FlowKey,
     Packet,
     TcpFlags,
@@ -84,3 +87,13 @@ class TestIsSuitable:
             TcpFlags.FIN,
         ):
             assert not is_suitable(pkt(flags=flag | TcpFlags.ACK))
+
+    def test_every_flag_and_pair_matches_the_flag_rule(self):
+        singles = [TcpFlags.NONE, *TcpFlags]
+        for a, b in itertools.combinations_with_replacement(singles, 2):
+            for frag, opts in itertools.product((False, True), repeat=2):
+                p = pkt(flags=a | b, is_fragment=frag, has_disallowed_options=opts)
+                expected = (
+                    not (p.flags & DISQUALIFYING_FLAGS) and not frag and not opts
+                )
+                assert is_suitable(p) == expected, (a | b, frag, opts)

@@ -7,7 +7,7 @@ from srpicsim.metrics import reordered_count
 from srpicsim.packets import FlowKey, Packet, TcpFlags, is_suitable
 from srpicsim.sorter import SrpicEngine, SrpicManager, accept
 
-from oracles import FLOW, make_trace
+from oracles import FLOW, ReferenceEngine, make_trace
 
 FLOW_B = FlowKey(3, 4, 1111, 2222)
 
@@ -251,3 +251,56 @@ class TestEngineProperties:
             emissions.append(tail)
         for block in emissions:
             assert seqs(block) == sorted(seqs(block))
+
+
+_UNSUITABLE_KINDS = ["flags", "options", "fragment"]
+
+
+class TestEngineMatchesReference:
+    """The engine emits exactly what the plain ingest/flush_all pair emits,
+    packet by packet, over many flows and cycles."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True)
+    def test_multi_flow_cycles(self, data):
+        n_flows = data.draw(st.integers(min_value=1, max_value=4))
+        flows = [FlowKey(1, 2, 40000 + f, 5001) for f in range(n_flows)]
+        base = data.draw(st.sampled_from([0, 2**32 - 24]))
+        draws = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n_flows - 1),
+                    st.integers(min_value=0, max_value=48),
+                    st.sampled_from(["ok"] * 4 + _UNSUITABLE_KINDS),
+                    st.sampled_from(list(TcpFlags)),
+                ),
+                max_size=60,
+            )
+        )
+        packets = [
+            Packet(
+                flow=flows[f],
+                seq=(base + s) % 2**32,
+                payload_len=1,
+                flags=flag if kind == "flags" else TcpFlags.ACK,
+                is_fragment=kind == "fragment",
+                has_disallowed_options=kind == "options",
+                send_index=i,
+            )
+            for i, (f, s, kind, flag) in enumerate(draws)
+        ]
+        cuts = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=len(packets)))))
+        cycles = [packets[a:b] for a, b in zip([0] + cuts, cuts + [len(packets)])]
+        kwargs = dict(
+            block_size=data.draw(st.integers(min_value=1, max_value=8)),
+            ringbuffer_size=data.draw(st.integers(min_value=1, max_value=16)),
+            evict_idle_after=data.draw(st.one_of(st.none(), st.integers(1, 3))),
+        )
+        eng, ref = SrpicEngine(**kwargs), ReferenceEngine(**kwargs)
+        for cycle in cycles:
+            for p in cycle:
+                assert eng.ingest(p) == ref.ingest(p)
+                assert eng.global_packet_cnt == ref.global_packet_cnt
+            assert eng.end_cycle() == ref.end_cycle()
+            assert eng.manager_order == ref.manager_order
+            assert list(eng.managers) == list(ref.managers)
