@@ -11,12 +11,14 @@ where a drop actually removed a packet.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from statistics import NormalDist
 
 from .packets import Packet
 
 _INV_CDF = NormalDist().inv_cdf
+_ARRIVAL_ORDER = attrgetter("arrival_time", "send_index")
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,28 @@ def apply_path(trace: list[Packet], cfg: PathConfig) -> list[Packet]:
     """Send a send-ordered trace through the path; returns survivors in
     arrival order (ties broken by send_index, i.e. FIFO)."""
     streams = PathStreams(cfg)
+    next_dropped = streams.next_dropped
+    next_delay_us = streams.next_delay_us
     survivors: list[Packet] = []
+    append = survivors.append
     for p in trace:
-        dropped = streams.next_dropped()
-        delay = streams.next_delay_us()
+        dropped = next_dropped()
+        delay = next_delay_us()
         if dropped:
             continue
-        survivors.append(replace(p, arrival_time=p.send_time + delay))
-    survivors.sort(key=lambda p: (p.arrival_time, p.send_index))
+        # Every field copied positionally, in declaration order.
+        append(
+            Packet(
+                p.flow,
+                p.seq,
+                p.payload_len,
+                p.flags,
+                p.is_fragment,
+                p.has_disallowed_options,
+                p.send_index,
+                p.send_time,
+                p.send_time + delay,
+            )
+        )
+    survivors.sort(key=_ARRIVAL_ORDER)
     return survivors

@@ -6,6 +6,14 @@ in-order and advances the expectation to the end of its payload, a packet
 below it counts as reordered.  A reordered packet's extent is the number
 of greater-sequence packets that arrived before it.
 
+Given a partition of the arrival order into consecutive blocks, a
+reordered packet is intra-block when every earlier-arriving packet with a
+greater sequence lies in its own block, inter-block otherwise.  Since the
+earlier packets outside its block are exactly those of the earlier blocks,
+a reordered packet is inter-block exactly when the largest offset over the
+earlier blocks exceeds its own, so one pass that carries that maximum
+across block boundaries classifies a trace in O(n).
+
 All functions require duplicate-free traces (no two packets sharing a
 payload byte); the walk is undefined otherwise and such traces are
 rejected.  Variable payload lengths are fine — comparisons use the first
@@ -16,6 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from math import inf
 from typing import Sequence
 
 from .packets import Packet, SEQ_HALF, SEQ_MOD
@@ -107,17 +117,6 @@ def max_reordering_extent(trace: Sequence[Packet]) -> int:
     return _max_extent(*_reordered_flags(trace))
 
 
-def _block_index(partition: Sequence[int], n: int) -> list[int]:
-    if any(b <= 0 for b in partition) or sum(partition) != n:
-        raise PartitionError(
-            f"block lengths {list(partition)} do not cover a {n}-packet trace"
-        )
-    idx: list[int] = []
-    for b, length in enumerate(partition):
-        idx.extend([b] * length)
-    return idx
-
-
 def classify_block_reordering(
     trace: Sequence[Packet], partition: Sequence[int]
 ) -> tuple[int, int]:
@@ -133,18 +132,26 @@ def classify_block_reordering(
 def _classify(
     offsets: list[int], flags: list[bool], partition: Sequence[int]
 ) -> tuple[int, int]:
-    blocks = _block_index(partition, len(flags))
-    intra = inter = 0
-    for i, reordered in enumerate(flags):
-        if not reordered:
-            continue
-        cross = any(
-            offsets[j] > offsets[i] and blocks[j] != blocks[i] for j in range(i)
+    n = len(flags)
+    if any(b <= 0 for b in partition) or sum(partition) != n:
+        raise PartitionError(
+            f"block lengths {list(partition)} do not cover a {n}-packet trace"
         )
-        if cross:
-            inter += 1
-        else:
-            intra += 1
+    intra = inter = 0
+    # Largest offset over all earlier blocks; it moves only at a boundary.
+    earlier_max = -inf
+    pairs = zip(offsets, flags)
+    for length in partition:
+        block_max = earlier_max
+        for off, reordered in islice(pairs, length):
+            if reordered:
+                if earlier_max > off:
+                    inter += 1
+                else:
+                    intra += 1
+            if off > block_max:
+                block_max = off
+        earlier_max = block_max
     return intra, inter
 
 

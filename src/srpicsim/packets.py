@@ -26,6 +26,9 @@ class TcpFlags(enum.Flag):
 DISQUALIFYING_FLAGS = (
     TcpFlags.ECE | TcpFlags.CWR | TcpFlags.URG | TcpFlags.RST | TcpFlags.SYN | TcpFlags.FIN
 )
+# Integer mask of the same bits: testing ``flags.value`` against it skips
+# the enum's ``__and__``, which dominates the per-packet cost.
+_DISQUALIFYING_BITS = DISQUALIFYING_FLAGS.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,5 +89,5 @@ def is_suitable(p: Packet) -> bool:
     return (
         not p.is_fragment
         and not p.has_disallowed_options
-        and not (p.flags & DISQUALIFYING_FLAGS)
+        and not (p.flags.value & _DISQUALIFYING_BITS)
     )

@@ -134,8 +134,11 @@ class SrpicEngine:
         """
         if not is_suitable(p):
             return [p]
-        m = self.find_or_create_manager(p.flow)
-        self._active_this_cycle.add(p.flow)
+        m = self.managers.get(p.flow)
+        if m is None:
+            m = self.find_or_create_manager(p.flow)
+        if self.evict_idle_after is not None:
+            self._active_this_cycle.add(p.flow)
         out = accept(m, p) or []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
@@ -143,10 +146,17 @@ class SrpicEngine:
         return out
 
     def flush_all(self) -> list[Packet]:
-        """Flush every manager in creation order; resets the global count."""
+        """Flush every manager in creation order; resets the global count.
+
+        Empty managers are skipped: flushing one yields nothing and resets
+        state that is already reset.
+        """
         out: list[Packet] = []
+        managers = self.managers
         for key in self.manager_order:
-            out.extend(self.managers[key].flush())
+            m = managers[key]
+            if m.packet_cnt:
+                out.extend(m.flush())
         self.global_packet_cnt = 0
         return out
 

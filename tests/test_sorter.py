@@ -171,6 +171,12 @@ class TestEngine:
             assert all(m.packet_cnt < 4 for m in eng.managers.values())
             assert held < 8
 
+    def test_no_activity_tracking_without_eviction(self):
+        eng = SrpicEngine(block_size=2)
+        eng.process_cycle(make_trace([1, 2, 3]) + make_trace([1], flow=FLOW_B))
+        eng.ingest(make_trace([4])[0])
+        assert eng._active_this_cycle == set()
+
     def test_idle_eviction(self):
         eng = SrpicEngine(evict_idle_after=2)
         eng.process_cycle(make_trace([1]))
