@@ -30,7 +30,6 @@ class CoalescingParams:
 
     t_intr_us: float = 30.0
     r_sn_pps: float = 1.2e6
-    ringbuffer_size: int = 512
 
     def __post_init__(self):
         if self.r_sn_pps <= 0:

@@ -84,7 +84,7 @@ class ScenarioConfig:
 
 _PATH_KEYS = {"alpha_ms", "beta", "drop_rate"}
 _SRPIC_KEYS = {"enabled", "block_size", "ringbuffer_size"}
-_COALESCING_KEYS = {"t_intr_us", "r_sn_pps", "ringbuffer_size"}
+_COALESCING_KEYS = {"t_intr_us", "r_sn_pps"}
 _TOP_KEYS = {
     "name",
     "duration",

@@ -289,6 +289,19 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "duration" in capsys.readouterr().err
 
+    def test_coalescing_ringbuffer_size_exits_2(self, tmp_path, capsys):
+        # The sorter's ring is srpic.ringbuffer_size; the coalescing key is
+        # rejected instead of being accepted and ignored.
+        path = tmp_path / "bad.yaml"
+        text = SMALL_YAML.replace(
+            "r_sn_pps: 300000}", "r_sn_pps: 300000, ringbuffer_size: 512}"
+        )
+        assert text != SMALL_YAML
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "coalescing" in err and "ringbuffer_size" in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/cfg.yaml"]) == 2
 
