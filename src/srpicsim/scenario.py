@@ -20,6 +20,7 @@ from scipy import stats
 
 from .channel import PathConfig
 from .coalescing import CoalescingParams
+from .packets import SEQ_MOD
 from .tcp import run_transfer
 
 
@@ -50,6 +51,7 @@ class ScenarioConfig:
     seeds: tuple[int, ...] = (1,)
     max_cwnd: int = 64
     segment_spacing_us: float = 12.0
+    isn: int = 0  # initial sequence number of every stream
 
     def validate(self) -> None:
         if not self.name:
@@ -70,6 +72,8 @@ class ScenarioConfig:
             raise ConfigError("max_cwnd: must be >= 2")
         if self.segment_spacing_us <= 0:
             raise ConfigError("segment_spacing_us: must be > 0")
+        if not 0 <= self.isn < SEQ_MOD:
+            raise ConfigError("isn: must be in [0, 2**32)")
         for label, path in (("fwd", self.fwd), ("rev", self.rev)):
             try:
                 PathConfig(
@@ -98,6 +102,7 @@ _TOP_KEYS = {
     "seeds",
     "max_cwnd",
     "segment_spacing_us",
+    "isn",
 }
 
 
@@ -139,6 +144,7 @@ def scenario_from_mapping(doc: dict[str, Any]) -> ScenarioConfig:
             seeds=tuple(int(s) for s in doc.get("seeds", (1,))),
             max_cwnd=int(doc.get("max_cwnd", 64)),
             segment_spacing_us=float(doc.get("segment_spacing_us", 12.0)),
+            isn=int(doc.get("isn", 0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

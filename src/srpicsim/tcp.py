@@ -103,6 +103,7 @@ class SenderState:
     dup_acks_in: int = 0
     sack_blocks_rcvd: int = 0
     segments_sent: int = 0
+    bytes_acked: int = 0  # unwrapped: grows past 2**32
 
     def __post_init__(self):
         self.cwnd = min(self.cwnd, self.max_cwnd)
@@ -300,6 +301,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -
     while q and seq_cmp((q[0].seq + q[0].length) % SEQ_MOD, ack.ack_seq) <= 0:
         q.popleft()
         acked_segments += 1
+    state.bytes_acked += (ack.ack_seq - state.snd_una) % SEQ_MOD
     state.snd_una = ack.ack_seq
     state.rto_backoff = 1
 
@@ -452,8 +454,11 @@ class _StreamSim:
             max_cwnd=float(cfg.max_cwnd),
             data_deadline_us=self.duration_us,
             sack_aware=cfg.sack_enabled,
+            next_send_seq=cfg.isn,
+            snd_una=cfg.isn,
+            recover_point=cfg.isn,
         )
-        self.receiver = ReceiverState(sack_enabled=cfg.sack_enabled)
+        self.receiver = ReceiverState(sack_enabled=cfg.sack_enabled, isn=cfg.isn)
         self.engine = (
             SrpicEngine(
                 block_size=cfg.srpic.block_size,
@@ -639,7 +644,7 @@ class _StreamSim:
         post_trace = [p for p in self.delivery_trace if id(p) in kept]
         pre = reorder_report(pre_trace)
         post = reorder_report(post_trace)
-        bytes_acked = self.sender.snd_una
+        bytes_acked = self.sender.bytes_acked
         duration_s = self.cfg.duration
         mean_block = (
             sum(self.cycle_sizes) / len(self.cycle_sizes) if self.cycle_sizes else 0.0
@@ -665,16 +670,19 @@ def _first_copies(trace: list[Packet]) -> list[Packet]:
 
     Retransmissions duplicate payload bytes; the reordering metrics are
     defined only on duplicate-free traces, so later copies are excluded.
-    Payloads must be nonempty, as every simulated segment's is.
+    Payloads must be nonempty, as every simulated segment's is.  Ranges
+    are compared as offsets from the first packet's sequence, so a trace
+    may cross the 2**32 wrap.
     """
     kept: list[Packet] = []
+    ref = trace[0].seq - SEQ_HALF if trace else 0
     # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
     # Ranges that touch are merged, so the lists stay as short as the
     # number of holes.
     starts: list[int] = []
     ends: list[int] = []
     for p in trace:
-        s = p.seq
+        s = (p.seq - ref) % SEQ_MOD - SEQ_HALF
         e = s + p.payload_len
         i = bisect_left(starts, s)
         right = i < len(starts)

@@ -82,6 +82,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="duration"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("isn", [-1, 2**32, "x"])
+    def test_isn_out_of_range_rejected(self, tmp_path, isn):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_YAML + f"isn: {isn}\n", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_scenario(str(path))
+
+    def test_isn_loads(self, tmp_path):
+        path = tmp_path / "isn.yaml"
+        path.write_text(SMALL_YAML + f"isn: {2**32 - 1}\n", encoding="utf-8")
+        assert load_scenario(str(path)).isn == 2**32 - 1
+        assert load_scenario(str(SCENARIO_DIR / "table4_analog.yaml")).isn == 0
+
     def test_yaml_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("name: [unclosed\nduration: 1\n", encoding="utf-8")

@@ -1,4 +1,6 @@
 import copy
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet
-from srpicsim.scenario import ScenarioConfig
+from srpicsim.scenario import ScenarioConfig, load_scenario
 from srpicsim.tcp import (
     MSS,
     AckRecord,
@@ -26,6 +28,7 @@ from srpicsim.tcp import (
 from oracles import make_trace, reference_first_copies, reference_mark_sacked
 
 FLOW = FlowKey(1, 2, 3, 4)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def seg(seq, length=10, send_time=0.0):
@@ -308,6 +311,26 @@ class TestTransfer:
         )
 
 
+class TestSequenceWrap:
+    def test_acked_bytes_count_past_the_wrap(self):
+        state = SenderState(next_send_seq=SEQ_MOD - 2 * MSS, snd_una=SEQ_MOD - 2 * MSS)
+        sender_start(state)
+        sender_on_ack(state, new_ack((SEQ_MOD - MSS) % SEQ_MOD), now=1.0)
+        sender_on_ack(state, new_ack(MSS), now=2.0)
+        assert state.snd_una == MSS
+        assert state.bytes_acked == 3 * MSS
+
+    @pytest.mark.parametrize("srpic_on", [False, True])
+    def test_table4_run_is_the_same_across_the_wrap(self, srpic_on):
+        # The stream crosses 2**32 after 5000 segments; everything but the
+        # raw sequence numbers must match the run that starts at zero.
+        cfg = load_scenario(str(SCENARIOS / "table4_analog.yaml"))
+        base = run_transfer(cfg, seed=1, srpic=srpic_on)
+        wrapped = run_transfer(replace(cfg, isn=SEQ_MOD - MSS * 5000), seed=1, srpic=srpic_on)
+        assert base.aggregate.bytes_acked > MSS * 5000
+        assert wrapped == base
+
+
 class TestRewrittenHelpers:
     """The fast helpers agree with their straightforward earlier forms."""
 
@@ -318,14 +341,18 @@ class TestRewrittenHelpers:
                 st.integers(min_value=1, max_value=40),
             ),
             max_size=40,
-        )
+        ),
+        base=st.one_of(st.just(0), st.integers(min_value=SEQ_MOD - 340, max_value=SEQ_MOD - 1)),
     )
     @settings(max_examples=400, derandomize=True)
-    def test_first_copies_matches_reference(self, segs):
+    def test_first_copies_matches_reference(self, segs, base):
         # Small sequence space: duplicates, partial overlaps, exact touches.
-        trace = make_trace([s for s, _ in segs], [n for _, n in segs])
-        assert [id(p) for p in _first_copies(trace)] == [
-            id(p) for p in reference_first_copies(trace)
+        # The reference compares plain integers; the shifted copy of the
+        # trace may cross the 2**32 wrap.
+        plain = make_trace([s for s, _ in segs], [n for _, n in segs])
+        shifted = make_trace([(base + s) % SEQ_MOD for s, _ in segs], [n for _, n in segs])
+        assert [p.send_index for p in _first_copies(shifted)] == [
+            p.send_index for p in reference_first_copies(plain)
         ]
 
     @given(data=st.data())
