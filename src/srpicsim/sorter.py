@@ -152,9 +152,8 @@ class SrpicEngine:
         state that is already reset.
         """
         out: list[Packet] = []
-        managers = self.managers
         for key in self.manager_order:
-            m = managers[key]
+            m = self.managers[key]
             if m.packet_cnt:
                 out.extend(m.flush())
         self.global_packet_cnt = 0
