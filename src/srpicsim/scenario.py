@@ -144,7 +144,7 @@ def scenario_from_mapping(doc: dict[str, Any]) -> ScenarioConfig:
             seeds=tuple(int(s) for s in doc.get("seeds", (1,))),
             max_cwnd=int(doc.get("max_cwnd", 64)),
             segment_spacing_us=float(doc.get("segment_spacing_us", 12.0)),
-            isn=int(doc.get("isn", 0)),
+            isn=_coerce("isn", "int", doc.get("isn", 0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

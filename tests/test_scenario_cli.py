@@ -82,7 +82,7 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="duration"):
             load_scenario(str(path))
 
-    @pytest.mark.parametrize("isn", [-1, 2**32, "x"])
+    @pytest.mark.parametrize("isn", [-1, 2**32, 1.5, "x"])
     def test_isn_out_of_range_rejected(self, tmp_path, isn):
         path = tmp_path / "bad.yaml"
         path.write_text(SMALL_YAML + f"isn: {isn}\n", encoding="utf-8")
