@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Iterable
 
 import yaml
@@ -30,9 +30,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SrpicSettings:
-    enabled: bool = True
     block_size: int = 32
     ringbuffer_size: int = 512
+
+    def __post_init__(self):
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        if self.ringbuffer_size < self.block_size:
+            raise ValueError("ringbuffer_size must be >= block_size")
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,7 @@ class ScenarioConfig:
     duration: float  # simulated seconds
     num_streams: int = 1
     fwd: PathConfig = field(default_factory=PathConfig)
-    rev: PathConfig = field(default_factory=lambda: PathConfig(beta=0.0))
+    rev: PathConfig = field(default_factory=PathConfig)
     sender_mode: str = "static"  # "static" | "adaptive"
     sack_enabled: bool = False
     srpic: SrpicSettings = field(default_factory=SrpicSettings)
@@ -53,7 +58,7 @@ class ScenarioConfig:
     segment_spacing_us: float = 12.0
     isn: int = 0  # initial sequence number of every stream
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.name:
             raise ConfigError("name: must be a nonempty string")
         if self.duration <= 0:
@@ -64,92 +69,98 @@ class ScenarioConfig:
             raise ConfigError("seeds: must be a nonempty list")
         if self.sender_mode not in ("static", "adaptive"):
             raise ConfigError("sender_mode: must be 'static' or 'adaptive'")
-        if self.srpic.block_size < 1:
-            raise ConfigError("srpic.block_size: must be >= 1")
-        if self.srpic.ringbuffer_size < self.srpic.block_size:
-            raise ConfigError("srpic.ringbuffer_size: must be >= srpic.block_size")
         if self.max_cwnd < 2:
             raise ConfigError("max_cwnd: must be >= 2")
         if self.segment_spacing_us <= 0:
             raise ConfigError("segment_spacing_us: must be > 0")
         if not 0 <= self.isn < SEQ_MOD:
             raise ConfigError("isn: must be in [0, 2**32)")
-        for label, path in (("fwd", self.fwd), ("rev", self.rev)):
-            try:
-                PathConfig(
-                    alpha_ms=path.alpha_ms,
-                    beta=path.beta,
-                    drop_rate=path.drop_rate,
-                    seed=path.seed,
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{label}: {exc}") from exc
 
 
-_PATH_KEYS = {"alpha_ms", "beta", "drop_rate"}
-_SRPIC_KEYS = {"enabled", "block_size", "ringbuffer_size"}
-_COALESCING_KEYS = {"t_intr_us", "r_sn_pps"}
-_TOP_KEYS = {
-    "name",
-    "duration",
-    "num_streams",
-    "fwd",
-    "rev",
-    "sender_mode",
-    "sack_enabled",
-    "srpic",
-    "coalescing",
-    "seeds",
-    "max_cwnd",
-    "segment_spacing_us",
-    "isn",
+# The section fields of ScenarioConfig and their defaults.  A scenario's
+# section starts from the default and replaces the keys the file sets.
+_SECTIONS = {
+    f.name: f.default_factory()
+    for f in fields(ScenarioConfig)
+    if f.default_factory is not MISSING
 }
+_ALIASES = {"beta": "fwd.beta", "delta": "fwd.drop_rate"}
+_SCALARS = {"float": float, "int": int, "bool": bool, "str": str}
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _settable(cls) -> dict[str, str]:
+    """The keys a scenario may set on a config dataclass, with their
+    declared types.  ``PathConfig.seed`` is not one: the run derives each
+    path's seed from the scenario seed, the stream and the direction."""
+    return {
+        f.name: f.type for f in fields(cls) if not (cls is PathConfig and f.name == "seed")
+    }
+
+
+def _coerce(key: str, declared: str, value):
+    """Return ``value`` as the declared type of ``key``, exactly.
+
+    An int takes no fractional part, a bool is true/false (or 1/0), a
+    float is finite and a str is a string; anything else is a ConfigError.
+    """
+    if declared == "tuple[int, ...]":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: {value!r} is not a list of integers")
+        return tuple(_coerce(key, "int", v) for v in value)
+    if declared not in _SCALARS:
+        raise ConfigError(f"{key}: is a section, not a single value")
+    try:
+        coerced = _SCALARS[declared](value)
+    except (OverflowError, TypeError, ValueError):
+        coerced = None
+    if (
+        coerced is None
+        or coerced != value
+        or (isinstance(value, bool) and declared != "bool")
+        or (declared == "float" and not math.isfinite(coerced))
+    ):
+        raise ConfigError(f"{key}: {value!r} is not a valid {declared}")
+    return coerced
+
+
+def _replace(key: str, section, changes: dict):
+    try:
+        return replace(section, **changes)
+    except ValueError as exc:  # the section's own range check
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _coerce_mapping(doc, cls, where: str) -> dict[str, Any]:
+    """The keyword arguments for ``cls`` that one mapping of a scenario
+    file sets, each value through ``_coerce``; sections recurse."""
+    label = where or "top level"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{label}: expected a mapping")
+    declared = _settable(cls)
+    unknown = sorted(str(key) for key in doc if key not in declared)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{label}: unknown key(s) {unknown}")
+    values = {}
+    for key, value in doc.items():
+        if cls is ScenarioConfig and key in _SECTIONS:
+            section = _SECTIONS[key]
+            values[key] = _replace(key, section, _coerce_mapping(value, type(section), key))
+        else:
+            values[key] = _coerce(f"{where}.{key}" if where else key, declared[key], value)
+    return values
 
 
 def scenario_from_mapping(doc: dict[str, Any]) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a mapping of scenario fields")
-    _check_keys(doc, _TOP_KEYS, "top level")
-    try:
-        fwd_doc = dict(doc.get("fwd", {}))
-        rev_doc = dict(doc.get("rev", {}))
-        srpic_doc = dict(doc.get("srpic", {}))
-        coal_doc = dict(doc.get("coalescing", {}))
-    except TypeError as exc:
-        raise ConfigError(f"section must be a mapping: {exc}") from exc
-    _check_keys(fwd_doc, _PATH_KEYS, "fwd")
-    _check_keys(rev_doc, _PATH_KEYS, "rev")
-    _check_keys(srpic_doc, _SRPIC_KEYS, "srpic")
-    _check_keys(coal_doc, _COALESCING_KEYS, "coalescing")
+    """Build a validated scenario from a parsed YAML mapping.
 
+    Keys, types and defaults are the fields of ``ScenarioConfig`` and of
+    its section dataclasses; an omitted key takes the field's default.
+    """
+    values = _coerce_mapping(doc, ScenarioConfig, "")
     try:
-        cfg = ScenarioConfig(
-            name=str(doc.get("name", "")),
-            duration=float(doc.get("duration", 0.0)),
-            num_streams=int(doc.get("num_streams", 1)),
-            fwd=PathConfig(**fwd_doc),
-            rev=PathConfig(**{"beta": 0.0, **rev_doc}),
-            sender_mode=str(doc.get("sender_mode", "static")),
-            sack_enabled=bool(doc.get("sack_enabled", False)),
-            srpic=SrpicSettings(**srpic_doc),
-            coalescing=CoalescingParams(
-                **{"t_intr_us": 100.0, "r_sn_pps": 1e5, **coal_doc}
-            ),
-            seeds=tuple(int(s) for s in doc.get("seeds", (1,))),
-            max_cwnd=int(doc.get("max_cwnd", 64)),
-            segment_spacing_us=float(doc.get("segment_spacing_us", 12.0)),
-            isn=_coerce("isn", "int", doc.get("isn", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg.validate()
-    return cfg
+        return ScenarioConfig(**values)
+    except TypeError as exc:  # name or duration is missing
+        raise ConfigError(f"top level: {exc}") from exc
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -170,43 +181,21 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 def override_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """Return a validated copy of ``cfg`` with one (possibly nested) field replaced.
+    """Return a validated copy of ``cfg`` with one (possibly dotted) key set.
 
     ``beta`` and ``delta`` are shorthands for ``fwd.beta`` and
-    ``fwd.drop_rate``.  The value is coerced to the field's declared type;
-    an integer field rejects a value with a fractional part.
+    ``fwd.drop_rate``.  The keys and the type rule are those of
+    ``scenario_from_mapping``.
     """
-    aliases = {"beta": "fwd.beta", "delta": "fwd.drop_rate"}
-    dotted = aliases.get(param, param)
-    section_name, _, leaf = dotted.rpartition(".")
-    owner = getattr(cfg, section_name, None) if section_name else cfg
-    field_types = {f.name: f.type for f in fields(owner)} if is_dataclass(owner) else {}
-    if leaf not in field_types:
+    section, _, leaf = _ALIASES.get(param, param).rpartition(".")
+    owner = _SECTIONS.get(section) if section else cfg
+    declared = _settable(type(owner)) if owner is not None else {}
+    if leaf not in declared:
         raise ConfigError(f"sweep parameter {param!r} is not a scenario field")
-    coerced = _coerce(param, field_types[leaf], value)
-    try:
-        updated = replace(owner, **{leaf: coerced})
-    except ValueError as exc:  # a section's own range check
-        raise ConfigError(f"{param}: {exc}") from exc
-    out = replace(cfg, **{section_name: updated}) if section_name else updated
-    out.validate()
-    return out
-
-
-_SWEEPABLE = {"float": float, "int": int, "bool": bool}
-
-
-def _coerce(param: str, declared, value: float):
-    kind = declared if isinstance(declared, str) else getattr(declared, "__name__", "")
-    if kind not in _SWEEPABLE:
-        raise ConfigError(f"sweep parameter {param!r} is not numeric and cannot be swept")
-    try:
-        coerced = _SWEEPABLE[kind](value)
-    except (OverflowError, ValueError):
-        coerced = None
-    if coerced is None or coerced != value:
-        raise ConfigError(f"{param}: {value!r} is not a valid {kind}")
-    return coerced
+    coerced = _coerce(param, declared[leaf], value)
+    if not section:
+        return replace(cfg, **{leaf: coerced})
+    return replace(cfg, **{section: _replace(param, getattr(cfg, section), {leaf: coerced})})
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +239,6 @@ def _fmt(value) -> str:
 def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     """Execute all seeds of a scenario, paired sorter-off/sorter-on, and
     return one row dict per stream per seed per arm."""
-    cfg.validate()
     rows: list[dict] = []
     for seed in cfg.seeds:
         for srpic_on in (False, True):

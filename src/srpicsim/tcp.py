@@ -734,14 +734,8 @@ def _aggregate(streams: list[TransferMetrics]) -> TransferMetrics:
     )
 
 
-def run_transfer(
-    cfg: "ScenarioConfig", seed: int | None = None, srpic: bool | None = None
-) -> TransferResult:
-    """Run one scenario once: every stream independently, one result each
-    plus the aggregate.  ``srpic`` overrides the scenario's sorter arm."""
-    run_seed = cfg.seeds[0] if seed is None else seed
-    srpic_on = cfg.srpic.enabled if srpic is None else srpic
-    streams = [
-        _StreamSim(cfg, run_seed, sid, srpic_on).run() for sid in range(cfg.num_streams)
-    ]
+def run_transfer(cfg: "ScenarioConfig", *, seed: int, srpic: bool) -> TransferResult:
+    """Run one arm of a scenario at one seed: every stream independently,
+    one result each plus the aggregate.  ``srpic`` selects the sorter arm."""
+    streams = [_StreamSim(cfg, seed, sid, srpic).run() for sid in range(cfg.num_streams)]
     return TransferResult(streams=streams, aggregate=_aggregate(streams))

@@ -64,7 +64,7 @@ def test_rearms_at_one_instant_keep_the_first_expiry():
         duration=0.3,
         fwd=PathConfig(alpha_ms=0.0, beta=0.2, drop_rate=0.02),
         rev=PathConfig(alpha_ms=0.0, beta=0.3, drop_rate=0.0),
-        srpic=SrpicSettings(enabled=True, block_size=32, ringbuffer_size=32),
+        srpic=SrpicSettings(block_size=32, ringbuffer_size=32),
         coalescing=CoalescingParams(t_intr_us=0.0, r_sn_pps=1e5),
         max_cwnd=2,
         segment_spacing_us=0.5,

@@ -1,10 +1,13 @@
 import math
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+import yaml
 
+from srpicsim import cli
 from srpicsim.channel import PathConfig
 from srpicsim.cli import main
 from srpicsim.coalescing import CoalescingParams
@@ -18,6 +21,7 @@ from srpicsim.scenario import (
     parse_csv,
     rows_to_csv,
     run_scenario,
+    scenario_from_mapping,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -32,7 +36,7 @@ max_cwnd: 16
 segment_spacing_us: 4.0
 fwd: {alpha_ms: 2.5, beta: 0.01, drop_rate: 0.0}
 rev: {alpha_ms: 2.5, beta: 0.0, drop_rate: 0.0}
-srpic: {enabled: true, block_size: 32, ringbuffer_size: 512}
+srpic: {block_size: 32, ringbuffer_size: 512}
 coalescing: {t_intr_us: 120.0, r_sn_pps: 300000}
 seeds: [1, 2]
 """
@@ -43,6 +47,44 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.yaml"
     path.write_text(SMALL_YAML, encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail instead of running: a bad value that loads (say, an infinite
+    duration) must not hang the suite."""
+
+    def refuse(cfg):
+        raise AssertionError(f"a bad scenario loaded and was run: {cfg}")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+
+
+def with_key(key, value):
+    """SMALL_YAML as a mapping, with one (possibly dotted) key set."""
+    doc = yaml.safe_load(SMALL_YAML)
+    section, _, leaf = key.rpartition(".")
+    (doc[section] if section else doc)[leaf] = value
+    return doc
+
+
+def numeric_points():
+    """Every numeric key of the scenario dataclasses, with a valid new value."""
+    cfg = scenario_from_mapping(yaml.safe_load(SMALL_YAML))
+    for f in fields(ScenarioConfig):
+        value = getattr(cfg, f.name)
+        leaves = (
+            [(f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value)]
+            if is_dataclass(value)
+            else [(f.name, value)]
+        )
+        for key, old in leaves:
+            if isinstance(old, bool):
+                yield key, float(not old)
+            elif isinstance(old, int):
+                yield key, float(old + 1)
+            elif isinstance(old, float):
+                yield key, old * 0.5 + 0.25
 
 
 def tiny_cfg():
@@ -124,9 +166,31 @@ class TestConfigLoading:
             ("fwd", 1.0),
             ("fwd.beta.x", 1.0),
             ("seeds.real", 1.0),
+            ("fwd.seed", 1.0),
+            ("rev.seed", 1.0),
+            ("srpic.enabled", 1.0),
         ):
             with pytest.raises(ConfigError):
                 override_param(cfg, param, value)
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        expected = ScenarioConfig("x", 1.0)
+        assert scenario_from_mapping({"name": "x", "duration": 1.0}) == expected
+
+    @pytest.mark.parametrize("key, value", list(numeric_points()))
+    def test_sweep_and_file_accept_the_same_keys(self, key, value):
+        # Path seeds are derived by the run, so neither sets them.
+        try:
+            loaded = scenario_from_mapping(with_key(key, value))
+        except ConfigError:
+            loaded = None
+        base = scenario_from_mapping(yaml.safe_load(SMALL_YAML))
+        try:
+            swept = override_param(base, key, value)
+        except ConfigError:
+            swept = None
+        assert loaded == swept
+        assert (loaded is None) == key.endswith(".seed")
 
     def test_override_param_validates_result(self):
         cfg = tiny_cfg()
@@ -314,6 +378,43 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "coalescing" in err and "ringbuffer_size" in err
+
+    def test_srpic_enabled_exits_2(self, tmp_path, capsys):
+        # Every run executes both arms; the key that claimed to pick one is
+        # rejected instead of being accepted and ignored.
+        path = tmp_path / "bad.yaml"
+        text = SMALL_YAML.replace("srpic: {", "srpic: {enabled: true, ")
+        assert text != SMALL_YAML
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "srpic" in err and "enabled" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_streams", 2.7),
+            ("max_cwnd", 16.9),
+            ("seeds", [1.9]),
+            ("seeds", 5),
+            ("srpic.block_size", 32.5),
+            ("sack_enabled", "false"),
+            ("name", 123),
+            ("fwd.beta", "0.1"),
+            ("duration", math.inf),
+            ("fwd.beta", math.nan),
+            ("coalescing.r_sn_pps", math.inf),
+        ],
+    )
+    def test_bad_value_exits_2(self, key, value, tmp_path, capsys, no_run):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(with_key(key, value)), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}:" in err and "Traceback" not in err
+        if isinstance(value, float):
+            with pytest.raises(ConfigError, match=key):
+                override_param(tiny_cfg(), key, value)
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/cfg.yaml"]) == 2
