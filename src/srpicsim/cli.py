@@ -13,16 +13,14 @@ from .scenario import (
     COMPARE_COLUMNS,
     ConfigError,
     compare,
+    format_value,
     load_scenario,
     override_param,
     parse_csv,
+    row_key,
     rows_to_csv,
     run_scenario,
 )
-
-
-def _fmt_value(v: float) -> str:
-    return f"{v:.6g}"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -59,9 +57,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         point = override_param(cfg, args.param, value)
-        point = replace(point, name=f"{cfg.name}[{args.param}={_fmt_value(value)}]")
+        point = replace(point, name=f"{cfg.name}[{args.param}={format_value(value)}]")
         rows.extend(run_scenario(point))
-    rows.sort(key=lambda r: (r["scenario"], r["seed"], r["stream_id"], r["srpic"]))
+    rows.sort(key=row_key)
     _write(rows_to_csv(rows), args.out)
     return 0
 
@@ -70,7 +68,7 @@ def cmd_compare(args) -> int:
     try:
         with open(args.csv, "r", encoding="utf-8") as fh:
             rows = parse_csv(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
     summary = compare(rows)
     _write(rows_to_csv(summary, COMPARE_COLUMNS), args.out)

@@ -28,8 +28,8 @@ class CoalescingParams:
     drain starts.  ``r_sn_pps``: softirq packet service rate.
     """
 
-    t_intr_us: float = 30.0
-    r_sn_pps: float = 1.2e6
+    t_intr_us: float = 100.0
+    r_sn_pps: float = 1e5
 
     def __post_init__(self):
         if self.r_sn_pps <= 0:
@@ -44,7 +44,6 @@ class CoalescingParams:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    cycle_index: int
     start_time: float  # microseconds, first arrival into the empty ring
     emptying_duration: float  # microseconds spent draining
     block_packets: int
@@ -104,12 +103,7 @@ def simulate_coalescing(
                 break
             k += ring
         cycles.append(
-            CycleRecord(
-                cycle_index=len(cycles),
-                start_time=start,
-                emptying_duration=k * q,
-                block_packets=k,
-            )
+            CycleRecord(start_time=start, emptying_duration=k * q, block_packets=k)
         )
         i += k
     return cycles

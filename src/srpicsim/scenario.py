@@ -21,6 +21,7 @@ from scipy import stats
 from .channel import PathConfig
 from .coalescing import CoalescingParams
 from .packets import SEQ_MOD
+from .sorter import DEFAULT_BLOCK_SIZE, DEFAULT_RINGBUFFER_SIZE
 from .tcp import run_transfer
 
 
@@ -30,8 +31,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SrpicSettings:
-    block_size: int = 32
-    ringbuffer_size: int = 512
+    block_size: int = DEFAULT_BLOCK_SIZE
+    ringbuffer_size: int = DEFAULT_RINGBUFFER_SIZE
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -50,9 +51,7 @@ class ScenarioConfig:
     sender_mode: str = "static"  # "static" | "adaptive"
     sack_enabled: bool = False
     srpic: SrpicSettings = field(default_factory=SrpicSettings)
-    coalescing: CoalescingParams = field(
-        default_factory=lambda: CoalescingParams(t_intr_us=100.0, r_sn_pps=1e5)
-    )
+    coalescing: CoalescingParams = field(default_factory=CoalescingParams)
     seeds: tuple[int, ...] = (1,)
     max_cwnd: int = 64
     segment_spacing_us: float = 12.0
@@ -230,10 +229,16 @@ _FLOAT_COLUMNS = {
 }
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """One CSV cell: a float to 6 significant digits, anything else as str."""
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
+
+
+def row_key(row: dict) -> tuple:
+    """The CSV row order: scenario, seed, stream, arm."""
+    return (row["scenario"], row["seed"], row["stream_id"], row["srpic"])
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[dict]:
@@ -264,7 +269,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
                         "max_hold_delay_us": m.max_hold_delay_us,
                     }
                 )
-    rows.sort(key=lambda r: (r["scenario"], r["seed"], r["stream_id"], r["srpic"]))
+    rows.sort(key=row_key)
     return rows
 
 
@@ -274,22 +279,37 @@ def rows_to_csv(rows: Iterable[dict], columns: list[str] | None = None) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerow([format_value(row[c]) for c in columns])
     return buf.getvalue()
 
 
 def parse_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
+    """Read a run CSV back into typed rows.
+
+    A missing column, a value that does not parse and an arm other than
+    ``on``/``off`` are ConfigErrors naming the line and the column.
+    """
+    reader = csv.DictReader(io.StringIO(text), restval="")
+    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"line 1: missing column(s) {missing}")
     rows = []
     for raw in reader:
+        if None in raw:
+            raise ConfigError(f"line {reader.line_num}: more fields than columns")
         row: dict[str, Any] = {}
         for key, value in raw.items():
-            if key in ("scenario", "srpic"):
-                row[key] = value
-            elif key in _FLOAT_COLUMNS:
-                row[key] = float(value)
-            else:
-                row[key] = int(value)
+            try:
+                if key == "srpic" and value not in ("on", "off"):
+                    raise ValueError(f"{value!r} is not on/off")
+                if key in ("scenario", "srpic"):
+                    row[key] = value
+                elif key in _FLOAT_COLUMNS:
+                    row[key] = float(value)
+                else:
+                    row[key] = int(value)
+            except ValueError as exc:
+                raise ConfigError(f"line {reader.line_num}, column {key!r}: {exc}") from exc
         rows.append(row)
     return rows
 

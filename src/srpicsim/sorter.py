@@ -89,18 +89,12 @@ class SrpicEngine:
 
     Single-threaded: callers must serialize access to one instance.
     Distinct instances share nothing.
-
-    ``evict_idle_after``: if set, a manager that stays empty for that many
-    consecutive cycles is dropped (it is recreated on the flow's next
-    packet).  Off by default; eviction never affects packet ordering
-    because only empty managers are evicted.
     """
 
     def __init__(
         self,
         block_size: int = DEFAULT_BLOCK_SIZE,
         ringbuffer_size: int = DEFAULT_RINGBUFFER_SIZE,
-        evict_idle_after: int | None = None,
     ):
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
@@ -108,20 +102,14 @@ class SrpicEngine:
             raise ValueError("ringbuffer_size must be >= 1")
         self.block_size = block_size
         self.ringbuffer_size = ringbuffer_size
-        self.evict_idle_after = evict_idle_after
-        self.managers: dict[FlowKey, SrpicManager] = {}
-        self.manager_order: list[FlowKey] = []
+        self.managers: dict[FlowKey, SrpicManager] = {}  # in creation order
         self.global_packet_cnt = 0
-        self._idle_cycles: dict[FlowKey, int] = {}
-        self._active_this_cycle: set[FlowKey] = set()
 
     def find_or_create_manager(self, key: FlowKey) -> SrpicManager:
         m = self.managers.get(key)
         if m is None:
             m = SrpicManager(block_size=self.block_size)
             self.managers[key] = m
-            self.manager_order.append(key)
-            self._idle_cycles[key] = 0
         return m
 
     def ingest(self, p: Packet) -> list[Packet]:
@@ -137,8 +125,6 @@ class SrpicEngine:
         m = self.managers.get(p.flow)
         if m is None:
             m = self.find_or_create_manager(p.flow)
-        if self.evict_idle_after is not None:
-            self._active_this_cycle.add(p.flow)
         out = accept(m, p) or []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
@@ -152,8 +138,7 @@ class SrpicEngine:
         state that is already reset.
         """
         out: list[Packet] = []
-        for key in self.manager_order:
-            m = self.managers[key]
+        for m in self.managers.values():
             if m.packet_cnt:
                 out.extend(m.flush())
         self.global_packet_cnt = 0
@@ -161,19 +146,7 @@ class SrpicEngine:
 
     def end_cycle(self) -> list[Packet]:
         """End-of-coalescing flush: everything still held goes upward."""
-        out = self.flush_all()
-        if self.evict_idle_after is not None:
-            for key in list(self.manager_order):
-                if key in self._active_this_cycle:
-                    self._idle_cycles[key] = 0
-                    continue
-                self._idle_cycles[key] += 1
-                if self._idle_cycles[key] >= self.evict_idle_after:
-                    del self.managers[key]
-                    del self._idle_cycles[key]
-                    self.manager_order.remove(key)
-        self._active_this_cycle.clear()
-        return out
+        return self.flush_all()
 
     def process_cycle(self, fetched: list[Packet]) -> list[Packet]:
         """Run one coalescing cycle's fetch order through the sorter.

@@ -70,13 +70,11 @@ class SegmentRecord:
     length: int
     sacked: bool = False
     retransmitted: bool = False
-    last_tx_time: float = 0.0
 
 
 @dataclass
 class SenderState:
     mode: str = "static"  # "static" | "adaptive"
-    mss: int = MSS
     max_cwnd: float = 64.0
     data_deadline_us: float = float("inf")
     # With SACK on, a duplicate ACK carrying no SACK block brings no new
@@ -111,9 +109,6 @@ class SenderState:
     def rto_us(self) -> float:
         return max(MIN_RTO_US, 2.0 * self.rtt_estimate) * self.rto_backoff
 
-    def inflight_packets(self) -> int:
-        return len(self.retransmit_queue)
-
 
 @dataclass
 class ReceiverState:
@@ -121,7 +116,6 @@ class ReceiverState:
     isn: int = 0
 
     dup_acks_sent: int = 0
-    sack_blocks_sent: int = 0
     delivered_bytes: int = 0
 
     _nxt: int = 0  # unwrapped next expected byte
@@ -145,8 +139,6 @@ class AckRecord:
     ack_seq: int
     sack_blocks: tuple[tuple[int, int], ...] = ()
     is_duplicate: bool = False
-    send_time: float = 0.0
-    arrival_time: float = 0.0
     # Send timestamp of the triggering data segment, echoed back for RTT
     # sampling (stands in for the TCP timestamp option).
     echo_send_time: float | None = None
@@ -205,7 +197,6 @@ def receiver_on_segment(state: ReceiverState, seg: Packet) -> AckRecord:
     if state.sack_enabled and state._ooo:
         recent = sorted(state._ooo, key=lambda r: -r[2])[:3]
         blocks = tuple((s % SEQ_MOD, e % SEQ_MOD) for s, e, _ in recent)
-        state.sack_blocks_sent += len(blocks)
     if not advanced:
         state.dup_acks_sent += 1
     return AckRecord(
@@ -232,8 +223,8 @@ def _ooo_insert(ooo: list[list], start: int, end: int, touch: int) -> None:
 def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[tuple]:
     """Apply one ACK; returns the actions it causes.
 
-    Actions are ``("transmit", seq, len)``, ``("retransmit", seq, len)``
-    and ``("cwnd_update", cwnd)`` in the order they should happen.
+    Actions are ``("transmit", seq, len)`` and ``("retransmit", seq, len)``
+    in the order they should happen.
     """
     actions: list[tuple] = []
     if ack.sack_blocks:
@@ -279,7 +270,6 @@ def _on_dupack(state: SenderState, ack: AckRecord, now: float, actions: list) ->
     ):
         seg = state.retransmit_queue[0]
         seg.retransmitted = True
-        seg.last_tx_time = now
         state.last_rtx_time = now
         state.pkts_retrans += 1
         state.ssthresh = max(state.cwnd / 2.0, 2.0)
@@ -287,7 +277,6 @@ def _on_dupack(state: SenderState, ack: AckRecord, now: float, actions: list) ->
         state.in_recovery = True
         state.recover_point = state.next_send_seq
         actions.append(("retransmit", seg.seq, seg.length))
-        actions.append(("cwnd_update", state.cwnd))
 
 
 def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -> None:
@@ -325,9 +314,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -
             and now - state.last_rtx_time < SPURIOUS_RTT_FRACTION * state.min_rtt
         )
         if spurious:
-            new_thresh = min(DUPTHRESH_MAX, max(state.dupthresh, was_dupacks + 1))
-            if new_thresh != state.dupthresh:
-                state.dupthresh = new_thresh
+            state.dupthresh = min(DUPTHRESH_MAX, max(state.dupthresh, was_dupacks + 1))
             state.last_adapt_time = now
     state.dup_ack_count = 0
 
@@ -335,7 +322,6 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -
         if seq_cmp(state.snd_una, state.recover_point) >= 0:
             state.in_recovery = False
             state.cwnd = state.ssthresh
-            actions.append(("cwnd_update", state.cwnd))
         elif state.retransmit_queue:
             # Partial ack: retransmit the next hole rather than waiting for
             # the timeout, but only with evidence that it is actually lost.
@@ -358,7 +344,6 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -
                 )
             if not seg.retransmitted and evidence:
                 seg.retransmitted = True
-                seg.last_tx_time = now
                 state.last_rtx_time = now
                 state.pkts_retrans += 1
                 actions.append(("retransmit", seg.seq, seg.length))
@@ -384,7 +369,6 @@ def sender_on_timeout(state: SenderState, now: float) -> list[tuple]:
         return []
     seg = state.retransmit_queue[0]
     seg.retransmitted = True
-    seg.last_tx_time = now
     state.last_rtx_time = now
     state.pkts_retrans += 1
     state.ssthresh = max(state.cwnd / 2.0, 2.0)
@@ -392,18 +376,16 @@ def sender_on_timeout(state: SenderState, now: float) -> list[tuple]:
     state.in_recovery = False
     state.dup_ack_count = 0
     state.rto_backoff = min(state.rto_backoff * 2, 64)
-    return [("retransmit", seg.seq, seg.length), ("cwnd_update", state.cwnd)]
+    return [("retransmit", seg.seq, seg.length)]
 
 
 def _fill_window(state: SenderState, now: float, actions: list) -> None:
     window = min(int(state.cwnd), int(state.max_cwnd))
-    while state.inflight_packets() < window and now < state.data_deadline_us:
+    while len(state.retransmit_queue) < window and now < state.data_deadline_us:
         seq = state.next_send_seq % SEQ_MOD
-        state.retransmit_queue.append(
-            SegmentRecord(seq=seq, length=state.mss, last_tx_time=now)
-        )
-        state.next_send_seq += state.mss
-        actions.append(("transmit", seq, state.mss))
+        state.retransmit_queue.append(SegmentRecord(seq=seq, length=MSS))
+        state.next_send_seq += MSS
+        actions.append(("transmit", seq, MSS))
 
 
 def sender_start(state: SenderState, now: float = 0.0) -> list[tuple]:
@@ -434,7 +416,6 @@ class _StreamSim:
 
     def __init__(self, cfg: "ScenarioConfig", run_seed: int, stream_id: int, srpic_on: bool):
         self.cfg = cfg
-        self.srpic_on = srpic_on
         self.flow = FlowKey(1, 2, 40000 + stream_id, 5001)
         self.duration_us = cfg.duration * 1e6
         self.hard_stop_us = self.duration_us + DRAIN_GRACE_US
@@ -459,14 +440,9 @@ class _StreamSim:
             recover_point=cfg.isn,
         )
         self.receiver = ReceiverState(sack_enabled=cfg.sack_enabled, isn=cfg.isn)
-        self.engine = (
-            SrpicEngine(
-                block_size=cfg.srpic.block_size,
-                ringbuffer_size=cfg.srpic.ringbuffer_size,
-            )
-            if srpic_on
-            else None
-        )
+        self.engine = None
+        if srpic_on:
+            self.engine = SrpicEngine(cfg.srpic.block_size, cfg.srpic.ringbuffer_size)
         self._block_bound_us = hold_delay_bound(
             cfg.srpic.block_size, cfg.coalescing.r_sn_pps
         )
@@ -500,9 +476,8 @@ class _StreamSim:
         heapq.heappush(self._heap, (t, prio, self._evseq, kind, payload))
 
     def _emit_actions(self, actions: list[tuple]) -> None:
-        for act in actions:
-            if act[0] in ("transmit", "retransmit"):
-                self._transmit(act[1], act[2])
+        for _kind, seq, length in actions:
+            self._transmit(seq, length)
 
     def _transmit(self, seq: int, length: int) -> None:
         st = max(self.now, self._last_send_time + self.spacing_us)
@@ -587,13 +562,11 @@ class _StreamSim:
     def _deliver_one(self, p: Packet, stamp: float) -> None:
         self.delivery_trace.append(p)
         ack = receiver_on_segment(self.receiver, p)
-        ack.send_time = stamp
         dropped = self.rev.next_dropped()
         delay = self.rev.next_delay_us()
         if dropped:
             return
-        ack.arrival_time = max(self.now, stamp + delay)
-        self._push(ack.arrival_time, _PRIO_ACK, "ack", ack)
+        self._push(max(self.now, stamp + delay), _PRIO_ACK, "ack", ack)
 
     # -- sender events -------------------------------------------------------
 

@@ -161,13 +161,13 @@ def reference_apply_path(trace, cfg):
 
 class ReferenceEngine(SrpicEngine):
     """Sorter engine with the plain ``ingest``/``flush_all`` pair: every
-    packet marks its flow active and every manager is flushed."""
+    packet looks its manager up through ``find_or_create_manager`` and
+    every manager is flushed, empty or not."""
 
     def ingest(self, p):
         if not is_suitable(p):
             return [p]
         m = self.find_or_create_manager(p.flow)
-        self._active_this_cycle.add(p.flow)
         out = accept(m, p) or []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
@@ -176,7 +176,7 @@ class ReferenceEngine(SrpicEngine):
 
     def flush_all(self):
         out = []
-        for key in self.manager_order:
-            out.extend(self.managers[key].flush())
+        for m in self.managers.values():
+            out.extend(m.flush())
         self.global_packet_cnt = 0
         return out

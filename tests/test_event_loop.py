@@ -3,17 +3,21 @@
 The loop drains the receive ring inline and keeps a single lazily queued
 retransmission timer.  These tests tie both to independent references:
 the offline coalescing model replayed on the loop's own arrival times, the
-exact timeout schedule of a path that drops everything, and the outcome
-of a run whose ACKs re-arm the timer several times at one instant (values
-from the loop that queued one timeout event per arming).
+exact timeout schedule of a path that drops everything, the outcome of
+a run whose ACKs re-arm the timer several times at one instant (values
+from the loop that queued one timeout event per arming), and the sorter
+seen from outside: each cycle delivers what it fetched, within the hold
+bound.
 """
 
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig
-from srpicsim.coalescing import CoalescingParams, simulate_coalescing
+from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
 from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
 from srpicsim.tcp import _StreamSim, run_transfer
 
@@ -71,3 +75,57 @@ def test_rearms_at_one_instant_keep_the_first_expiry():
     )
     m = run_transfer(cfg, seed=136, srpic=True).aggregate
     assert (m.pkts_retrans, m.segments_sent, m.bytes_acked) == (1, 23, 31856)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    beta=st.floats(0.0, 0.01),
+    drop_rate=st.floats(0.0, 0.05),
+    block_size=st.integers(1, 32),
+    extra_ring=st.integers(0, 64),
+    t_intr_us=st.sampled_from([0.0, 30.0, 120.0]),
+    r_sn_pps=st.sampled_from([1e5, 3e5, 1.2e6]),
+    sack=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
+    beta, drop_rate, block_size, extra_ring, t_intr_us, r_sn_pps, sack, seed
+):
+    cfg = ScenarioConfig(
+        name="unit",
+        duration=0.05,
+        fwd=PathConfig(alpha_ms=2.5, beta=beta, drop_rate=drop_rate),
+        rev=PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=0.0),
+        srpic=SrpicSettings(block_size=block_size, ringbuffer_size=block_size + extra_ring),
+        coalescing=CoalescingParams(t_intr_us=t_intr_us, r_sn_pps=r_sn_pps),
+        sack_enabled=sack,
+        segment_spacing_us=4.0,
+    )
+    sim = _StreamSim(cfg, seed, 0, True)
+    engine = sim.engine
+    ingest, end_cycle = engine.ingest, engine.end_cycle
+    fetched, emitted, fetch_time, holds, cycle_sizes = [], [], {}, [], []
+
+    def record(out):
+        holds.extend(sim.now - fetch_time[p.send_index] for p in out)
+        emitted.extend(out)
+        return out
+
+    def audited_ingest(p):
+        fetched.append(p)
+        fetch_time[p.send_index] = sim.now
+        return record(ingest(p))
+
+    def audited_end_cycle():
+        out = record(end_cycle())
+        assert sorted(p.send_index for p in emitted) == sorted(p.send_index for p in fetched)
+        cycle_sizes.append(len(fetched))
+        fetched.clear()
+        emitted.clear()
+        return out
+
+    engine.ingest, engine.end_cycle = audited_ingest, audited_end_cycle
+    sim.run()
+    assert cycle_sizes == sim.cycle_sizes and cycle_sizes
+    bound = hold_delay_bound(block_size, r_sn_pps)
+    assert all(0.0 <= h <= bound + 1e-6 for h in holds)

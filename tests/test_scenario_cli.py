@@ -15,6 +15,7 @@ from srpicsim.scenario import (
     CSV_COLUMNS,
     ConfigError,
     ScenarioConfig,
+    SrpicSettings,
     compare,
     load_scenario,
     override_param,
@@ -23,6 +24,7 @@ from srpicsim.scenario import (
     run_scenario,
     scenario_from_mapping,
 )
+from srpicsim.sorter import SrpicEngine
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -85,6 +87,12 @@ def numeric_points():
                 yield key, float(old + 1)
             elif isinstance(old, float):
                 yield key, old * 0.5 + 0.25
+
+
+def arm_rows(**changes):
+    """One paired run of hand-made rows, with ``changes`` set on both."""
+    base = dict.fromkeys(CSV_COLUMNS, 1) | {"scenario": "x", "goodput_proxy": 2.5}
+    return [base | {"srpic": arm} | changes for arm in ("off", "on")]
 
 
 def tiny_cfg():
@@ -176,6 +184,12 @@ class TestConfigLoading:
     def test_omitted_keys_take_the_dataclass_defaults(self):
         expected = ScenarioConfig("x", 1.0)
         assert scenario_from_mapping({"name": "x", "duration": 1.0}) == expected
+
+    def test_one_source_for_defaults(self):
+        assert ScenarioConfig(name="x", duration=1.0).coalescing == CoalescingParams()
+        settings, engine = SrpicSettings(), SrpicEngine()
+        assert settings.block_size == engine.block_size
+        assert settings.ringbuffer_size == engine.ringbuffer_size
 
     @pytest.mark.parametrize("key, value", list(numeric_points()))
     def test_sweep_and_file_accept_the_same_keys(self, key, value):
@@ -415,6 +429,35 @@ class TestCli:
         if isinstance(value, float):
             with pytest.raises(ConfigError, match=key):
                 override_param(tiny_cfg(), key, value)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            (rows_to_csv(arm_rows(), CSV_COLUMNS[1:]), "scenario"),
+            (rows_to_csv(arm_rows(goodput_proxy="abc")), "goodput_proxy"),
+            (rows_to_csv(arm_rows(srpic="maybe")), "srpic"),
+            (rows_to_csv(arm_rows(), CSV_COLUMNS[:4]), "dup_acks_in"),
+        ],
+        ids=["no-scenario-column", "non-numeric", "unknown-arm", "no-metric-columns"],
+    )
+    def test_compare_malformed_csv_exits_2(self, text, column, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: line " in err and column in err and "Traceback" not in err
+
+    def test_compare_undecodable_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"scenario,\xff\xfe\n")
+        assert main(["compare", str(path)]) == 2
+        assert "bad.csv" in capsys.readouterr().err
+
+    def test_compare_hand_made_rows(self, tmp_path, capsys):
+        path = tmp_path / "ok.csv"
+        path.write_text(rows_to_csv(arm_rows()), encoding="utf-8")
+        assert main(["compare", str(path)]) == 0
+        assert "goodput_proxy" in capsys.readouterr().out
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/cfg.yaml"]) == 2

@@ -98,7 +98,7 @@ class TestEngine:
         assert m1.packet_cnt == 0
         assert eng.find_or_create_manager(FLOW) is m1
         eng.find_or_create_manager(FLOW_B)
-        assert eng.manager_order == [FLOW, FLOW_B]
+        assert list(eng.managers) == [FLOW, FLOW_B]
 
     def test_in_order_cycle_is_identity(self):
         eng = SrpicEngine()
@@ -170,24 +170,6 @@ class TestEngine:
             held = sum(m.packet_cnt for m in eng.managers.values())
             assert all(m.packet_cnt < 4 for m in eng.managers.values())
             assert held < 8
-
-    def test_no_activity_tracking_without_eviction(self):
-        eng = SrpicEngine(block_size=2)
-        eng.process_cycle(make_trace([1, 2, 3]) + make_trace([1], flow=FLOW_B))
-        eng.ingest(make_trace([4])[0])
-        assert eng._active_this_cycle == set()
-
-    def test_idle_eviction(self):
-        eng = SrpicEngine(evict_idle_after=2)
-        eng.process_cycle(make_trace([1]))
-        assert FLOW in eng.managers
-        eng.process_cycle(make_trace([1], flow=FLOW_B))
-        assert FLOW in eng.managers  # one idle cycle
-        eng.process_cycle(make_trace([2], flow=FLOW_B))
-        assert FLOW not in eng.managers  # two idle cycles
-        # recreated on demand
-        eng.process_cycle(make_trace([2]))
-        assert FLOW in eng.managers
 
 
 def _suitable_trace(draw_seqs, flags):
@@ -300,7 +282,6 @@ class TestEngineMatchesReference:
         kwargs = dict(
             block_size=data.draw(st.integers(min_value=1, max_value=8)),
             ringbuffer_size=data.draw(st.integers(min_value=1, max_value=16)),
-            evict_idle_after=data.draw(st.one_of(st.none(), st.integers(1, 3))),
         )
         eng, ref = SrpicEngine(**kwargs), ReferenceEngine(**kwargs)
         for cycle in cycles:
@@ -308,5 +289,4 @@ class TestEngineMatchesReference:
                 assert eng.ingest(p) == ref.ingest(p)
                 assert eng.global_packet_cnt == ref.global_packet_cnt
             assert eng.end_cycle() == ref.end_cycle()
-            assert eng.manager_order == ref.manager_order
             assert list(eng.managers) == list(ref.managers)
