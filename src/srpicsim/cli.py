@@ -6,7 +6,9 @@ Exit status 0 on success, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .scenario import (
@@ -23,12 +25,27 @@ from .scenario import (
 )
 
 
-def _write(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None):
+    """The stream ``--out`` names: stdout for none or ``-``, else the file.
+
+    Commands open it after validating their input and before running, so
+    a path that cannot be written is a ConfigError, not a traceback after
+    the whole simulation.
+    """
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        yield sys.stdout
+        return
+    try:
+        # Created if missing but not truncated until the output is written,
+        # so a run stopped before then leaves an earlier file as it was.
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror or exc}") from exc
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+        if fh.seekable():  # a pipe such as /dev/stdout has nothing to cut
+            fh.truncate()
 
 
 def _apply_seed_count(cfg, seed_count: int | None):
@@ -41,8 +58,8 @@ def _apply_seed_count(cfg, seed_count: int | None):
 
 def cmd_run(args) -> int:
     cfg = _apply_seed_count(load_scenario(args.config), args.seed_count)
-    rows = run_scenario(cfg)
-    _write(rows_to_csv(rows), args.out)
+    with _output(args.out) as out:
+        out.write(rows_to_csv(run_scenario(cfg)))
     return 0
 
 
@@ -54,13 +71,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: at least one value required")
-    rows = []
+    points = {}
     for value in values:
-        point = override_param(cfg, args.param, value)
-        point = replace(point, name=f"{cfg.name}[{args.param}={format_value(value)}]")
-        rows.extend(run_scenario(point))
-    rows.sort(key=row_key)
-    _write(rows_to_csv(rows), args.out)
+        name = f"{cfg.name}[{args.param}={format_value(value)}]"
+        if name in points:
+            raise ConfigError(f"--values: {format_value(value)} is given twice ({name})")
+        points[name] = replace(override_param(cfg, args.param, value), name=name)
+    with _output(args.out) as out:
+        rows = [row for point in points.values() for row in run_scenario(point)]
+        rows.sort(key=row_key)
+        out.write(rows_to_csv(rows))
     return 0
 
 
@@ -71,7 +91,8 @@ def cmd_compare(args) -> int:
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
     summary = compare(rows)
-    _write(rows_to_csv(summary, COMPARE_COLUMNS), args.out)
+    with _output(args.out) as out:
+        out.write(rows_to_csv(summary, COMPARE_COLUMNS))
     return 0
 
 

@@ -10,13 +10,13 @@ fixed row order, floats printed with 6 significant digits.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Iterable
 
 import yaml
-from scipy import stats
 
 from .channel import PathConfig
 from .coalescing import CoalescingParams
@@ -348,6 +348,56 @@ COMPARE_COLUMNS = [
 ]
 
 
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b), by the modified Lentz
+    evaluation of its continued fraction (Numerical Recipes, 6.4), for
+    0 < x < 1."""
+    if x > (a + 1.0) / (a + b + 2.0):  # the fraction converges fast only below this
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    return math.exp(log_front) * h / a
+
+
+@functools.cache
+def _t_quantile(p: float, df: int) -> float:
+    """The ``p`` quantile (``p`` > 0.5) of Student's t with ``df`` degrees
+    of freedom: bisection on the upper tail 0.5 * I_{df/(df+t^2)}(df/2, 1/2)
+    down to adjacent floats."""
+    def tail(t):
+        return 0.5 * _betainc(df / 2.0, 0.5, df / (df + t * t))
+
+    lo, hi = 0.0, 1.0
+    while tail(hi) > 1.0 - p:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if tail(mid) > 1.0 - p:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _mean_ci(values: list[float]) -> tuple[float, float]:
     n = len(values)
     mean = sum(values) / n
@@ -356,7 +406,7 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     if var == 0.0:
         return mean, 0.0
-    half = float(stats.t.ppf(0.975, n - 1)) * math.sqrt(var / n)
+    half = _t_quantile(0.975, n - 1) * math.sqrt(var / n)
     return mean, half
 
 

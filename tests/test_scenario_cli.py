@@ -1,4 +1,6 @@
 import math
+import os
+import random
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -7,11 +9,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from srpicsim import cli
+from srpicsim import cli, scenario
 from srpicsim.channel import PathConfig
 from srpicsim.cli import main
 from srpicsim.coalescing import CoalescingParams
 from srpicsim.scenario import (
+    COMPARE_COLUMNS,
     CSV_COLUMNS,
     ConfigError,
     ScenarioConfig,
@@ -26,7 +29,8 @@ from srpicsim.scenario import (
 )
 from srpicsim.sorter import SrpicEngine
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 
 SMALL_YAML = """\
 name: tiny
@@ -93,6 +97,22 @@ def arm_rows(**changes):
     """One paired run of hand-made rows, with ``changes`` set on both."""
     base = dict.fromkeys(CSV_COLUMNS, 1) | {"scenario": "x", "goodput_proxy": 2.5}
     return [base | {"srpic": arm} | changes for arm in ("off", "on")]
+
+
+def paired_rows(n, rng):
+    """Hand-made rows of ``n`` pairs under the scenario name ``n<n>``,
+    with random counters and floats."""
+    rows = []
+    for seed in range(1, n + 1):
+        for arm in ("off", "on"):
+            row = {c: rng.randrange(1, 500) for c in CSV_COLUMNS}
+            row |= {"scenario": f"n{n}", "seed": seed, "stream_id": 0, "srpic": arm}
+            for c in ("goodput_proxy", "mean_block_size", "max_hold_delay_us"):
+                row[c] = rng.uniform(0.5, 2e6)
+            for c in ("reorder_pre_ratio", "reorder_post_ratio"):
+                row[c] = rng.random()
+            rows.append(row)
+    return rows
 
 
 def tiny_cfg():
@@ -292,6 +312,24 @@ class TestCompare:
         assert entry["diff_mean"] == pytest.approx(sum(diffs) / n)
         assert entry["diff_ci95"] == pytest.approx(expected_half)
 
+    def test_t_quantile_matches_scipy(self):
+        from scipy import stats as sps
+
+        spread = [250, 333, 500, 1000, 1999, 2500, 5000, 7777, 9999, 10_000]
+        for df in [*range(1, 201), *spread]:
+            expected = float(sps.t.ppf(0.975, df))
+            assert scenario._t_quantile(0.975, df) == pytest.approx(expected, rel=1e-10), df
+
+    def test_summary_bytes_match_scipy_quantile(self, monkeypatch):
+        from scipy import stats as sps
+
+        rng = random.Random(7)
+        rows = [r for n in (2, 3, 30, 1000) for r in paired_rows(n, rng)]
+        ours = rows_to_csv(compare(rows), COMPARE_COLUMNS)
+        monkeypatch.setattr(scenario, "_t_quantile", lambda p, df: float(sps.t.ppf(p, df)))
+        assert ours == rows_to_csv(compare(rows), COMPARE_COLUMNS)
+        assert {r["n_pairs"] for r in compare(rows)} == {2, 3, 30, 1000}
+
     def test_identical_rows_have_zero_ci(self):
         rows = self.rows()
         # duplicate each row under a second seed id to build two identical pairs
@@ -373,6 +411,60 @@ class TestCli:
         args = ["sweep", str(tiny_config), "--param", "srpic.block_size", "--values", "1.5"]
         assert main(args) == 2
         assert "srpic.block_size" in capsys.readouterr().err
+
+    def test_sweep_rejects_repeated_point_exits_2(self, tiny_config, capsys, no_run):
+        args = ["sweep", str(tiny_config), "--param", "beta", "--values", "0.01,0.02,0.010"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "tiny[beta=0.01]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_unwritable_out_exits_2(self, command, tiny_config, tmp_path, capsys, no_run):
+        out = tmp_path / "missing" / "x.csv"
+        if command == "compare":
+            rows_csv = tmp_path / "rows.csv"
+            rows_csv.write_text(rows_to_csv(arm_rows()), encoding="utf-8")
+            args = ["compare", str(rows_csv)]
+        else:
+            args = [command, str(tiny_config)]
+            if command == "sweep":
+                args += ["--param", "beta", "--values", "0.0,0.01"]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert not out.parent.exists()
+
+    def test_out_is_replaced_only_when_written(self, tmp_path, monkeypatch, capsys):
+        rows_csv = tmp_path / "rows.csv"
+        rows_csv.write_text(rows_to_csv(arm_rows()), encoding="utf-8")
+        out = tmp_path / "summary.csv"
+        out.write_text("earlier output\n" * 10_000, encoding="utf-8")
+
+        def interrupted(rows):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "compare", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(["compare", str(rows_csv), "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == "earlier output\n" * 10_000
+        assert main(["compare", str(rows_csv), "--out", str(out)]) == 0
+        assert main(["compare", str(rows_csv)]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_may_be_a_pipe(self, tmp_path):
+        rows_csv = tmp_path / "rows.csv"
+        rows_csv.write_text(rows_to_csv(arm_rows()), encoding="utf-8")
+        args = ["compare", str(rows_csv), "--out", "/dev/stdout"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "srpicsim.cli", *args],
+            env=os.environ | {"PYTHONPATH": str(REPO / "src")},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == rows_to_csv(compare(arm_rows()), COMPARE_COLUMNS)
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -481,3 +573,14 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert out_csv.exists()
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    code = (
+        "import sys, srpicsim, srpicsim.cli; "
+        "heavy = sorted({'scipy', 'numpy'} & set(sys.modules)); "
+        "assert not heavy, heavy"
+    )
+    env = os.environ | {"PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
