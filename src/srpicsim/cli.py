@@ -6,9 +6,7 @@ Exit status 0 on success, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 from .scenario import (
@@ -25,27 +23,27 @@ from .scenario import (
 )
 
 
-@contextmanager
-def _output(out: str | None):
-    """The stream ``--out`` names: stdout for none or ``-``, else the file.
+def _check_out(out: str | None) -> None:
+    """Fail with a ConfigError if ``--out`` cannot be written.
 
-    Commands open it after validating their input and before running, so
-    a path that cannot be written is a ConfigError, not a traceback after
-    the whole simulation.
+    Commands call it after validating their input and before running, so
+    an unwritable path is not a traceback after the whole simulation.
+    Appending nothing leaves an existing file as it is.
     """
     if out is None or out == "-":
-        yield sys.stdout
         return
     try:
-        # Created if missing but not truncated until the output is written,
-        # so a run stopped before then leaves an earlier file as it was.
-        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        open(out, "a").close()
     except OSError as exc:
         raise ConfigError(f"--out {out}: {exc.strerror or exc}") from exc
-    with open(fd, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-        if fh.seekable():  # a pipe such as /dev/stdout has nothing to cut
-            fh.truncate()
+
+
+def _write(text: str, out: str | None) -> None:
+    if out is None or out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _apply_seed_count(cfg, seed_count: int | None):
@@ -58,8 +56,9 @@ def _apply_seed_count(cfg, seed_count: int | None):
 
 def cmd_run(args) -> int:
     cfg = _apply_seed_count(load_scenario(args.config), args.seed_count)
-    with _output(args.out) as out:
-        out.write(rows_to_csv(run_scenario(cfg)))
+    _check_out(args.out)
+    rows = run_scenario(cfg)
+    _write(rows_to_csv(rows), args.out)
     return 0
 
 
@@ -77,10 +76,10 @@ def cmd_sweep(args) -> int:
         if name in points:
             raise ConfigError(f"--values: {format_value(value)} is given twice ({name})")
         points[name] = replace(override_param(cfg, args.param, value), name=name)
-    with _output(args.out) as out:
-        rows = [row for point in points.values() for row in run_scenario(point)]
-        rows.sort(key=row_key)
-        out.write(rows_to_csv(rows))
+    _check_out(args.out)
+    rows = [row for point in points.values() for row in run_scenario(point)]
+    rows.sort(key=row_key)
+    _write(rows_to_csv(rows), args.out)
     return 0
 
 
@@ -90,9 +89,9 @@ def cmd_compare(args) -> int:
             rows = parse_csv(fh.read())
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
+    _check_out(args.out)
     summary = compare(rows)
-    with _output(args.out) as out:
-        out.write(rows_to_csv(summary, COMPARE_COLUMNS))
+    _write(rows_to_csv(summary, COMPARE_COLUMNS), args.out)
     return 0
 
 

@@ -368,8 +368,10 @@ def _betainc(a: float, b: float, x: float) -> float:
             c = 1.0 + num / c
             c = c if abs(c) > tiny else tiny
             h *= d * c
-        if abs(d * c - 1.0) < 1e-16:
+        if abs(d * c - 1.0) <= 3e-16:  # a few ulps of 1.0
             break
+    else:
+        raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
     log_front = (
         math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
         + a * math.log(x) + b * math.log1p(-x)
@@ -377,22 +379,25 @@ def _betainc(a: float, b: float, x: float) -> float:
     return math.exp(log_front) * h / a
 
 
+_CI_TAIL = 0.025  # upper-tail mass of the two-sided 95% interval
+
+
 @functools.cache
-def _t_quantile(p: float, df: int) -> float:
-    """The ``p`` quantile (``p`` > 0.5) of Student's t with ``df`` degrees
-    of freedom: bisection on the upper tail 0.5 * I_{df/(df+t^2)}(df/2, 1/2)
-    down to adjacent floats."""
+def _t_quantile(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` degrees of freedom:
+    bisection on the upper tail 0.5 * I_{df/(df+t^2)}(df/2, 1/2) down to
+    adjacent floats."""
     def tail(t):
         return 0.5 * _betainc(df / 2.0, 0.5, df / (df + t * t))
 
     lo, hi = 0.0, 1.0
-    while tail(hi) > 1.0 - p:
+    while tail(hi) > _CI_TAIL:
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return hi
-        if tail(mid) > 1.0 - p:
+        if tail(mid) > _CI_TAIL:
             lo = mid
         else:
             hi = mid
@@ -406,7 +411,7 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     if var == 0.0:
         return mean, 0.0
-    half = _t_quantile(0.975, n - 1) * math.sqrt(var / n)
+    half = _t_quantile(n - 1) * math.sqrt(var / n)
     return mean, half
 
 
