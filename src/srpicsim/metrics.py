@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from math import inf
 from typing import Sequence
 
@@ -50,10 +50,13 @@ class ReorderReport:
 
 
 def _unwrap(trace: Sequence[Packet]) -> list[int]:
-    # Map 32-bit sequences to plain ints ordered like seq_cmp, anchored at
-    # the first packet.  Valid while pairwise serial distances stay < 2**31.
-    ref = trace[0].seq
-    return [((p.seq - ref + SEQ_HALF) % SEQ_MOD) - SEQ_HALF for p in trace]
+    # Map 32-bit sequences to plain ints ordered like seq_cmp: the first
+    # packet sits at 0 and each later one at its serial distance from the
+    # packet before it.  Valid while consecutive packets are less than
+    # 2**31 apart, so a trace may span any number of wraps.
+    seqs = [p.seq for p in trace]
+    steps = [((b - a + SEQ_HALF) % SEQ_MOD) - SEQ_HALF for a, b in zip(seqs, seqs[1:])]
+    return list(accumulate(steps, initial=0))
 
 
 def _check_disjoint(offsets: list[int], trace: Sequence[Packet]) -> None:
@@ -73,16 +76,20 @@ def _reordered_flags(trace: Sequence[Packet]) -> tuple[list[int], list[bool]]:
         return [], []
     offsets = _unwrap(trace)
     _check_disjoint(offsets, trace)
+    return offsets, _flags(offsets, [p.payload_len for p in trace])
+
+
+def _flags(offsets: list[int], payload_lens: Sequence[int]) -> list[bool]:
+    # The next-expected walk; the first packet is never reordered.
     flags: list[bool] = []
-    next_exp = offsets[0] + trace[0].payload_len
-    flags.append(False)
-    for off, p in zip(offsets[1:], trace[1:]):
+    next_exp = -inf
+    for off, length in zip(offsets, payload_lens):
         if off >= next_exp:
-            next_exp = off + p.payload_len
+            next_exp = off + length
             flags.append(False)
         else:
             flags.append(True)
-    return offsets, flags
+    return flags
 
 
 def _count(flags: list[bool]) -> tuple[int, float]:
@@ -162,13 +169,28 @@ def reorder_report(
 
     The reordered flags are computed once and shared by every field.
     """
-    offsets, flags = _reordered_flags(trace)
+    return _report(*_reordered_flags(trace), partition)
+
+
+def _report_offsets(offsets: list[int], payload_lens: Sequence[int]) -> ReorderReport:
+    """``reorder_report`` on a trace given as unwrapped offsets and lengths.
+
+    Nothing is checked: the caller guarantees that the payload ranges are
+    disjoint and that the offsets order the packets like ``seq_cmp``, as
+    ``tcp._first_copies`` output is by construction.
+    """
+    return _report(offsets, _flags(offsets, payload_lens), None)
+
+
+def _report(
+    offsets: list[int], flags: list[bool], partition: Sequence[int] | None
+) -> ReorderReport:
     count, ratio = _count(flags)
     intra = inter = None
     if partition is not None:
         intra, inter = _classify(offsets, flags, partition)
     return ReorderReport(
-        total_packets=len(trace),
+        total_packets=len(flags),
         reordered_count=count,
         ratio=ratio,
         max_extent=_max_extent(offsets, flags),

@@ -41,7 +41,7 @@ class FlowKey:
     dst_port: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Packet:
     """One simulated TCP segment.
 
@@ -50,6 +50,13 @@ class Packet:
     emission; it survives channel reordering and is the FIFO tie-breaker.
     ``has_disallowed_options`` covers any IP option or any TCP option
     other than timestamp.
+
+    One packet object is shared by the arrival and delivery traces and
+    the sorter's hold lists, which track it by ``id``, so it must not be
+    mutated once built; derive a changed copy with ``dataclasses.replace``.
+    The class is not frozen only because a frozen dataclass sets every
+    field through ``object.__setattr__``, which more than doubles the
+    cost of building one.  It is unhashable; nothing keys by its value.
     """
 
     flow: FlowKey

@@ -15,10 +15,11 @@ a fraction of the minimum RTT is treated as spurious evidence as well.
 One transfer runs as a deterministic event loop: sender window fills ->
 forward path delay/drop -> ring-buffer coalescing cycles -> optional
 block sorter -> receiver -> reverse path -> ACK processing.  Sorter hold
-times are tracked and checked against the per-block and whole-ring delay
-bounds on every run, but delivery timestamps ignore the hold (it is
-microseconds against millisecond RTTs), so a run whose arrivals are
-already in order is event-for-event identical with the sorter on or off.
+times are tracked and checked against the per-block delay bound (which
+the whole-ring bound never undercuts) on every run, but delivery
+timestamps ignore the hold (it is microseconds against millisecond RTTs),
+so a run whose arrivals are already in order is event-for-event identical
+with the sorter on or off.
 
 The heap holds only packet arrivals, ACK arrivals and retransmission
 timeouts.  The ring drain runs inline: the loop keeps the next service
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from .channel import PathStreams
 from .coalescing import hold_delay_bound
-from .metrics import ReorderReport, reorder_report
+from .metrics import ReorderReport, _report_offsets
 from .packets import FlowKey, Packet, SEQ_HALF, SEQ_MOD, TcpFlags, seq_cmp
 from .sorter import SrpicEngine
 
@@ -134,7 +135,7 @@ class ReceiverState:
         return [(s % SEQ_MOD, e % SEQ_MOD) for s, e, _ in self._ooo]
 
 
-@dataclass
+@dataclass(slots=True)
 class AckRecord:
     ack_seq: int
     sack_blocks: tuple[tuple[int, int], ...] = ()
@@ -443,11 +444,11 @@ class _StreamSim:
         self.engine = None
         if srpic_on:
             self.engine = SrpicEngine(cfg.srpic.block_size, cfg.srpic.ringbuffer_size)
+        # Only the block bound is checked: SrpicSettings requires
+        # ringbuffer_size >= block_size, so the whole-ring bound is never
+        # the smaller one.
         self._block_bound_us = hold_delay_bound(
             cfg.srpic.block_size, cfg.coalescing.r_sn_pps
-        )
-        self._ring_bound_us = hold_delay_bound(
-            cfg.srpic.ringbuffer_size, cfg.coalescing.r_sn_pps
         )
 
         self.now = 0.0
@@ -551,7 +552,7 @@ class _StreamSim:
         for p in emitted:
             fetched_at = self._fetch_time.pop(id(p))
             hold = self.now - fetched_at
-            if hold > self._block_bound_us + 1e-6 or hold > self._ring_bound_us + 1e-6:
+            if hold > self._block_bound_us + 1e-6:
                 raise SimulationError(
                     f"sorter held a packet {hold:.3f}us, beyond its delay bound"
                 )
@@ -612,11 +613,7 @@ class _StreamSim:
         return self._metrics()
 
     def _metrics(self) -> TransferMetrics:
-        pre_trace = _first_copies(self.arrival_trace)
-        kept = {id(p) for p in pre_trace}
-        post_trace = [p for p in self.delivery_trace if id(p) in kept]
-        pre = reorder_report(pre_trace)
-        post = reorder_report(post_trace)
+        pre, post = _reorder_reports(self.arrival_trace, self.delivery_trace)
         bytes_acked = self.sender.bytes_acked
         duration_s = self.cfg.duration
         mean_block = (
@@ -638,24 +635,31 @@ class _StreamSim:
         )
 
 
-def _first_copies(trace: list[Packet]) -> list[Packet]:
+def _first_copies(trace: list[Packet]) -> tuple[list[Packet], list[int]]:
     """Keep the first-arriving copy of each payload range.
 
     Retransmissions duplicate payload bytes; the reordering metrics are
     defined only on duplicate-free traces, so later copies are excluded.
-    Payloads must be nonempty, as every simulated segment's is.  Ranges
-    are compared as offsets from the first packet's sequence, so a trace
-    may cross the 2**32 wrap.
+    Payloads must be nonempty, as every simulated segment's is.
+
+    Returns the kept packets and their unwrapped offsets, the same offsets
+    ``metrics._unwrap`` gives the kept trace: the first packet sits at 0
+    and each later one at its serial distance from the packet that arrived
+    before it, so a trace may cross the 2**32 wrap any number of times.
     """
     kept: list[Packet] = []
-    ref = trace[0].seq - SEQ_HALF if trace else 0
+    offsets: list[int] = []
+    s = 0
+    prev = trace[0].seq if trace else 0
     # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
     # Ranges that touch are merged, so the lists stay as short as the
     # number of holes.
     starts: list[int] = []
     ends: list[int] = []
     for p in trace:
-        s = (p.seq - ref) % SEQ_MOD - SEQ_HALF
+        seq = p.seq
+        s += (seq - prev + SEQ_HALF) % SEQ_MOD - SEQ_HALF
+        prev = seq
         e = s + p.payload_len
         i = bisect_left(starts, s)
         right = i < len(starts)
@@ -664,6 +668,7 @@ def _first_copies(trace: list[Packet]) -> list[Packet]:
         if i and ends[i - 1] > s:
             continue
         kept.append(p)
+        offsets.append(s)
         if i and ends[i - 1] == s:
             if right and starts[i] == e:
                 ends[i - 1] = ends.pop(i)
@@ -675,7 +680,29 @@ def _first_copies(trace: list[Packet]) -> list[Packet]:
         else:
             starts.insert(i, s)
             ends.insert(i, e)
-    return kept
+    return kept, offsets
+
+
+def _reorder_reports(
+    arrivals: list[Packet], deliveries: list[Packet]
+) -> tuple[ReorderReport, ReorderReport]:
+    """Reports on the first copies in arrival order and in delivery order.
+
+    ``deliveries`` holds the same packet objects as ``arrivals``, possibly
+    fewer.  Both reports reuse the offsets ``_first_copies`` computed, so
+    neither trace is unwrapped or checked for overlaps again.
+    """
+    kept, offsets = _first_copies(arrivals)
+    offset_of = {id(p): off for p, off in zip(kept, offsets)}
+    post_offsets: list[int] = []
+    post_lens: list[int] = []
+    for p in deliveries:
+        off = offset_of.get(id(p))
+        if off is not None:
+            post_offsets.append(off)
+            post_lens.append(p.payload_len)
+    pre = _report_offsets(offsets, [p.payload_len for p in kept])
+    return pre, _report_offsets(post_offsets, post_lens)
 
 
 def _aggregate(streams: list[TransferMetrics]) -> TransferMetrics:

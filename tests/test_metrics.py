@@ -55,6 +55,13 @@ class TestReorderedCount:
         assert reordered_count(wrapped)[0] == 1
         assert max_reordering_extent(wrapped) == 1
 
+    def test_trace_spanning_more_than_2_31_bytes(self):
+        # 3 GiB in order, crossing the wrap once: every packet is in order
+        # relative to the one before it, however far it is from the first.
+        trace = make_trace([(i << 20) % 2**32 for i in range(3000)], [1 << 20] * 3000)
+        report = reorder_report(trace)
+        assert (report.reordered_count, report.max_extent) == (0, 0)
+
 
 class TestMaxExtent:
     def test_in_order(self):

@@ -1,5 +1,6 @@
 import copy
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
+from srpicsim.metrics import _report_offsets, reorder_report
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet
 from srpicsim.scenario import ScenarioConfig, load_scenario
 from srpicsim.tcp import (
@@ -18,6 +20,7 @@ from srpicsim.tcp import (
     SenderState,
     _first_copies,
     _mark_sacked,
+    _reorder_reports,
     _StreamSim,
     receiver_on_segment,
     run_transfer,
@@ -330,6 +333,14 @@ class TestSequenceWrap:
         assert base.aggregate.bytes_acked > MSS * 5000
         assert wrapped == base
 
+    def test_first_copies_over_more_than_2_31_bytes(self):
+        # 3 GiB in order: offsets measured from the first packet would put
+        # everything past 2 GiB below it.
+        trace = make_trace([(i << 20) % SEQ_MOD for i in range(3000)], [1 << 20] * 3000)
+        kept, offsets = _first_copies(trace)
+        assert kept == trace
+        assert all(a < b for a, b in zip(offsets, offsets[1:]))
+
 
 class TestRewrittenHelpers:
     """The fast helpers agree with their straightforward earlier forms."""
@@ -351,7 +362,8 @@ class TestRewrittenHelpers:
         # trace may cross the 2**32 wrap.
         plain = make_trace([s for s, _ in segs], [n for _, n in segs])
         shifted = make_trace([(base + s) % SEQ_MOD for s, _ in segs], [n for _, n in segs])
-        assert [p.send_index for p in _first_copies(shifted)] == [
+        kept, _offsets = _first_copies(shifted)
+        assert [p.send_index for p in kept] == [
             p.send_index for p in reference_first_copies(plain)
         ]
 
@@ -405,3 +417,50 @@ class TestRewrittenHelpers:
         _mark_sacked(state, (block,))
         reference_mark_sacked(expected, (block,))
         assert state.retransmit_queue[0].sacked == expected.retransmit_queue[0].sacked
+
+
+class TestTrustedReports:
+    """Run metrics skip ``reorder_report``'s unwrap and overlap check by
+    reusing the offsets of ``_first_copies``; they must not change a field."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True)
+    def test_trusted_path_matches_reorder_report(self, data):
+        # A stream of segments, each arriving up to six places late, plus
+        # retransmitted copies that cover an earlier range, shifted or
+        # resized, near the original.  With 1 MiB units a trace spans up to
+        # 2 GiB; the start may sit just below the 2**32 wrap.
+        unit = data.draw(st.sampled_from([1, 1 << 20]))
+        base = data.draw(
+            st.one_of(st.just(0), st.integers(SEQ_MOD - 200 * unit, SEQ_MOD - 1))
+        )
+        lens = data.draw(st.lists(st.integers(1, 40), max_size=50))
+        starts = list(accumulate(lens, initial=0))
+        late = data.draw(st.lists(st.integers(0, 6), min_size=len(lens), max_size=len(lens)))
+        order = sorted(range(len(lens)), key=lambda i: i + late[i])
+        ranges = [(starts[i], lens[i]) for i in order]
+        for _ in range(data.draw(st.integers(0, 10)) if ranges else 0):
+            src = data.draw(st.integers(0, len(ranges) - 1))
+            pos = data.draw(st.integers(max(0, src - 4), min(len(ranges), src + 8)))
+            start, length = ranges[src]
+            copy_start = start + data.draw(st.integers(-5, 5))
+            ranges.insert(pos, (copy_start, data.draw(st.integers(1, 40))))
+        trace = make_trace(
+            [(base + s * unit) % SEQ_MOD for s, _ in ranges], [n * unit for _, n in ranges]
+        )
+        kept, offsets = _first_copies(trace)
+        assert _report_offsets(offsets, [p.payload_len for p in kept]) == reorder_report(kept)
+
+        # Delivery order as a block sorter gives it: each block of
+        # arrivals sorted by sequence.
+        block = data.draw(st.integers(1, 8))
+        delivered = []
+        for i in range(0, len(trace), block):
+            chunk = sorted(zip(ranges[i : i + block], trace[i : i + block]), key=lambda c: c[0])
+            delivered.extend(p for _, p in chunk)
+        kept_ids = {id(p) for p in kept}
+        post_trace = [p for p in delivered if id(p) in kept_ids]
+        assert _reorder_reports(trace, delivered) == (
+            reorder_report(kept),
+            reorder_report(post_trace),
+        )
