@@ -3,10 +3,12 @@
 These deliberately avoid the package's incremental algorithms: the
 reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
-The ``reference_*`` functions and ``ReferenceEngine`` are the
-straightforward earlier forms of code that was since rewritten for speed.
+The ``reference_*`` functions, ``ReferenceEngine`` and ``EagerTimerSim``
+are the straightforward earlier forms of code that was since rewritten for
+speed or size.
 """
 
+import heapq
 from bisect import bisect_left, insort
 from dataclasses import replace
 
@@ -14,6 +16,7 @@ from srpicsim.channel import PathStreams
 from srpicsim.metrics import PartitionError
 from srpicsim.packets import SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
 from srpicsim.sorter import SrpicEngine, accept
+from srpicsim.tcp import _StreamSim, sender_on_timeout, sender_start
 
 FLOW = FlowKey(1, 2, 1000, 2000)
 
@@ -180,3 +183,55 @@ class ReferenceEngine(SrpicEngine):
             out.extend(m.flush())
         self.global_packet_cnt = 0
         return out
+
+
+class EagerTimerSim(_StreamSim):
+    """TCP stream whose retransmission timer queues one timeout event per
+    arming, carrying the snd_una of that arming.
+
+    Timeouts sort after packet and ACK arrivals at one instant (heap
+    priority 3), ring service comes before every heap event, and a popped
+    timeout is ignored while the latest deadline is more than 1e-9 away.
+    The loop below is the two-source loop (ring service, then the heap)
+    that this timer ran under.
+    """
+
+    _deadline = float("inf")
+
+    def _arm_rto(self):
+        if not self.sender.retransmit_queue:
+            self._deadline = float("inf")
+            return
+        self._deadline = self.now + self.sender.rto_us()
+        self._push(self._deadline, 3, "rto", self.sender.snd_una)
+
+    def _on_timeout_event(self, snapshot):
+        if self.now + 1e-9 < self._deadline:
+            return
+        if self.sender.snd_una == snapshot:
+            self._emit_actions(sender_on_timeout(self.sender, self.now))
+        self._arm_rto()
+
+    def run(self):
+        self._emit_actions(sender_start(self.sender, 0.0))
+        self._arm_rto()
+        handlers = {
+            "arr": self._on_arrival,
+            "ack": self._on_ack,
+            "rto": self._on_timeout_event,
+        }
+        heap = self._heap
+        while True:
+            t = self._svc_t
+            if heap and heap[0][0] < t:
+                t, _prio, _n, kind, payload = heapq.heappop(heap)
+                if t > self.hard_stop_us:
+                    break
+                self.now = t
+                handlers[kind](payload)
+            elif t > self.hard_stop_us:
+                break
+            else:
+                self.now = t
+                self._on_service()
+        return self._metrics()

@@ -10,18 +10,56 @@ seen from outside: each cycle delivers what it fetched, within the hold
 bound.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import EagerTimerSim
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
 from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
-from srpicsim.tcp import _StreamSim, run_transfer
+from srpicsim.tcp import MSS, _PRIO_ACK, AckRecord, _StreamSim, run_transfer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+DROPS = st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.just(1.0))
+PATHS = st.builds(
+    PathConfig,
+    alpha_ms=st.sampled_from([0.0, 0.5, 2.5]),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    drop_rate=DROPS,
+)
+
+
+def small_configs(fwd=PATHS, rev=PATHS):
+    """One-stream scenarios of at most 30 simulated ms; ``fwd`` and ``rev``
+    are the strategies for the two paths."""
+    srpic = st.integers(1, 32).flatmap(
+        lambda b: st.builds(
+            SrpicSettings, block_size=st.just(b), ringbuffer_size=st.integers(b, b + 64)
+        )
+    )
+    return st.builds(
+        ScenarioConfig,
+        name=st.just("unit"),
+        duration=st.sampled_from([0.01, 0.03]),
+        fwd=fwd,
+        rev=rev,
+        sender_mode=st.sampled_from(["static", "adaptive"]),
+        sack_enabled=st.booleans(),
+        srpic=srpic,
+        coalescing=st.builds(
+            CoalescingParams,
+            t_intr_us=st.sampled_from([0.0, 30.0, 120.0]),
+            r_sn_pps=st.sampled_from([1e5, 3e5, 1.2e6]),
+        ),
+        max_cwnd=st.integers(2, 64),
+        segment_spacing_us=st.sampled_from([0.5, 4.0, 12.0]),
+        isn=st.sampled_from([0, 2**32 - 10_000]),
+    )
 
 
 @pytest.mark.parametrize("name", ["table4_analog.yaml", "table5_analog.yaml"])
@@ -129,3 +167,56 @@ def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
     assert cycle_sizes == sim.cycle_sizes and cycle_sizes
     bound = hold_delay_bound(block_size, r_sn_pps)
     assert all(0.0 <= h <= bound + 1e-6 for h in holds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16), srpic_on=st.booleans())
+def test_loop_matches_one_timeout_event_per_arming(cfg, seed, srpic_on):
+    expected = EagerTimerSim(cfg, seed, 0, srpic_on).run()
+    assert _StreamSim(cfg, seed, 0, srpic_on).run() == expected
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+def test_an_ack_at_the_timeout_instant_comes_first(srpic_on):
+    # Nothing gets through, but an ACK for the first segment arrives at
+    # exactly the instant the timer armed at t=0 expires.  The ACK is
+    # handled first: it moves snd_una and re-arms the timer, so that
+    # instant sends nothing and the first retransmission comes one timeout
+    # later.
+    cfg = ScenarioConfig(
+        name="unit",
+        duration=0.01,
+        fwd=PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=1.0),
+        rev=PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=0.0),
+    )
+    sim = _StreamSim(cfg, 1, 0, srpic_on)
+    rto = sim.sender.rto_us()
+    sim._push(rto, _PRIO_ACK, "ack", AckRecord(ack_seq=MSS))
+    sim.hard_stop_us = 2.5 * rto
+    sim.run()
+    assert sim.sender.bytes_acked == MSS
+    assert sim.sender.pkts_retrans == 1
+    assert sim.sender.last_rtx_time == 2 * rto
+
+
+
+# A forward path that keeps the send order and loses nothing, and ACKs
+# delayed by a constant longer than any hold bound small_configs draws
+# (32 packets at 1e5 pps: 0.32 ms).  A held packet's ACK leaves at the
+# later of its flush instant and its fetch instant plus the reverse delay,
+# so this delay hides every hold; with no reverse delay, or a jittered one,
+# the arms can differ.
+IN_ORDER = st.builds(PathConfig, alpha_ms=st.sampled_from([0.0, 0.5, 2.5]), beta=st.just(0.0))
+SLOW_ACKS = st.builds(
+    PathConfig, alpha_ms=st.sampled_from([0.5, 2.5]), beta=st.just(0.0), drop_rate=DROPS
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cfg=small_configs(fwd=IN_ORDER, rev=SLOW_ACKS), seed=st.integers(0, 2**16))
+def test_in_order_arrivals_give_the_same_metrics_in_both_arms(cfg, seed):
+    bound_us = hold_delay_bound(cfg.srpic.block_size, cfg.coalescing.r_sn_pps)
+    assert cfg.rev.alpha_ms * 1000.0 > bound_us
+    off = run_transfer(cfg, seed=seed, srpic=False).streams[0]
+    on = run_transfer(cfg, seed=seed, srpic=True).streams[0]
+    assert replace(on, max_hold_delay_us=0.0) == replace(off, max_hold_delay_us=0.0)
