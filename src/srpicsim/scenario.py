@@ -66,6 +66,9 @@ class ScenarioConfig:
             raise ConfigError("num_streams: must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds: must be a nonempty list")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds: {repeated} repeated; each seed runs once")
         if self.sender_mode not in ("static", "adaptive"):
             raise ConfigError("sender_mode: must be 'static' or 'adaptive'")
         if self.max_cwnd < 2:
@@ -162,11 +165,29 @@ def scenario_from_mapping(doc: dict[str, Any]) -> ScenarioConfig:
         raise ConfigError(f"top level: {exc}") from exc
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key repeated within one mapping,
+    where the plain loader would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []
+        for key_node, _value in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {key!r}", key_node.start_mark
+                )
+            seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario YAML file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else path

@@ -17,18 +17,18 @@ forward path delay/drop -> ring-buffer coalescing cycles -> optional
 block sorter -> receiver -> reverse path -> ACK processing.  Sorter hold
 times are tracked and checked against the per-block delay bound (which
 the whole-ring bound never undercuts) on every run, but delivery
-timestamps ignore the hold (it is microseconds against millisecond RTTs),
-so a run whose arrivals are already in order is event-for-event identical
-with the sorter on or off.
+timestamps ignore the hold: a held packet's ACK leaves at the later of
+its flush instant and its fetch instant plus the reverse delay.  So when
+the forward path keeps order and loses nothing and the reverse delay is a
+constant longer than the hold bound, every metric but the hold itself is
+the same with the sorter on or off.
 
-The heap holds only packet arrivals, ACK arrivals and retransmission
-timeouts.  The ring drain runs inline: the loop keeps the next service
-completion in one attribute and serves the ring whenever that instant is
-not later than the next heap event, so service wins every tie.  The
-retransmission timer is lazy: re-arming moves a deadline attribute, and
-an event is pushed only when the deadline moves earlier than every
-timeout event already queued; a queued timeout that finds the deadline
-moved later queues one event at the new deadline.
+The loop takes the earliest of three instants: the next ring service
+completion, the top of a heap that holds only packet and ACK arrivals,
+and the retransmission timeout.  Service and timeout are one attribute
+each.  Ties go to ring service first, then to the heap (packet arrivals
+before ACKs), then to the timeout.  The timer is one RFC 6298-style
+timer, re-armed on every advance of the cumulative ACK.
 """
 
 from __future__ import annotations
@@ -221,26 +221,27 @@ def _ooo_insert(ooo: list[list], start: int, end: int, touch: int) -> None:
     ooo[i:j] = [[start, end, touch]]
 
 
-def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[tuple]:
-    """Apply one ACK; returns the actions it causes.
+def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[SegmentRecord]:
+    """Apply one ACK; returns the segments it puts on the wire, in order.
 
-    Actions are ``("transmit", seq, len)`` and ``("retransmit", seq, len)``
-    in the order they should happen.
+    The records are the sender's own queue entries.  One with
+    ``retransmitted`` set is a retransmission (at most one per ACK, and it
+    comes first); the rest are new segments.
     """
-    actions: list[tuple] = []
+    sent: list[SegmentRecord] = []
     if ack.sack_blocks:
         state.sack_blocks_rcvd += len(ack.sack_blocks)
         _mark_sacked(state, ack.sack_blocks)
 
     c = seq_cmp(ack.ack_seq, state.snd_una)
     if c > 0:
-        _on_advance(state, ack, now, actions)
+        _on_advance(state, ack, now, sent)
     elif c == 0 and ack.is_duplicate:
-        _on_dupack(state, ack, now, actions)
+        _on_dupack(state, ack, now, sent)
     # acks below snd_una are stale copies overtaken by newer ones: ignored
 
-    _fill_window(state, now, actions)
-    return actions
+    _fill_window(state, now, sent)
+    return sent
 
 
 def _mark_sacked(state: SenderState, blocks) -> None:
@@ -259,7 +260,7 @@ def _mark_sacked(state: SenderState, blocks) -> None:
                 break
 
 
-def _on_dupack(state: SenderState, ack: AckRecord, now: float, actions: list) -> None:
+def _on_dupack(state: SenderState, ack: AckRecord, now: float, sent: list) -> None:
     state.dup_acks_in += 1
     if state.sack_aware and not ack.sack_blocks:
         return
@@ -277,10 +278,10 @@ def _on_dupack(state: SenderState, ack: AckRecord, now: float, actions: list) ->
         state.cwnd = state.ssthresh
         state.in_recovery = True
         state.recover_point = state.next_send_seq
-        actions.append(("retransmit", seg.seq, seg.length))
+        sent.append(seg)
 
 
-def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -> None:
+def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> None:
     head_was_retransmitted = (
         state.retransmit_queue[0].retransmitted if state.retransmit_queue else False
     )
@@ -347,7 +348,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -
                 seg.retransmitted = True
                 state.last_rtx_time = now
                 state.pkts_retrans += 1
-                actions.append(("retransmit", seg.seq, seg.length))
+                sent.append(seg)
 
     if not state.in_recovery:
         for _ in range(acked_segments):
@@ -364,7 +365,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, actions: list) -
             state.last_adapt_time = now
 
 
-def sender_on_timeout(state: SenderState, now: float) -> list[tuple]:
+def sender_on_timeout(state: SenderState, now: float) -> list[SegmentRecord]:
     """Retransmission timeout: resend the oldest segment, collapse cwnd."""
     if not state.retransmit_queue:
         return []
@@ -377,33 +378,32 @@ def sender_on_timeout(state: SenderState, now: float) -> list[tuple]:
     state.in_recovery = False
     state.dup_ack_count = 0
     state.rto_backoff = min(state.rto_backoff * 2, 64)
-    return [("retransmit", seg.seq, seg.length)]
+    return [seg]
 
 
-def _fill_window(state: SenderState, now: float, actions: list) -> None:
+def _fill_window(state: SenderState, now: float, sent: list) -> None:
     window = min(int(state.cwnd), int(state.max_cwnd))
     while len(state.retransmit_queue) < window and now < state.data_deadline_us:
-        seq = state.next_send_seq % SEQ_MOD
-        state.retransmit_queue.append(SegmentRecord(seq=seq, length=MSS))
+        seg = SegmentRecord(seq=state.next_send_seq % SEQ_MOD, length=MSS)
+        state.retransmit_queue.append(seg)
         state.next_send_seq += MSS
-        actions.append(("transmit", seq, MSS))
+        sent.append(seg)
 
 
-def sender_start(state: SenderState, now: float = 0.0) -> list[tuple]:
-    actions: list[tuple] = []
-    _fill_window(state, now, actions)
-    return actions
+def sender_start(state: SenderState, now: float = 0.0) -> list[SegmentRecord]:
+    sent: list[SegmentRecord] = []
+    _fill_window(state, now, sent)
+    return sent
 
 
 # ---------------------------------------------------------------------------
 # Event-driven transfer simulation
 # ---------------------------------------------------------------------------
 
-# Heap priorities break ties at one instant.  Ring service, which is not
-# on the heap, comes before all of them.
+# Heap priorities break ties at one instant.  Ring service comes before
+# every heap event, and every heap event before the timeout.
 _PRIO_ARRIVAL = 1
 _PRIO_ACK = 2
-_PRIO_RTO = 3
 _INF = float("inf")
 
 
@@ -454,12 +454,8 @@ class _StreamSim:
         self.now = 0.0
         self._heap: list[tuple] = []
         self._evseq = 0
-        self._rto_deadline = _INF
-        # The expiry that passes the deadline check first, and the snd_una
-        # snapshot of the arming it stands for.
-        self._rto_fire = _INF
-        self._rto_snapshot = 0
-        self._rto_queued: list[float] = []  # queued timeout instants, latest first
+        self._rto_t = _INF  # next timeout instant; inf while disarmed
+        self._rto_snapshot = 0  # snd_una when the timer was armed for _rto_t
         self.ring: deque[Packet] = deque()
         self._svc_t = _INF  # next ring service completion; inf while idle
         self._cycle_count = 0
@@ -476,9 +472,9 @@ class _StreamSim:
         self._evseq += 1
         heapq.heappush(self._heap, (t, prio, self._evseq, kind, payload))
 
-    def _emit_actions(self, actions: list[tuple]) -> None:
-        for _kind, seq, length in actions:
-            self._transmit(seq, length)
+    def _emit_actions(self, sent: list[SegmentRecord]) -> None:
+        for seg in sent:
+            self._transmit(seg.seq, seg.length)
 
     def _transmit(self, seq: int, length: int) -> None:
         st = max(self.now, self._last_send_time + self.spacing_us)
@@ -501,27 +497,17 @@ class _StreamSim:
         self._push(p.arrival_time, _PRIO_ARRIVAL, "arr", p)
 
     def _arm_rto(self) -> None:
-        # One authoritative timer: re-arming supersedes the previous deadline.
+        # One timer: re-arming supersedes the previous instant.
         if not self.sender.retransmit_queue:
-            self._rto_deadline = _INF
+            self._rto_t = _INF
             return
         deadline = self.now + self.sender.rto_us()
-        # A timeout is due from 1e-9 before its deadline, so the expiry of
-        # an earlier arming that falls in [deadline - 1e-9, deadline] still
-        # fires first, and judges progress by its own snd_una snapshot.
-        if not deadline - 1e-9 <= self._rto_fire <= deadline:
-            self._rto_fire = deadline
+        # An expiry is due from 1e-9 before the latest deadline, so a pending
+        # instant in [deadline - 1e-9, deadline] stays, and judges progress
+        # by the snd_una snapshot of its own arming.
+        if not deadline - 1e-9 <= self._rto_t <= deadline:
+            self._rto_t = deadline
             self._rto_snapshot = self.sender.snd_una
-        self._rto_deadline = deadline
-        self._queue_rto()
-
-    def _queue_rto(self) -> None:
-        # A timeout event already queued at or before the firing instant
-        # will come back to it; only an earlier instant needs an event now.
-        queued = self._rto_queued
-        if not queued or self._rto_fire < queued[-1]:
-            queued.append(self._rto_fire)
-            self._push(self._rto_fire, _PRIO_RTO, "rto", self._rto_snapshot)
 
     # -- receive path -------------------------------------------------------
 
@@ -577,15 +563,8 @@ class _StreamSim:
         if self.sender.snd_una != before:
             self._arm_rto()
 
-    def _on_rto(self, snapshot: int) -> None:
-        self._rto_queued.pop()  # events leave the heap latest-queued first
-        if not self.sender.retransmit_queue:
-            self._rto_deadline = _INF
-            return
-        if self.now + 1e-9 < self._rto_deadline:
-            self._queue_rto()  # re-armed since: wait for the new deadline
-            return
-        if self.sender.snd_una == snapshot:
+    def _on_rto(self) -> None:
+        if self.sender.snd_una == self._rto_snapshot:
             self._emit_actions(sender_on_timeout(self.sender, self.now))
         self._arm_rto()
 
@@ -594,17 +573,23 @@ class _StreamSim:
     def run(self) -> TransferMetrics:
         self._emit_actions(sender_start(self.sender, 0.0))
         self._arm_rto()
-        handlers = {"arr": self._on_arrival, "ack": self._on_ack, "rto": self._on_rto}
+        handlers = {"arr": self._on_arrival, "ack": self._on_ack}
         heap = self._heap
         hard_stop = self.hard_stop_us
         while True:
             t = self._svc_t
-            if heap and heap[0][0] < t:
+            rto_t = self._rto_t
+            if heap and heap[0][0] < t and heap[0][0] <= rto_t:
                 t, _prio, _n, kind, payload = heapq.heappop(heap)
                 if t > hard_stop:
                     break
                 self.now = t
                 handlers[kind](payload)
+            elif rto_t < t:
+                if rto_t > hard_stop:
+                    break
+                self.now = rto_t
+                self._on_rto()
             elif t > hard_stop:  # also ends the run once nothing is pending
                 break
             else:

@@ -1,13 +1,16 @@
 """Cross-layer checks on the TCP event loop.
 
-The loop drains the receive ring inline and keeps a single lazily queued
-retransmission timer.  These tests tie both to independent references:
-the offline coalescing model replayed on the loop's own arrival times, the
-exact timeout schedule of a path that drops everything, the outcome of
-a run whose ACKs re-arm the timer several times at one instant (values
-from the loop that queued one timeout event per arming), and the sorter
-seen from outside: each cycle delivers what it fetched, within the hold
-bound.
+The loop takes the earliest of three instants (the next ring service, the
+top of the arrival heap and the retransmission timeout) and breaks ties in
+that order.  These tests tie it to independent references: the offline
+coalescing model replayed on the loop's own arrival times, the exact
+timeout schedule of a path that drops everything, the timer that queued
+one timeout event per arming (``oracles.EagerTimerSim``) on random small
+configs, an ACK at exactly the timeout instant, the outcome of a run whose
+ACKs re-arm the timer several times at one instant, and the sorter seen
+from outside: each cycle delivers what it fetched, within the hold bound,
+and in-order arrivals with slow constant ACKs give the same metrics in
+both arms.
 """
 
 from dataclasses import replace
@@ -197,7 +200,6 @@ def test_an_ack_at_the_timeout_instant_comes_first(srpic_on):
     assert sim.sender.bytes_acked == MSS
     assert sim.sender.pkts_retrans == 1
     assert sim.sender.last_rtx_time == 2 * rto
-
 
 
 # A forward path that keeps the send order and loses nothing, and ACKs

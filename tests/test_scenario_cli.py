@@ -456,6 +456,29 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("name: x\nduration: 0.05\nduration: 0.01\n", "duration", 3),
+            ("name: x\nduration: 0.05\nfwd:\n  beta: 0.1\n  beta: 0.2\n", "beta", 5),
+        ],
+    )
+    def test_repeated_key_exits_2(self, text, key, line, tmp_path, capsys, no_run):
+        # The plain YAML loader keeps the last value: a run that silently
+        # ignores a line of its scenario.
+        path = tmp_path / "dup.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"dup.yaml:{line}:" in err and f"repeated key {key!r}" in err
+
+    def test_repeated_seed_exits_2(self, tmp_path, capsys, no_run):
+        # Rows of one seed twice would make a CSV that compare rejects.
+        path = tmp_path / "dup.yaml"
+        path.write_text("name: x\nduration: 0.05\nseeds: [1, 2, 1]\n", encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert "seeds: [1] repeated" in capsys.readouterr().err
+
     def test_coalescing_ringbuffer_size_exits_2(self, tmp_path, capsys):
         # The sorter's ring is srpic.ringbuffer_size; the coalescing key is
         # rejected instead of being accepted and ignored.

@@ -136,9 +136,9 @@ class TestSenderStatic:
         retransmits = []
         for i in range(5):
             acts = sender_on_ack(st, dup_ack(0), now=1000.0 + i)
-            retransmits.extend(a for a in acts if a[0] == "retransmit")
+            retransmits.extend(a for a in acts if a.retransmitted)
         assert len(retransmits) == 1
-        assert retransmits[0][1] == 0
+        assert retransmits[0].seq == 0
         assert st.pkts_retrans == 1
         assert st.dup_acks_in == 5
         assert st.in_recovery
@@ -148,7 +148,7 @@ class TestSenderStatic:
         sender_on_ack(st, dup_ack(0), now=1.0)
         sender_on_ack(st, dup_ack(0), now=2.0)
         acts = sender_on_ack(st, new_ack(3 * MSS), now=3.0)
-        assert not [a for a in acts if a[0] == "retransmit"]
+        assert not [a for a in acts if a.retransmitted]
         assert st.pkts_retrans == 0
         assert st.dup_ack_count == 0
 
@@ -172,7 +172,7 @@ class TestSenderStatic:
         sender_on_ack(st, new_ack(4 * MSS), now=1.0)
         before = (st.snd_una, st.cwnd, st.dup_ack_count)
         acts = sender_on_ack(st, new_ack(2 * MSS), now=2.0)
-        assert acts == [] or all(a[0] == "transmit" for a in acts)
+        assert acts == [] or not any(a.retransmitted for a in acts)
         assert (st.snd_una, st.cwnd, st.dup_ack_count) == before
 
 
@@ -196,7 +196,7 @@ class TestSenderAdaptive:
         st.dupthresh = 11
         for i in range(10):
             acts = sender_on_ack(st, dup_ack(0), now=200.0 + i)
-            assert not [a for a in acts if a[0] == "retransmit"]
+            assert not [a for a in acts if a.retransmitted]
         assert st.pkts_retrans == 0
 
     def test_cap_at_127(self):
