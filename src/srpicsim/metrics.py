@@ -14,15 +14,19 @@ a reordered packet is inter-block exactly when the largest offset over the
 earlier blocks exceeds its own, so one pass that carries that maximum
 across block boundaries classifies a trace in O(n).
 
-All functions require duplicate-free traces (no two packets sharing a
-payload byte); the walk is undefined otherwise and such traces are
-rejected.  Variable payload lengths are fine — comparisons use the first
-payload byte.
+Every trace is unwrapped by ``_unwrap`` alone: each packet sits at its
+serial distance from the one before it, so a trace may cross the 2**32
+wrap any number of times.  Comparisons use the first payload byte.
+
+The public one-trace functions raise ``OverlappingSegmentsError`` on a
+trace in which two packets share a payload byte.  A TCP run's traces
+carry retransmitted copies, so ``first_copy_reports`` drops every later
+copy instead and reports on the first copies before and after the sorter.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import inf
@@ -92,10 +96,8 @@ def _flags(offsets: list[int], payload_lens: Sequence[int]) -> list[bool]:
     return flags
 
 
-def _count(flags: list[bool]) -> tuple[int, float]:
-    n = len(flags)
-    count = sum(flags)
-    return count, (count / n if n else 0.0)
+def _ratio(count: int, total: int) -> float:
+    return count / total if total else 0.0
 
 
 def _max_extent(offsets: list[int], flags: list[bool]) -> int:
@@ -116,7 +118,9 @@ def _max_extent(offsets: list[int], flags: list[bool]) -> int:
 
 def reordered_count(trace: Sequence[Packet]) -> tuple[int, float]:
     """Count of reordered packets and the reordering ratio (count/total)."""
-    return _count(_reordered_flags(trace)[1])
+    flags = _reordered_flags(trace)[1]
+    count = sum(flags)
+    return count, _ratio(count, len(flags))
 
 
 def max_reordering_extent(trace: Sequence[Packet]) -> int:
@@ -172,28 +176,95 @@ def reorder_report(
     return _report(*_reordered_flags(trace), partition)
 
 
-def _report_offsets(offsets: list[int], payload_lens: Sequence[int]) -> ReorderReport:
-    """``reorder_report`` on a trace given as unwrapped offsets and lengths.
-
-    Nothing is checked: the caller guarantees that the payload ranges are
-    disjoint and that the offsets order the packets like ``seq_cmp``, as
-    ``tcp._first_copies`` output is by construction.
-    """
-    return _report(offsets, _flags(offsets, payload_lens), None)
-
-
 def _report(
     offsets: list[int], flags: list[bool], partition: Sequence[int] | None
 ) -> ReorderReport:
-    count, ratio = _count(flags)
+    count = sum(flags)
     intra = inter = None
     if partition is not None:
         intra, inter = _classify(offsets, flags, partition)
     return ReorderReport(
         total_packets=len(flags),
         reordered_count=count,
-        ratio=ratio,
+        ratio=_ratio(count, len(flags)),
         max_extent=_max_extent(offsets, flags),
         intra_block=intra,
         inter_block=inter,
+    )
+
+
+def sum_reports(reports: Sequence[ReorderReport]) -> ReorderReport:
+    """One report over several streams: packet and reordered counts add
+    up, the extent is the largest, and the block fields stay unset."""
+    total = sum(r.total_packets for r in reports)
+    count = sum(r.reordered_count for r in reports)
+    return ReorderReport(
+        total_packets=total,
+        reordered_count=count,
+        ratio=_ratio(count, total),
+        max_extent=max((r.max_extent for r in reports), default=0),
+    )
+
+
+def _first_copies(trace: Sequence[Packet]) -> tuple[list[Packet], list[int]]:
+    """Keep the first-arriving copy of each payload range.
+
+    A packet is dropped when it shares a byte with one kept before it;
+    payloads must be nonempty.  Returns the kept packets and their offsets
+    in ``_unwrap`` of the whole trace, which order them like ``seq_cmp``.
+    """
+    kept: list[Packet] = []
+    offsets: list[int] = []
+    # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
+    # Ranges that touch are merged, so the lists stay as short as the
+    # number of holes.
+    starts: list[int] = []
+    ends: list[int] = []
+    for p, s in zip(trace, _unwrap(trace)):
+        e = s + p.payload_len
+        i = bisect_left(starts, s)
+        right = i < len(starts)
+        if right and starts[i] < e:
+            continue
+        if i and ends[i - 1] > s:
+            continue
+        kept.append(p)
+        offsets.append(s)
+        if i and ends[i - 1] == s:
+            if right and starts[i] == e:
+                ends[i - 1] = ends.pop(i)
+                del starts[i]
+            else:
+                ends[i - 1] = e
+        elif right and starts[i] == e:
+            starts[i] = s
+        else:
+            starts.insert(i, s)
+            ends.insert(i, e)
+    return kept, offsets
+
+
+def first_copy_reports(
+    arrivals: Sequence[Packet], deliveries: Sequence[Packet]
+) -> tuple[ReorderReport, ReorderReport]:
+    """Reports on the first copies in arrival order and in delivery order.
+
+    ``arrivals`` may hold retransmitted copies; payloads must be nonempty.
+    ``deliveries`` holds the same packet objects, possibly fewer.  Both
+    reports use the offsets ``_first_copies`` gives the arrivals, so
+    neither trace is unwrapped or overlap-checked again.
+    """
+    kept, offsets = _first_copies(arrivals)
+    offset_of = {id(p): off for p, off in zip(kept, offsets)}
+    post_offsets: list[int] = []
+    post_lens: list[int] = []
+    for p in deliveries:
+        off = offset_of.get(id(p))
+        if off is not None:
+            post_offsets.append(off)
+            post_lens.append(p.payload_len)
+    pre_lens = [p.payload_len for p in kept]
+    return (
+        _report(offsets, _flags(offsets, pre_lens), None),
+        _report(post_offsets, _flags(post_offsets, post_lens), None),
     )

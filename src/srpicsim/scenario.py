@@ -14,6 +14,7 @@ import functools
 import io
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Any, Iterable
 
 import yaml
@@ -192,7 +193,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else path
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         return scenario_from_mapping(doc)
@@ -222,24 +223,25 @@ def override_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioCon
 # Running and CSV emission
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "scenario",
-    "seed",
-    "stream_id",
-    "srpic",
-    "goodput_proxy",
-    "pkts_retrans",
-    "dup_acks_in",
-    "sack_blocks_rcvd",
-    "reorder_pre_count",
-    "reorder_pre_ratio",
-    "reorder_pre_max_extent",
-    "reorder_post_count",
-    "reorder_post_ratio",
-    "reorder_post_max_extent",
-    "mean_block_size",
-    "max_hold_delay_us",
-]
+# Each run CSV column after the four that name the run, in order, with
+# the ``TransferMetrics`` attribute it prints.
+_METRIC_COLUMNS = {
+    "goodput_proxy": "goodput_proxy",
+    "pkts_retrans": "pkts_retrans",
+    "dup_acks_in": "dup_acks_in",
+    "sack_blocks_rcvd": "sack_blocks_rcvd",
+    "reorder_pre_count": "reorder_pre.reordered_count",
+    "reorder_pre_ratio": "reorder_pre.ratio",
+    "reorder_pre_max_extent": "reorder_pre.max_extent",
+    "reorder_post_count": "reorder_post.reordered_count",
+    "reorder_post_ratio": "reorder_post.ratio",
+    "reorder_post_max_extent": "reorder_post.max_extent",
+    "mean_block_size": "mean_block_size",
+    "max_hold_delay_us": "max_hold_delay_us",
+}
+_METRIC_VALUES = attrgetter(*_METRIC_COLUMNS.values())
+
+CSV_COLUMNS = ["scenario", "seed", "stream_id", "srpic", *_METRIC_COLUMNS]
 
 _FLOAT_COLUMNS = {
     "goodput_proxy",
@@ -276,18 +278,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
                         "seed": seed,
                         "stream_id": sid,
                         "srpic": "on" if srpic_on else "off",
-                        "goodput_proxy": m.goodput_proxy,
-                        "pkts_retrans": m.pkts_retrans,
-                        "dup_acks_in": m.dup_acks_in,
-                        "sack_blocks_rcvd": m.sack_blocks_rcvd,
-                        "reorder_pre_count": m.reorder_pre.reordered_count,
-                        "reorder_pre_ratio": m.reorder_pre.ratio,
-                        "reorder_pre_max_extent": m.reorder_pre.max_extent,
-                        "reorder_post_count": m.reorder_post.reordered_count,
-                        "reorder_post_ratio": m.reorder_post.ratio,
-                        "reorder_post_max_extent": m.reorder_post.max_extent,
-                        "mean_block_size": m.mean_block_size,
-                        "max_hold_delay_us": m.max_hold_delay_us,
+                        **dict(zip(_METRIC_COLUMNS, _METRIC_VALUES(m))),
                     }
                 )
     rows.sort(key=row_key)
@@ -311,13 +302,18 @@ def parse_csv(text: str) -> list[dict]:
     ``on``/``off`` are ConfigErrors naming the line and the column.
     """
     reader = csv.DictReader(io.StringIO(text), restval="")
+    try:
+        records = [(reader.line_num, raw) for raw in reader]
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        # The DictReader's own count stops at the last row it returned.
+        raise ConfigError(f"line {reader.reader.line_num}: {exc}") from exc
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ConfigError(f"line 1: missing column(s) {missing}")
     rows = []
-    for raw in reader:
+    for line, raw in records:
         if None in raw:
-            raise ConfigError(f"line {reader.line_num}: more fields than columns")
+            raise ConfigError(f"line {line}: more fields than columns")
         row: dict[str, Any] = {}
         for key, value in raw.items():
             try:
@@ -330,7 +326,7 @@ def parse_csv(text: str) -> list[dict]:
                 else:
                     row[key] = int(value)
             except ValueError as exc:
-                raise ConfigError(f"line {reader.line_num}, column {key!r}: {exc}") from exc
+                raise ConfigError(f"line {line}, column {key!r}: {exc}") from exc
         rows.append(row)
     return rows
 

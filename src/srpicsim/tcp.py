@@ -29,20 +29,22 @@ and the retransmission timeout.  Service and timeout are one attribute
 each.  Ties go to ring service first, then to the heap (packet arrivals
 before ACKs), then to the timeout.  The timer is one RFC 6298-style
 timer, re-armed on every advance of the cumulative ACK.
+
+``metrics.first_copy_reports`` builds a run's reordering reports from its
+arrival and delivery traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .channel import PathStreams
 from .coalescing import hold_delay_bound
-from .metrics import ReorderReport, _report_offsets
+from .metrics import ReorderReport, first_copy_reports, sum_reports
 from .packets import FlowKey, Packet, SEQ_HALF, SEQ_MOD, TcpFlags, seq_cmp
 from .sorter import SrpicEngine
 
@@ -598,7 +600,7 @@ class _StreamSim:
         return self._metrics()
 
     def _metrics(self) -> TransferMetrics:
-        pre, post = _reorder_reports(self.arrival_trace, self.delivery_trace)
+        pre, post = first_copy_reports(self.arrival_trace, self.delivery_trace)
         bytes_acked = self.sender.bytes_acked
         duration_s = self.cfg.duration
         mean_block = (
@@ -620,94 +622,14 @@ class _StreamSim:
         )
 
 
-def _first_copies(trace: list[Packet]) -> tuple[list[Packet], list[int]]:
-    """Keep the first-arriving copy of each payload range.
-
-    Retransmissions duplicate payload bytes; the reordering metrics are
-    defined only on duplicate-free traces, so later copies are excluded.
-    Payloads must be nonempty, as every simulated segment's is.
-
-    Returns the kept packets and their unwrapped offsets, the same offsets
-    ``metrics._unwrap`` gives the kept trace: the first packet sits at 0
-    and each later one at its serial distance from the packet that arrived
-    before it, so a trace may cross the 2**32 wrap any number of times.
-    """
-    kept: list[Packet] = []
-    offsets: list[int] = []
-    s = 0
-    prev = trace[0].seq if trace else 0
-    # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
-    # Ranges that touch are merged, so the lists stay as short as the
-    # number of holes.
-    starts: list[int] = []
-    ends: list[int] = []
-    for p in trace:
-        seq = p.seq
-        s += (seq - prev + SEQ_HALF) % SEQ_MOD - SEQ_HALF
-        prev = seq
-        e = s + p.payload_len
-        i = bisect_left(starts, s)
-        right = i < len(starts)
-        if right and starts[i] < e:
-            continue
-        if i and ends[i - 1] > s:
-            continue
-        kept.append(p)
-        offsets.append(s)
-        if i and ends[i - 1] == s:
-            if right and starts[i] == e:
-                ends[i - 1] = ends.pop(i)
-                del starts[i]
-            else:
-                ends[i - 1] = e
-        elif right and starts[i] == e:
-            starts[i] = s
-        else:
-            starts.insert(i, s)
-            ends.insert(i, e)
-    return kept, offsets
-
-
-def _reorder_reports(
-    arrivals: list[Packet], deliveries: list[Packet]
-) -> tuple[ReorderReport, ReorderReport]:
-    """Reports on the first copies in arrival order and in delivery order.
-
-    ``deliveries`` holds the same packet objects as ``arrivals``, possibly
-    fewer.  Both reports reuse the offsets ``_first_copies`` computed, so
-    neither trace is unwrapped or checked for overlaps again.
-    """
-    kept, offsets = _first_copies(arrivals)
-    offset_of = {id(p): off for p, off in zip(kept, offsets)}
-    post_offsets: list[int] = []
-    post_lens: list[int] = []
-    for p in deliveries:
-        off = offset_of.get(id(p))
-        if off is not None:
-            post_offsets.append(off)
-            post_lens.append(p.payload_len)
-    pre = _report_offsets(offsets, [p.payload_len for p in kept])
-    return pre, _report_offsets(post_offsets, post_lens)
-
-
 def _aggregate(streams: list[TransferMetrics]) -> TransferMetrics:
-    def rep_sum(reports: list[ReorderReport]) -> ReorderReport:
-        total = sum(r.total_packets for r in reports)
-        count = sum(r.reordered_count for r in reports)
-        return ReorderReport(
-            total_packets=total,
-            reordered_count=count,
-            ratio=(count / total if total else 0.0),
-            max_extent=max((r.max_extent for r in reports), default=0),
-        )
-
     return TransferMetrics(
         goodput_proxy=sum(m.goodput_proxy for m in streams),
         pkts_retrans=sum(m.pkts_retrans for m in streams),
         dup_acks_in=sum(m.dup_acks_in for m in streams),
         sack_blocks_rcvd=sum(m.sack_blocks_rcvd for m in streams),
-        reorder_pre=rep_sum([m.reorder_pre for m in streams]),
-        reorder_post=rep_sum([m.reorder_post for m in streams]),
+        reorder_pre=sum_reports([m.reorder_pre for m in streams]),
+        reorder_post=sum_reports([m.reorder_post for m in streams]),
         mean_block_size=(
             sum(m.mean_block_size for m in streams) / len(streams) if streams else 0.0
         ),

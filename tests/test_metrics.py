@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from srpicsim.metrics import (
     OverlappingSegmentsError,
     PartitionError,
+    _first_copies,
     _reordered_flags,
     classify_block_reordering,
     max_reordering_extent,
@@ -222,6 +223,50 @@ class TestReportSharesOnePass:
             reorder_report(make_trace([0, 5], [10, 10]), [2])
         with pytest.raises(PartitionError):
             reorder_report(make_trace([1, 2, 3]), [2, 2])
+
+
+class TestFirstCopiesAndOverlapCheck:
+    """``_first_copies`` and the public overlap check share only the unwrap;
+    on nonempty payloads they still agree on which traces hold a copy."""
+
+    @given(
+        segs=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(1, 12)), max_size=30
+        ),
+        base=st.one_of(st.just(0), st.integers((1 << 32) - 80, (1 << 32) - 1)),
+    )
+    @settings(max_examples=400, derandomize=True)
+    def test_drops_a_packet_exactly_when_the_check_raises(self, segs, base):
+        # A small sequence space: shared starts, overlaps and exact touches,
+        # with the start near the 2**32 wrap.
+        trace = make_trace(
+            [(base + s) % (1 << 32) for s, _ in segs], [n for _, n in segs]
+        )
+        kept, _offsets = _first_copies(trace)
+        try:
+            reorder_report(trace)
+        except OverlappingSegmentsError:
+            assert len(kept) < len(trace)
+        else:
+            assert len(kept) == len(trace)
+
+    @pytest.mark.parametrize(
+        "seqs, lens, rejected",
+        [
+            ([0, 3], [6, 0], True),  # empty payload strictly inside another
+            ([3, 0], [0, 6], True),  # the same, arriving first
+            ([0, 0], [6, 0], False),  # at another packet's first byte
+            ([0, 6], [6, 0], False),  # just past another packet's last byte
+            ([4, 5, 5], [1, 3, 0], False),  # where two packets touch
+        ],
+    )
+    def test_zero_length_payloads(self, seqs, lens, rejected):
+        trace = make_trace(seqs, lens)
+        if rejected:
+            with pytest.raises(OverlappingSegmentsError):
+                reorder_report(trace)
+        else:
+            assert reorder_report(trace).total_packets == len(trace)
 
 
 class TestSortingTheorems:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import random
@@ -472,6 +473,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"dup.yaml:{line}:" in err and f"repeated key {key!r}" in err
 
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys, no_run):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"# caf\xe9 \xff\n" + SMALL_YAML.encode())
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "latin1.yaml: " in err and "utf-8" in err and "Traceback" not in err
+
     def test_repeated_seed_exits_2(self, tmp_path, capsys, no_run):
         # Rows of one seed twice would make a CSV that compare rejects.
         path = tmp_path / "dup.yaml"
@@ -551,6 +559,17 @@ class TestCli:
         path.write_bytes(b"scenario,\xff\xfe\n")
         assert main(["compare", str(path)]) == 2
         assert "bad.csv" in capsys.readouterr().err
+
+    def test_compare_field_over_the_csv_size_limit_exits_2(self, tmp_path, capsys):
+        # A run named with 200,000 characters; the process-wide field limit
+        # (131,072 by default) is left as it is.
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text(rows_to_csv(arm_rows(scenario="x" * 200_000)), encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "long.csv: line 2: " in err and "field larger than field limit" in err
+        assert csv.field_size_limit() == limit
 
     def test_compare_hand_made_rows(self, tmp_path, capsys):
         path = tmp_path / "ok.csv"

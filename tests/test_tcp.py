@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
-from srpicsim.metrics import _report_offsets, reorder_report
+from srpicsim.metrics import _first_copies, first_copy_reports, reorder_report
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet
 from srpicsim.scenario import ScenarioConfig, load_scenario
 from srpicsim.tcp import (
@@ -18,9 +18,7 @@ from srpicsim.tcp import (
     ReceiverState,
     SegmentRecord,
     SenderState,
-    _first_copies,
     _mark_sacked,
-    _reorder_reports,
     _StreamSim,
     receiver_on_segment,
     run_transfer,
@@ -448,8 +446,8 @@ class TestTrustedReports:
         trace = make_trace(
             [(base + s * unit) % SEQ_MOD for s, _ in ranges], [n * unit for _, n in ranges]
         )
-        kept, offsets = _first_copies(trace)
-        assert _report_offsets(offsets, [p.payload_len for p in kept]) == reorder_report(kept)
+        kept, _offsets = _first_copies(trace)
+        assert first_copy_reports(trace, [])[0] == reorder_report(kept)
 
         # Delivery order as a block sorter gives it: each block of
         # arrivals sorted by sequence.
@@ -460,7 +458,7 @@ class TestTrustedReports:
             delivered.extend(p for _, p in chunk)
         kept_ids = {id(p) for p in kept}
         post_trace = [p for p in delivered if id(p) in kept_ids]
-        assert _reorder_reports(trace, delivered) == (
+        assert first_copy_reports(trace, delivered) == (
             reorder_report(kept),
             reorder_report(post_trace),
         )
