@@ -210,8 +210,9 @@ def _first_copies(trace: Sequence[Packet]) -> tuple[list[Packet], list[int]]:
     """Keep the first-arriving copy of each payload range.
 
     A packet is dropped when it shares a byte with one kept before it;
-    payloads must be nonempty.  Returns the kept packets and their offsets
-    in ``_unwrap`` of the whole trace, which order them like ``seq_cmp``.
+    an empty payload raises ``ValueError``.  Returns the kept packets and
+    their offsets in ``_unwrap`` of the whole trace, which order them like
+    ``seq_cmp``.
     """
     kept: list[Packet] = []
     offsets: list[int] = []
@@ -222,6 +223,8 @@ def _first_copies(trace: Sequence[Packet]) -> tuple[list[Packet], list[int]]:
     ends: list[int] = []
     for p, s in zip(trace, _unwrap(trace)):
         e = s + p.payload_len
+        if e <= s:
+            raise ValueError(f"packet send_index={p.send_index} has no payload")
         i = bisect_left(starts, s)
         right = i < len(starts)
         if right and starts[i] < e:
@@ -249,10 +252,10 @@ def first_copy_reports(
 ) -> tuple[ReorderReport, ReorderReport]:
     """Reports on the first copies in arrival order and in delivery order.
 
-    ``arrivals`` may hold retransmitted copies; payloads must be nonempty.
-    ``deliveries`` holds the same packet objects, possibly fewer.  Both
-    reports use the offsets ``_first_copies`` gives the arrivals, so
-    neither trace is unwrapped or overlap-checked again.
+    ``arrivals`` may hold retransmitted copies; an empty payload raises
+    ``ValueError``.  ``deliveries`` holds the same packet objects, possibly
+    fewer.  Both reports use the offsets ``_first_copies`` gives the
+    arrivals, so neither trace is unwrapped or overlap-checked again.
     """
     kept, offsets = _first_copies(arrivals)
     offset_of = {id(p): off for p, off in zip(kept, offsets)}

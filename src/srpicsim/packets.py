@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SEQ_MOD = 1 << 32
 SEQ_HALF = 1 << 31
@@ -26,14 +27,18 @@ class TcpFlags(enum.Flag):
 DISQUALIFYING_FLAGS = (
     TcpFlags.ECE | TcpFlags.CWR | TcpFlags.URG | TcpFlags.RST | TcpFlags.SYN | TcpFlags.FIN
 )
-# Integer mask of the same bits: testing ``flags.value`` against it skips
-# the enum's ``__and__``, which dominates the per-packet cost.
+# Integer mask of the same bits.  Testing ``flags._value_`` (the enum's
+# documented sunder attribute) against it skips the enum's ``__and__`` and
+# its ``value`` property, which would dominate the per-packet cost.
 _DISQUALIFYING_BITS = DISQUALIFYING_FLAGS.value
 
 
-@dataclass(frozen=True, slots=True)
-class FlowKey:
-    """Identity of one simulated TCP stream (addresses are opaque ids)."""
+class FlowKey(NamedTuple):
+    """Identity of one simulated TCP stream (addresses are opaque ids).
+
+    A tuple because the sorter looks up a manager by key for every packet,
+    and a tuple hashes in C, about three times as fast as a dataclass.
+    """
 
     src_addr: int
     dst_addr: int
@@ -57,6 +62,8 @@ class Packet:
     The class is not frozen only because a frozen dataclass sets every
     field through ``object.__setattr__``, which more than doubles the
     cost of building one.  It is unhashable; nothing keys by its value.
+    Hot paths build it positionally, at half the cost of keywords, so the
+    field order is part of its interface and a test pins it.
     """
 
     flow: FlowKey
@@ -96,5 +103,5 @@ def is_suitable(p: Packet) -> bool:
     return (
         not p.is_fragment
         and not p.has_disallowed_options
-        and not (p.flags.value & _DISQUALIFYING_BITS)
+        and not (p.flags._value_ & _DISQUALIFYING_BITS)
     )

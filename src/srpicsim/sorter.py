@@ -54,12 +54,11 @@ class SrpicManager:
             self.next_exp = payload_end(p)
             self.packet_cnt = 1
             return
-        c = seq_cmp(p.seq, self.next_exp)
-        if c < 0:
-            _sorted_insert(self.prev_list, p)
-        elif c == 0:
+        if p.seq == self.next_exp:
             self.curr_list.append(p)
             self.next_exp = payload_end(p)
+        elif seq_cmp(p.seq, self.next_exp) < 0:
+            _sorted_insert(self.prev_list, p)
         else:
             _sorted_insert(self.after_list, p)
         self.packet_cnt += 1

@@ -202,12 +202,7 @@ def receiver_on_segment(state: ReceiverState, seg: Packet) -> AckRecord:
         blocks = tuple((s % SEQ_MOD, e % SEQ_MOD) for s, e, _ in recent)
     if not advanced:
         state.dup_acks_sent += 1
-    return AckRecord(
-        ack_seq=state.rcv_nxt,
-        sack_blocks=blocks,
-        is_duplicate=not advanced,
-        echo_send_time=seg.send_time,
-    )
+    return AckRecord(state._nxt % SEQ_MOD, blocks, not advanced, seg.send_time)
 
 
 def _ooo_insert(ooo: list[list], start: int, end: int, touch: int) -> None:
@@ -289,13 +284,15 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
     )
     was_dupacks = state.dup_ack_count
 
+    # Pop the acked segments: seq_cmp(end, ack_seq) <= 0, written out inline.
     acked_segments = 0
+    ack_seq = ack.ack_seq
     q = state.retransmit_queue
-    while q and seq_cmp((q[0].seq + q[0].length) % SEQ_MOD, ack.ack_seq) <= 0:
+    while q and (ack_seq - q[0].seq - q[0].length) % SEQ_MOD < SEQ_HALF:
         q.popleft()
         acked_segments += 1
-    state.bytes_acked += (ack.ack_seq - state.snd_una) % SEQ_MOD
-    state.snd_una = ack.ack_seq
+    state.bytes_acked += (ack_seq - state.snd_una) % SEQ_MOD
+    state.snd_una = ack_seq
     state.rto_backoff = 1
 
     if ack.echo_send_time is not None:
@@ -386,7 +383,7 @@ def sender_on_timeout(state: SenderState, now: float) -> list[SegmentRecord]:
 def _fill_window(state: SenderState, now: float, sent: list) -> None:
     window = min(int(state.cwnd), int(state.max_cwnd))
     while len(state.retransmit_queue) < window and now < state.data_deadline_us:
-        seg = SegmentRecord(seq=state.next_send_seq % SEQ_MOD, length=MSS)
+        seg = SegmentRecord(state.next_send_seq % SEQ_MOD, MSS)
         state.retransmit_queue.append(seg)
         state.next_send_seq += MSS
         sent.append(seg)
@@ -487,15 +484,7 @@ class _StreamSim:
         delay = self.fwd.next_delay_us()
         if dropped:
             return
-        p = Packet(
-            flow=self.flow,
-            seq=seq,
-            payload_len=length,
-            flags=TcpFlags.ACK,
-            send_index=idx,
-            send_time=st,
-            arrival_time=st + delay,
-        )
+        p = Packet(self.flow, seq, length, TcpFlags.ACK, False, False, idx, st, st + delay)
         self._push(p.arrival_time, _PRIO_ARRIVAL, "arr", p)
 
     def _arm_rto(self) -> None:
@@ -561,7 +550,8 @@ class _StreamSim:
 
     def _on_ack(self, ack: AckRecord) -> None:
         before = self.sender.snd_una
-        self._emit_actions(sender_on_ack(self.sender, ack, self.now))
+        for seg in sender_on_ack(self.sender, ack, self.now):
+            self._transmit(seg.seq, seg.length)
         if self.sender.snd_una != before:
             self._arm_rto()
 

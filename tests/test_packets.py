@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from srpicsim.packets import (
     payload_end,
     seq_cmp,
 )
+from srpicsim.sorter import SrpicEngine
 
 FLOW = FlowKey(1, 2, 1000, 2000)
 
@@ -89,11 +92,64 @@ class TestIsSuitable:
             assert not is_suitable(pkt(flags=flag | TcpFlags.ACK))
 
     def test_every_flag_and_pair_matches_the_flag_rule(self):
-        singles = [TcpFlags.NONE, *TcpFlags]
-        for a, b in itertools.combinations_with_replacement(singles, 2):
+        # Every subset of the eight flags, so every flag and every pair:
+        # is_suitable tests an integer mask, the rule is the enum's ``&``.
+        subsets = [TcpFlags.NONE]
+        for f in TcpFlags:
+            subsets += [s | f for s in subsets]
+        assert len(set(subsets)) == 2 ** len(TcpFlags)
+        for flags in subsets:
             for frag, opts in itertools.product((False, True), repeat=2):
-                p = pkt(flags=a | b, is_fragment=frag, has_disallowed_options=opts)
+                p = pkt(flags=flags, is_fragment=frag, has_disallowed_options=opts)
                 expected = (
                     not (p.flags & DISQUALIFYING_FLAGS) and not frag and not opts
                 )
-                assert is_suitable(p) == expected, (a | b, frag, opts)
+                assert is_suitable(p) == expected, (flags, frag, opts)
+
+
+class TestPacketFields:
+    def test_field_order(self):
+        # tcp and channel build packets positionally: a reordered field would
+        # silently swap values such as send_time and arrival_time.
+        assert [f.name for f in dataclasses.fields(Packet)] == [
+            "flow",
+            "seq",
+            "payload_len",
+            "flags",
+            "is_fragment",
+            "has_disallowed_options",
+            "send_index",
+            "send_time",
+            "arrival_time",
+        ]
+
+
+class TestFlowKey:
+    def test_fields_cannot_be_assigned(self):
+        key = FlowKey(1, 2, 3, 4)
+        for name in FlowKey._fields:
+            with pytest.raises(AttributeError):
+                setattr(key, name, 9)
+
+    def test_equal_fields_are_one_key_and_one_manager(self):
+        a = FlowKey(1, 2, 1000, 2000)
+        b = FlowKey(src_addr=1, dst_addr=2, src_port=1000, dst_port=2000)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "FlowKey(src_addr=1, dst_addr=2, src_port=1000, dst_port=2000)"
+        engine = SrpicEngine(block_size=8)
+        engine.ingest(Packet(a, 100, 10))
+        engine.ingest(Packet(b, 110, 10))
+        assert len(engine.managers) == 1
+        assert engine.managers[a].packet_cnt == 2
+
+    def test_keys_differing_in_one_field_get_separate_managers(self):
+        base = FlowKey(1, 2, 1000, 2000)
+        engine = SrpicEngine(block_size=8)
+        engine.ingest(Packet(base, 100, 10))
+        for i, name in enumerate(FlowKey._fields):
+            other = base._replace(**{name: base[i] + 1})
+            assert other != base
+            engine.ingest(Packet(other, 100, 10))
+        assert len(engine.managers) == 1 + len(FlowKey._fields)
+        assert all(m.packet_cnt == 1 for m in engine.managers.values())

@@ -1,5 +1,5 @@
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
 from srpicsim.metrics import _first_copies, first_copy_reports, reorder_report
-from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet
+from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, TcpFlags
 from srpicsim.scenario import ScenarioConfig, load_scenario
 from srpicsim.tcp import (
     MSS,
@@ -462,3 +462,37 @@ class TestTrustedReports:
             reorder_report(kept),
             reorder_report(post_trace),
         )
+
+    def test_an_empty_payload_is_rejected_by_send_index(self):
+        trace = make_trace([0, 10, 20], [10, 0, 10])
+        with pytest.raises(ValueError, match="send_index=1"):
+            first_copy_reports(trace, trace)
+
+
+class TestPositionalRecords:
+    """The hot path builds its records positionally, so their field order
+    is part of their interface."""
+
+    def test_record_field_order(self):
+        assert [f.name for f in fields(SegmentRecord)] == [
+            "seq",
+            "length",
+            "sacked",
+            "retransmitted",
+        ]
+        assert [f.name for f in fields(AckRecord)] == [
+            "ack_seq",
+            "sack_blocks",
+            "is_duplicate",
+            "echo_send_time",
+        ]
+
+    def test_first_arrival_of_a_stream(self):
+        sim = _StreamSim(scenario(duration=0.001), 1, 0, False)
+        sim.run()
+        p = sim.arrival_trace[0]
+        assert p.flow == sim.flow
+        assert p.flags is TcpFlags.ACK
+        assert not p.is_fragment and not p.has_disallowed_options
+        assert p.send_time <= p.arrival_time
+        assert p.send_index == 1
