@@ -4,20 +4,29 @@ A cycle starts when a packet lands in an empty ring buffer.  After the
 hardware interrupt delay the softirq drains the ring at a fixed rate of
 one packet per service quantum; packets arriving during the drain join
 the same cycle.  The cycle ends at the first service completion that
-finds the ring empty (an arrival landing exactly at that instant opens
-the next cycle).
+finds the ring empty.  ``ReceivePath`` is the one implementation: the first
+completion is at ``arrival + t_intr_us + quantum_us``, each later one at the
+previous one ``+ quantum_us``.  A completion comes before an arrival at the
+same instant, so an arrival just as the ring empties opens the next cycle.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+from .packets import Packet
+from .sorter import SrpicEngine
 
 
 class ReceiverSaturationError(ValueError):
     """Arrival rate at or above the service rate: the cycle never ends."""
+
+
+class SimulationError(RuntimeError):
+    """An internal invariant (e.g. a sorter hold-delay bound) was violated."""
 
 
 @dataclass(frozen=True)
@@ -72,40 +81,93 @@ def block_size_closed_form(p_rate: float, params: CoalescingParams) -> int:
     return _guarded_ceil(value)
 
 
+class ReceivePath:
+    """One receive ring, its service clock and an optional block sorter.
+
+    ``service`` completes the service due at ``svc_t`` (``inf`` while idle)
+    and, when that empties the ring, flushes the engine and records the
+    cycle's size.  Each packet goes to ``deliver(p, fetched_at)``, and a TCP
+    run ACKs it at the later of its flush and ``fetched_at`` plus the
+    reverse delay: with in-order lossless arrivals and a constant reverse
+    delay above the hold bound, the sorter arms then differ only in holds.
+    Holds go to ``max_hold_us``, checked against the one-flow block bound.
+    ``deliver`` is ``None`` only without an engine, and comes per call: a
+    stored bound method of the path's owner would make a reference cycle.
+    """
+
+    def __init__(self, params: CoalescingParams, engine: SrpicEngine | None = None):
+        self.quantum_us = params.quantum_us
+        self.t_intr_us = params.t_intr_us
+        self.engine = engine
+        self.ring: deque = deque()
+        self.svc_t = math.inf
+        self.cycle_sizes: list[int] = []
+        self._served = 0  # packets fetched in the current cycle
+        self.max_hold_us = 0.0
+        if engine is not None:
+            self._fetch_time: dict[int, float] = {}
+            self._block_bound_us = hold_delay_bound(engine.block_size, params.r_sn_pps)
+
+    def arrive(self, p: Packet, now: float) -> None:
+        if not self.ring:
+            self.svc_t = now + self.t_intr_us + self.quantum_us
+        self.ring.append(p)
+
+    def service(self, deliver: Callable[[Packet, float], None] | None = None) -> None:
+        now = self.svc_t
+        p = self.ring.popleft()
+        self._served += 1
+        engine = self.engine  # ingest/end_cycle looked up per call: tests patch them
+        if engine is None:
+            if deliver is not None:
+                deliver(p, now)
+        else:
+            self._fetch_time[id(p)] = now
+            emitted = engine.ingest(p)
+            if not self.ring:
+                emitted = emitted + engine.end_cycle()
+            for held in emitted:
+                fetched_at = self._fetch_time.pop(id(held))
+                hold = now - fetched_at
+                if hold > self._block_bound_us + 1e-6:
+                    raise SimulationError(
+                        f"sorter held a packet {hold:.3f}us, beyond its delay bound"
+                    )
+                if hold > self.max_hold_us:
+                    self.max_hold_us = hold
+                deliver(held, fetched_at)
+        if self.ring:
+            self.svc_t = now + self.quantum_us
+        else:
+            self.cycle_sizes.append(self._served)
+            self._served = 0
+            self.svc_t = math.inf
+
+
 def simulate_coalescing(
     arrival_times: Sequence[float], params: CoalescingParams
 ) -> list[CycleRecord]:
-    """Replay an arrival time series (microseconds, nondecreasing) through
-    the cycle mechanics and report one record per cycle.
-
-    Every arrival lands in exactly one cycle; the ring is unbounded
-    (overflow is not modeled).
+    """Replay an arrival time series (microseconds, finite, nondecreasing)
+    through a ``ReceivePath`` and report one record per cycle.  Every
+    arrival lands in exactly one cycle; the ring is unbounded.
     """
     arr = list(arrival_times)
-    for i in range(1, len(arr)):
-        if arr[i] < arr[i - 1]:
-            raise ValueError("arrival_times must be nondecreasing")
-    q = params.quantum_us
-    cycles: list[CycleRecord] = []
-    i = 0
-    n = len(arr)
-    while i < n:
-        start = arr[i]
-        drain0 = start + params.t_intr_us
-        # Completion of the k-th packet happens at drain0 + k*q.  The ring
-        # after k completions holds (#arrivals < that instant) - k; jump by
-        # the current ring size since it cannot empty any earlier.
-        k = 1
-        while True:
-            avail = bisect_left(arr, drain0 + k * q, i) - i
-            ring = avail - k
-            if ring <= 0:
-                break
-            k += ring
-        cycles.append(
-            CycleRecord(start_time=start, emptying_duration=k * q, block_packets=k)
-        )
-        i += k
+    path = ReceivePath(params)
+    ring, arrive, service = path.ring, path.arrive, path.service
+    last = math.nextafter(-math.inf, 0.0)  # least finite float: -inf fails below
+    for t in arr:
+        if not last <= t < math.inf:
+            raise ValueError("arrival_times must be finite and nondecreasing")
+        last = t
+        while path.svc_t <= t:
+            service()
+        arrive(t, t)  # the ring holds arrival times, not packets
+    while ring:
+        service()
+    cycles, first = [], 0
+    for k in path.cycle_sizes:
+        cycles.append(CycleRecord(arr[first], k * path.quantum_us, k))
+        first += k
     return cycles
 
 

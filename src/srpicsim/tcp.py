@@ -13,22 +13,13 @@ back toward 3 over quiet periods.  A retransmission answered faster than
 a fraction of the minimum RTT is treated as spurious evidence as well.
 
 One transfer runs as a deterministic event loop: sender window fills ->
-forward path delay/drop -> ring-buffer coalescing cycles -> optional
-block sorter -> receiver -> reverse path -> ACK processing.  Sorter hold
-times are tracked and checked against the per-block delay bound (which
-the whole-ring bound never undercuts) on every run, but delivery
-timestamps ignore the hold: a held packet's ACK leaves at the later of
-its flush instant and its fetch instant plus the reverse delay.  So when
-the forward path keeps order and loses nothing and the reverse delay is a
-constant longer than the hold bound, every metric but the hold itself is
-the same with the sorter on or off.
-
-The loop takes the earliest of three instants: the next ring service
-completion, the top of a heap that holds only packet and ACK arrivals,
-and the retransmission timeout.  Service and timeout are one attribute
-each.  Ties go to ring service first, then to the heap (packet arrivals
-before ACKs), then to the timeout.  The timer is one RFC 6298-style
-timer, re-armed on every advance of the cumulative ACK.
+forward path delay/drop -> ``coalescing.ReceivePath`` (ring and optional
+sorter) -> receiver -> reverse path -> ACK processing.  The loop takes the
+earliest of three instants: the next ring service completion, the top of
+a heap that holds only packet and ACK arrivals, and the retransmission
+timeout.  Ties go to ring service first, then to the heap (packet
+arrivals before ACKs), then to the timeout.  The timer is one RFC
+6298-style timer, re-armed whenever the cumulative ACK advances.
 
 ``metrics.first_copy_reports`` builds a run's reordering reports from its
 arrival and delivery traces.
@@ -43,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .channel import PathStreams
-from .coalescing import hold_delay_bound
+from .coalescing import ReceivePath
 from .metrics import ReorderReport, first_copy_reports, sum_reports
 from .packets import FlowKey, Packet, SEQ_HALF, SEQ_MOD, TcpFlags, seq_cmp
 from .sorter import SrpicEngine
@@ -61,10 +52,6 @@ DUPTHRESH_MAX = 127
 # original, i.e. reordering.
 SPURIOUS_RTT_FRACTION = 0.8
 DRAIN_GRACE_US = 2_000_000.0
-
-
-class SimulationError(RuntimeError):
-    """An internal invariant (e.g. a sorter hold-delay bound) was violated."""
 
 
 @dataclass(slots=True)
@@ -127,10 +114,6 @@ class ReceiverState:
 
     def __post_init__(self):
         self._nxt = self.isn
-
-    @property
-    def rcv_nxt(self) -> int:
-        return self._nxt % SEQ_MOD
 
     @property
     def out_of_order_queue(self) -> list[tuple[int, int]]:
@@ -399,8 +382,7 @@ def sender_start(state: SenderState, now: float = 0.0) -> list[SegmentRecord]:
 # Event-driven transfer simulation
 # ---------------------------------------------------------------------------
 
-# Heap priorities break ties at one instant.  Ring service comes before
-# every heap event, and every heap event before the timeout.
+# Heap priorities break ties at one instant, after ring service.
 _PRIO_ARRIVAL = 1
 _PRIO_ACK = 2
 _INF = float("inf")
@@ -420,8 +402,6 @@ class _StreamSim:
         self.duration_us = cfg.duration * 1e6
         self.hard_stop_us = self.duration_us + DRAIN_GRACE_US
         self.spacing_us = cfg.segment_spacing_us
-        self.quantum_us = cfg.coalescing.quantum_us
-        self.t_intr_us = cfg.coalescing.t_intr_us
 
         self.fwd = PathStreams(
             replace(cfg.fwd, seed=_derive_seed(run_seed, stream_id, "fwd"))
@@ -440,27 +420,16 @@ class _StreamSim:
             recover_point=cfg.isn,
         )
         self.receiver = ReceiverState(sack_enabled=cfg.sack_enabled, isn=cfg.isn)
-        self.engine = None
+        engine = None
         if srpic_on:
-            self.engine = SrpicEngine(cfg.srpic.block_size, cfg.srpic.ringbuffer_size)
-        # Only the block bound is checked: SrpicSettings requires
-        # ringbuffer_size >= block_size, so the whole-ring bound is never
-        # the smaller one.
-        self._block_bound_us = hold_delay_bound(
-            cfg.srpic.block_size, cfg.coalescing.r_sn_pps
-        )
+            engine = SrpicEngine(cfg.srpic.block_size, cfg.srpic.ringbuffer_size)
+        self.path = ReceivePath(cfg.coalescing, engine)
 
         self.now = 0.0
         self._heap: list[tuple] = []
         self._evseq = 0
         self._rto_t = _INF  # next timeout instant; inf while disarmed
         self._rto_snapshot = 0  # snd_una when the timer was armed for _rto_t
-        self.ring: deque[Packet] = deque()
-        self._svc_t = _INF  # next ring service completion; inf while idle
-        self._cycle_count = 0
-        self.cycle_sizes: list[int] = []
-        self._fetch_time: dict[int, float] = {}
-        self.max_hold_us = 0.0
         self._last_send_time = -self.spacing_us
         self.arrival_trace: list[Packet] = []
         self.delivery_trace: list[Packet] = []
@@ -504,38 +473,7 @@ class _StreamSim:
 
     def _on_arrival(self, p: Packet) -> None:
         self.arrival_trace.append(p)
-        self.ring.append(p)
-        if self._svc_t == _INF:
-            self._cycle_count = 0
-            self._svc_t = self.now + self.t_intr_us + self.quantum_us
-
-    def _on_service(self) -> None:
-        p = self.ring.popleft()
-        self._cycle_count += 1
-        if self.engine is not None:
-            self._fetch_time[id(p)] = self.now
-            self._deliver(self.engine.ingest(p))
-        else:
-            self._deliver_one(p, self.now)
-        if self.ring:
-            self._svc_t = self.now + self.quantum_us
-        else:
-            if self.engine is not None:
-                self._deliver(self.engine.end_cycle())
-            self.cycle_sizes.append(self._cycle_count)
-            self._svc_t = _INF
-
-    def _deliver(self, emitted: list[Packet]) -> None:
-        for p in emitted:
-            fetched_at = self._fetch_time.pop(id(p))
-            hold = self.now - fetched_at
-            if hold > self._block_bound_us + 1e-6:
-                raise SimulationError(
-                    f"sorter held a packet {hold:.3f}us, beyond its delay bound"
-                )
-            if hold > self.max_hold_us:
-                self.max_hold_us = hold
-            self._deliver_one(p, fetched_at)
+        self.path.arrive(p, self.now)
 
     def _deliver_one(self, p: Packet, stamp: float) -> None:
         self.delivery_trace.append(p)
@@ -568,8 +506,9 @@ class _StreamSim:
         handlers = {"arr": self._on_arrival, "ack": self._on_ack}
         heap = self._heap
         hard_stop = self.hard_stop_us
+        path, deliver = self.path, self._deliver_one
         while True:
-            t = self._svc_t
+            t = path.svc_t
             rto_t = self._rto_t
             if heap and heap[0][0] < t and heap[0][0] <= rto_t:
                 t, _prio, _n, kind, payload = heapq.heappop(heap)
@@ -586,16 +525,15 @@ class _StreamSim:
                 break
             else:
                 self.now = t
-                self._on_service()
+                path.service(deliver)
         return self._metrics()
 
     def _metrics(self) -> TransferMetrics:
         pre, post = first_copy_reports(self.arrival_trace, self.delivery_trace)
         bytes_acked = self.sender.bytes_acked
         duration_s = self.cfg.duration
-        mean_block = (
-            sum(self.cycle_sizes) / len(self.cycle_sizes) if self.cycle_sizes else 0.0
-        )
+        sizes = self.path.cycle_sizes
+        mean_block = sum(sizes) / len(sizes) if sizes else 0.0
         return TransferMetrics(
             goodput_proxy=bytes_acked / duration_s,
             pkts_retrans=self.sender.pkts_retrans,
@@ -604,7 +542,7 @@ class _StreamSim:
             reorder_pre=pre,
             reorder_post=post,
             mean_block_size=mean_block,
-            max_hold_delay_us=self.max_hold_us,
+            max_hold_delay_us=self.path.max_hold_us,
             segments_sent=self.sender.segments_sent,
             bytes_acked=bytes_acked,
             dup_acks_sent=self.receiver.dup_acks_sent,

@@ -221,8 +221,9 @@ class EagerTimerSim(_StreamSim):
             "rto": self._on_timeout_event,
         }
         heap = self._heap
+        path = self.path
         while True:
-            t = self._svc_t
+            t = path.svc_t
             if heap and heap[0][0] < t:
                 t, _prio, _n, kind, payload = heapq.heappop(heap)
                 if t > self.hard_stop_us:
@@ -233,5 +234,5 @@ class EagerTimerSim(_StreamSim):
                 break
             else:
                 self.now = t
-                self._on_service()
+                path.service(self._deliver_one)
         return self._metrics()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -85,6 +86,13 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_coalescing([5.0, 1.0], CoalescingParams())
 
+    @pytest.mark.parametrize(
+        "arrivals", [[0.0, math.inf], [0.0, math.nan, 1.0], [-math.inf, 0.0]]
+    )
+    def test_non_finite_rejected(self, arrivals):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_coalescing(arrivals, CoalescingParams())
+
     def test_matches_naive_quantum_walk(self):
         rng = random.Random(17)
         params = CoalescingParams(t_intr_us=7.0, r_sn_pps=4e5)
@@ -94,6 +102,15 @@ class TestSimulate:
             fast = [c.block_packets for c in simulate_coalescing(arrivals, params)]
             slow = naive_coalescing_blocks(arrivals, 7.0, params.quantum_us)
             assert fast == slow
+        # Equal-spaced grids with arrivals exactly on service completions,
+        # where adding one quantum per service and drain start + k * quantum
+        # round differently.
+        for r_sn_pps, n, blocks in ((7e5, 98, [36, 36, 26]), (1.2e6, 177, [61, 60, 56])):
+            params = CoalescingParams(t_intr_us=5.0, r_sn_pps=r_sn_pps)
+            q = params.quantum_us
+            arrivals = [i * 1.1 * q for i in range(n)]
+            fast = [c.block_packets for c in simulate_coalescing(arrivals, params)]
+            assert fast == naive_coalescing_blocks(arrivals, 5.0, q) == blocks
 
     def test_cbr_blocks_grow_with_rate(self):
         params = CoalescingParams(t_intr_us=30.0, r_sn_pps=1.2e6)

@@ -3,16 +3,19 @@
 The loop takes the earliest of three instants (the next ring service, the
 top of the arrival heap and the retransmission timeout) and breaks ties in
 that order.  These tests tie it to independent references: the offline
-coalescing model replayed on the loop's own arrival times, the exact
-timeout schedule of a path that drops everything, the timer that queued
-one timeout event per arming (``oracles.EagerTimerSim``) on random small
-configs, an ACK at exactly the timeout instant, the outcome of a run whose
-ACKs re-arm the timer several times at one instant, and the sorter seen
-from outside: each cycle delivers what it fetched, within the hold bound,
-and in-order arrivals with slow constant ACKs give the same metrics in
-both arms.
+coalescing replay of the loop's own arrival times (on shipped scenarios
+and on random small configs), the exact timeout schedule of a path that
+drops everything, the timer that queued one timeout event per arming
+(``oracles.EagerTimerSim``) on random small configs, an ACK at exactly the
+timeout instant, the outcome of a run whose ACKs re-arm the timer several
+times at one instant, and the sorter seen from outside: each cycle
+delivers what it fetched, within the hold bound, and in-order arrivals
+with slow constant ACKs give the same metrics in both arms.  A finished
+stream is freed by reference counting alone.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,16 +68,53 @@ def small_configs(fwd=PATHS, rev=PATHS):
     )
 
 
+def _assert_cycles_match_replay(sim):
+    # A cycle still open at the hard stop is the replay's last one.
+    arrivals = [p.arrival_time for p in sim.arrival_trace]
+    done = sim.path.cycle_sizes
+    rest = len(arrivals) - sum(done)
+    assert bool(rest) == bool(sim.path.ring)
+    replay = simulate_coalescing(arrivals, sim.cfg.coalescing)
+    assert [c.block_packets for c in replay] == done + ([rest] if rest else [])
+
+
 @pytest.mark.parametrize("name", ["table4_analog.yaml", "table5_analog.yaml"])
 @pytest.mark.parametrize("srpic_on", [False, True])
 def test_cycle_sizes_match_offline_coalescing(name, srpic_on):
     cfg = load_scenario(str(SCENARIOS / name))
     sim = _StreamSim(cfg, 1, 0, srpic_on)
     sim.run()
-    arrivals = [p.arrival_time for p in sim.arrival_trace]
-    replay = simulate_coalescing(arrivals, cfg.coalescing)
-    assert sim.cycle_sizes == [c.block_packets for c in replay]
-    assert sum(sim.cycle_sizes) == len(sim.arrival_trace)
+    assert not sim.path.ring
+    _assert_cycles_match_replay(sim)
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_cycle_sizes_match_offline_coalescing_on_small_configs(srpic_on, cfg, seed):
+    sim = _StreamSim(cfg, seed, 0, srpic_on)
+    sim.run()
+    _assert_cycles_match_replay(sim)
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+def test_a_finished_stream_is_freed_by_reference_counting(srpic_on):
+    # A reference cycle through the receive path would keep every finished
+    # stream, with its traces, alive until the cycle collector runs.
+    cfg = ScenarioConfig(
+        name="unit", duration=0.01, fwd=PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.01)
+    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = _StreamSim(cfg, 1, 0, srpic_on)
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
@@ -143,7 +183,7 @@ def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
         segment_spacing_us=4.0,
     )
     sim = _StreamSim(cfg, seed, 0, True)
-    engine = sim.engine
+    engine = sim.path.engine
     ingest, end_cycle = engine.ingest, engine.end_cycle
     fetched, emitted, fetch_time, holds, cycle_sizes = [], [], {}, [], []
 
@@ -167,7 +207,7 @@ def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
 
     engine.ingest, engine.end_cycle = audited_ingest, audited_end_cycle
     sim.run()
-    assert cycle_sizes == sim.cycle_sizes and cycle_sizes
+    assert cycle_sizes == sim.path.cycle_sizes and cycle_sizes
     bound = hold_delay_bound(block_size, r_sn_pps)
     assert all(0.0 <= h <= bound + 1e-6 for h in holds)
 
