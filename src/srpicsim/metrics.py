@@ -1,35 +1,40 @@
-"""Reordering measurement over single-flow arrival traces.
+"""Reordering measurement over single-flow packet orders.
 
-The reordered test follows the standard next-expected walk: the receiver
-tracks the next expected sequence number; a packet at or above it is
-in-order and advances the expectation to the end of its payload, a packet
-below it counts as reordered.  A reordered packet's extent is the number
-of greater-sequence packets that arrived before it.
+The reordered test is RFC 4737's next-expected walk: a packet at or above
+the next expected sequence number is in order and moves the expectation
+to the end of its payload; a packet below it is reordered.  A reordered
+packet's extent is the number of greater-sequence packets before it.
+``_Walk`` is the one implementation.  It takes one packet at a time and
+keeps the expectation, the count, the best extent and the earlier offsets
+in ascending order, one offset per packet.
 
-Given a partition of the arrival order into consecutive blocks, a
-reordered packet is intra-block when every earlier-arriving packet with a
-greater sequence lies in its own block, inter-block otherwise.  Since the
-earlier packets outside its block are exactly those of the earlier blocks,
-a reordered packet is inter-block exactly when the largest offset over the
-earlier blocks exceeds its own, so one pass that carries that maximum
-across block boundaries classifies a trace in O(n).
+Given consecutive blocks, a reordered packet is intra-block when every
+earlier packet with a greater sequence lies in its own block.  Those
+outside its block are exactly the earlier blocks' packets, so it is
+inter-block exactly when the largest offset over the earlier blocks
+exceeds its own; ``_Walk.end_block`` takes that maximum at a block's end.
 
-Every trace is unwrapped by ``_unwrap`` alone: each packet sits at its
-serial distance from the one before it, so a trace may cross the 2**32
-wrap any number of times.  Comparisons use the first payload byte.
+``_Unwrap`` places each packet at its serial distance from the one before
+it, so an order may cross the 2**32 wrap any number of times.
 
-The public one-trace functions raise ``OverlappingSegmentsError`` on a
-trace in which two packets share a payload byte.  A TCP run's traces
-carry retransmitted copies, so ``first_copy_reports`` drops every later
-copy instead and reports on the first copies before and after the sorter.
+The one-trace functions raise ``OverlappingSegmentsError`` when two packets
+share a payload byte.  A TCP run carries retransmitted copies, so
+``FirstCopyReports`` walks the first copy of each payload range in arrival
+and in delivery order as the run goes, and keeps no packet.  Arrivals are
+unwrapped against the set of kept byte ranges.  Every report field is
+unchanged when all offsets shift by one amount, so the delivered first
+copies are unwrapped in their own order.  Only the rare later copies are
+remembered, by ``id``, until they are delivered: a packet is held, and so
+alive, from its arrival until its delivery.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from math import inf
+from operator import add
 from typing import Sequence
 
 from .packets import Packet, SEQ_HALF, SEQ_MOD
@@ -53,79 +58,110 @@ class ReorderReport:
     inter_block: int | None = None
 
 
+def _ratio(count: int, total: int) -> float:
+    return count / total if total else 0.0
+
+
+class _Unwrap:
+    """Plain-int offsets ordered like ``seq_cmp``: each sequence at its
+    serial distance from the one before (the first from 0), valid while
+    consecutive packets are less than 2**31 apart."""
+
+    __slots__ = ("seq", "off")
+
+    def __init__(self):
+        self.seq = self.off = 0
+
+    def step(self, seq: int) -> int:
+        self.off += ((seq - self.seq + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
+        self.seq = seq
+        return self.off
+
+
 def _unwrap(trace: Sequence[Packet]) -> list[int]:
-    # Map 32-bit sequences to plain ints ordered like seq_cmp: the first
-    # packet sits at 0 and each later one at its serial distance from the
-    # packet before it.  Valid while consecutive packets are less than
-    # 2**31 apart, so a trace may span any number of wraps.
-    seqs = [p.seq for p in trace]
-    steps = [((b - a + SEQ_HALF) % SEQ_MOD) - SEQ_HALF for a, b in zip(seqs, seqs[1:])]
-    return list(accumulate(steps, initial=0))
+    step = _Unwrap().step
+    return [step(p.seq) for p in trace]
 
 
-def _check_disjoint(offsets: list[int], trace: Sequence[Packet]) -> None:
-    ranges = sorted(
-        (off, off + p.payload_len) for off, p in zip(offsets, trace)
-    )
-    for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
+class _Walk:
+    """The next-expected walk over offsets, fed one packet at a time."""
+
+    __slots__ = ("next_exp", "count", "seen", "best", "mark", "inter")
+
+    def __init__(self):
+        self.next_exp = -inf
+        self.count = self.best = self.inter = 0
+        # Every offset so far, ascending.  A packet that is not reordered
+        # starts at or above every one of them, so it appends.
+        self.seen: list[int] = []
+        self.mark = -inf  # seen[-1] at the last end_block()
+
+    def add(self, off: int, length: int) -> None:
+        seen = self.seen
+        if off >= self.next_exp:
+            self.next_exp = off + length
+            seen.append(off)
+            return
+        self.count += 1
+        i = bisect_right(seen, off)
+        if len(seen) - i > self.best:
+            self.best = len(seen) - i
+        seen.insert(i, off)
+        if self.mark > off:
+            self.inter += 1
+
+    def end_block(self) -> None:
+        if self.seen:
+            self.mark = self.seen[-1]
+
+    def report(self, blocks: bool = False) -> ReorderReport:
+        n, count, inter = len(self.seen), self.count, self.inter
+        split = (count - inter, inter) if blocks else (None, None)
+        return ReorderReport(n, count, _ratio(count, n), self.best, *split)
+
+
+def _check_disjoint(offsets: list[int], lens: list[int]) -> None:
+    # Ranges in (start, end) order; each must start at or past the end of
+    # the one before it.
+    ranges = sorted(zip(offsets, map(add, offsets, lens)))
+    for (s1, e1), (s2, e2) in zip(ranges, islice(ranges, 1, None)):
         if s2 < e1:
             raise OverlappingSegmentsError(
                 f"payload ranges [{s1},{e1}) and [{s2},{e2}) overlap"
             )
 
 
-def _reordered_flags(trace: Sequence[Packet]) -> tuple[list[int], list[bool]]:
-    """Unwrapped offsets plus the per-packet reordered flag."""
-    if not trace:
-        return [], []
+def _walk(trace: Sequence[Packet], partition: Sequence[int] | None = None) -> _Walk:
+    """The walk over one checked trace, marked at each block's end."""
     offsets = _unwrap(trace)
-    _check_disjoint(offsets, trace)
-    return offsets, _flags(offsets, [p.payload_len for p in trace])
-
-
-def _flags(offsets: list[int], payload_lens: Sequence[int]) -> list[bool]:
-    # The next-expected walk; the first packet is never reordered.
-    flags: list[bool] = []
-    next_exp = -inf
-    for off, length in zip(offsets, payload_lens):
-        if off >= next_exp:
-            next_exp = off + length
-            flags.append(False)
-        else:
-            flags.append(True)
-    return flags
-
-
-def _ratio(count: int, total: int) -> float:
-    return count / total if total else 0.0
-
-
-def _max_extent(offsets: list[int], flags: list[bool]) -> int:
-    # ``seen`` holds the earlier offsets in ascending order.  A packet that
-    # is not reordered starts at or above every one of them, so it appends.
-    seen: list[int] = []
-    best = 0
-    for off, reordered in zip(offsets, flags):
-        if reordered:
-            i = bisect_right(seen, off)
-            if len(seen) - i > best:
-                best = len(seen) - i
-            seen.insert(i, off)
-        else:
-            seen.append(off)
-    return best
+    lens = [p.payload_len for p in trace]
+    _check_disjoint(offsets, lens)
+    n = len(trace)
+    if partition is None:
+        partition = (n,)
+    elif any(b <= 0 for b in partition) or sum(partition) != n:
+        raise PartitionError(
+            f"block lengths {list(partition)} do not cover a {n}-packet trace"
+        )
+    walk = _Walk()
+    add = walk.add
+    pairs = zip(offsets, lens)
+    for length in partition:
+        for off, size in islice(pairs, length):
+            add(off, size)
+        walk.end_block()
+    return walk
 
 
 def reordered_count(trace: Sequence[Packet]) -> tuple[int, float]:
     """Count of reordered packets and the reordering ratio (count/total)."""
-    flags = _reordered_flags(trace)[1]
-    count = sum(flags)
-    return count, _ratio(count, len(flags))
+    count = _walk(trace).count
+    return count, _ratio(count, len(trace))
 
 
 def max_reordering_extent(trace: Sequence[Packet]) -> int:
     """Largest extent over all reordered packets, 0 when none."""
-    return _max_extent(*_reordered_flags(trace))
+    return _walk(trace).best
 
 
 def classify_block_reordering(
@@ -137,33 +173,8 @@ def classify_block_reordering(
     A reordered packet is intra-block when every earlier-arriving packet
     with a greater sequence lies in the same block, inter-block otherwise.
     """
-    return _classify(*_reordered_flags(trace), partition)
-
-
-def _classify(
-    offsets: list[int], flags: list[bool], partition: Sequence[int]
-) -> tuple[int, int]:
-    n = len(flags)
-    if any(b <= 0 for b in partition) or sum(partition) != n:
-        raise PartitionError(
-            f"block lengths {list(partition)} do not cover a {n}-packet trace"
-        )
-    intra = inter = 0
-    # Largest offset over all earlier blocks; it moves only at a boundary.
-    earlier_max = -inf
-    pairs = zip(offsets, flags)
-    for length in partition:
-        block_max = earlier_max
-        for off, reordered in islice(pairs, length):
-            if reordered:
-                if earlier_max > off:
-                    inter += 1
-                else:
-                    intra += 1
-            if off > block_max:
-                block_max = off
-        earlier_max = block_max
-    return intra, inter
+    walk = _walk(trace, partition)
+    return walk.count - walk.inter, walk.inter
 
 
 def reorder_report(
@@ -171,26 +182,9 @@ def reorder_report(
 ) -> ReorderReport:
     """Full report on one trace; block fields filled when a partition is given.
 
-    The reordered flags are computed once and shared by every field.
+    One walk fills every field.
     """
-    return _report(*_reordered_flags(trace), partition)
-
-
-def _report(
-    offsets: list[int], flags: list[bool], partition: Sequence[int] | None
-) -> ReorderReport:
-    count = sum(flags)
-    intra = inter = None
-    if partition is not None:
-        intra, inter = _classify(offsets, flags, partition)
-    return ReorderReport(
-        total_packets=len(flags),
-        reordered_count=count,
-        ratio=_ratio(count, len(flags)),
-        max_extent=_max_extent(offsets, flags),
-        intra_block=intra,
-        inter_block=inter,
-    )
+    return _walk(trace, partition).report(partition is not None)
 
 
 def sum_reports(reports: Sequence[ReorderReport]) -> ReorderReport:
@@ -206,44 +200,80 @@ def sum_reports(reports: Sequence[ReorderReport]) -> ReorderReport:
     )
 
 
-def _first_copies(trace: Sequence[Packet]) -> tuple[list[Packet], list[int]]:
-    """Keep the first-arriving copy of each payload range.
+class FirstCopyReports:
+    """A run's reports on the first copies, fed as packets arrive and are
+    delivered: ``arrive(p)`` in arrival order, ``deliver(p)`` in delivery
+    order, each packet delivered at most once and after its arrival."""
 
-    A packet is dropped when it shares a byte with one kept before it;
-    an empty payload raises ``ValueError``.  Returns the kept packets and
-    their offsets in ``_unwrap`` of the whole trace, which order them like
-    ``seq_cmp``.
-    """
-    kept: list[Packet] = []
-    offsets: list[int] = []
-    # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
-    # Ranges that touch are merged, so the lists stay as short as the
-    # number of holes.
-    starts: list[int] = []
-    ends: list[int] = []
-    for p, s in zip(trace, _unwrap(trace)):
+    __slots__ = ("pre", "post", "_arrivals", "_deliveries", "_starts", "_ends", "_later")
+
+    def __init__(self):
+        self.pre = _Walk()
+        self.post = _Walk()
+        self._arrivals = _Unwrap()
+        self._deliveries = _Unwrap()
+        # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
+        # Ranges that touch are merged, so the lists stay as short as the
+        # number of holes.
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._later: set[int] = set()  # ids of later copies not yet delivered
+
+    def arrive(self, p: Packet) -> int | None:
+        """Take the next arrival; returns its offset if it is a first copy.
+
+        A packet is a later copy when it shares a byte with one kept
+        before it; an empty payload raises ``ValueError``.
+        """
+        s = self._arrivals.step(p.seq)
         e = s + p.payload_len
         if e <= s:
             raise ValueError(f"packet send_index={p.send_index} has no payload")
-        i = bisect_left(starts, s)
-        right = i < len(starts)
-        if right and starts[i] < e:
-            continue
-        if i and ends[i - 1] > s:
-            continue
-        kept.append(p)
-        offsets.append(s)
-        if i and ends[i - 1] == s:
-            if right and starts[i] == e:
-                ends[i - 1] = ends.pop(i)
-                del starts[i]
-            else:
-                ends[i - 1] = e
-        elif right and starts[i] == e:
-            starts[i] = s
+        starts, ends = self._starts, self._ends
+        if ends and ends[-1] == s:  # in order: extends the last range
+            ends[-1] = e
         else:
-            starts.insert(i, s)
-            ends.insert(i, e)
+            i = bisect_left(starts, s)
+            right = i < len(starts)
+            if right and starts[i] < e or i and ends[i - 1] > s:
+                self._later.add(id(p))
+                return None
+            if i and ends[i - 1] == s:
+                if right and starts[i] == e:
+                    ends[i - 1] = ends.pop(i)
+                    del starts[i]
+                else:
+                    ends[i - 1] = e
+            elif right and starts[i] == e:
+                starts[i] = s
+            else:
+                starts.insert(i, s)
+                ends.insert(i, e)
+        self.pre.add(s, p.payload_len)
+        return s
+
+    def deliver(self, p: Packet) -> None:
+        later = self._later
+        if later and id(p) in later:
+            later.remove(id(p))
+        else:
+            self.post.add(self._deliveries.step(p.seq), p.payload_len)
+
+    def reports(self) -> tuple[ReorderReport, ReorderReport]:
+        """Reports on the first copies in arrival and in delivery order."""
+        return self.pre.report(), self.post.report()
+
+
+def _first_copies(trace: Sequence[Packet]) -> tuple[list[Packet], list[int]]:
+    """The first-arriving copy of each payload range, with its offset."""
+    keep = FirstCopyReports().arrive
+    kept: list[Packet] = []
+    offsets: list[int] = []
+    for p in trace:
+        off = keep(p)
+        if off is not None:
+            kept.append(p)
+            offsets.append(off)
     return kept, offsets
 
 
@@ -254,20 +284,11 @@ def first_copy_reports(
 
     ``arrivals`` may hold retransmitted copies; an empty payload raises
     ``ValueError``.  ``deliveries`` holds the same packet objects, possibly
-    fewer.  Both reports use the offsets ``_first_copies`` gives the
-    arrivals, so neither trace is unwrapped or overlap-checked again.
+    fewer.
     """
-    kept, offsets = _first_copies(arrivals)
-    offset_of = {id(p): off for p, off in zip(kept, offsets)}
-    post_offsets: list[int] = []
-    post_lens: list[int] = []
+    acc = FirstCopyReports()
+    for p in arrivals:
+        acc.arrive(p)
     for p in deliveries:
-        off = offset_of.get(id(p))
-        if off is not None:
-            post_offsets.append(off)
-            post_lens.append(p.payload_len)
-    pre_lens = [p.payload_len for p in kept]
-    return (
-        _report(offsets, _flags(offsets, pre_lens), None),
-        _report(post_offsets, _flags(post_offsets, post_lens), None),
-    )
+        acc.deliver(p)
+    return acc.reports()

@@ -21,8 +21,8 @@ timeout.  Ties go to ring service first, then to the heap (packet
 arrivals before ACKs), then to the timeout.  The timer is one RFC
 6298-style timer, re-armed whenever the cumulative ACK advances.
 
-``metrics.first_copy_reports`` builds a run's reordering reports from its
-arrival and delivery traces.
+``metrics.FirstCopyReports`` builds a run's reordering reports as packets
+arrive and are delivered.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .channel import PathStreams
 from .coalescing import ReceivePath
-from .metrics import ReorderReport, first_copy_reports, sum_reports
+from .metrics import FirstCopyReports, ReorderReport, sum_reports
 from .packets import FlowKey, Packet, SEQ_HALF, SEQ_MOD, TcpFlags, seq_cmp
 from .sorter import SrpicEngine
 
@@ -431,8 +431,7 @@ class _StreamSim:
         self._rto_t = _INF  # next timeout instant; inf while disarmed
         self._rto_snapshot = 0  # snd_una when the timer was armed for _rto_t
         self._last_send_time = -self.spacing_us
-        self.arrival_trace: list[Packet] = []
-        self.delivery_trace: list[Packet] = []
+        self.reorder = FirstCopyReports()
 
     # -- event plumbing ----------------------------------------------------
 
@@ -472,11 +471,11 @@ class _StreamSim:
     # -- receive path -------------------------------------------------------
 
     def _on_arrival(self, p: Packet) -> None:
-        self.arrival_trace.append(p)
+        self.reorder.arrive(p)
         self.path.arrive(p, self.now)
 
     def _deliver_one(self, p: Packet, stamp: float) -> None:
-        self.delivery_trace.append(p)
+        self.reorder.deliver(p)
         ack = receiver_on_segment(self.receiver, p)
         dropped = self.rev.next_dropped()
         delay = self.rev.next_delay_us()
@@ -529,7 +528,7 @@ class _StreamSim:
         return self._metrics()
 
     def _metrics(self) -> TransferMetrics:
-        pre, post = first_copy_reports(self.arrival_trace, self.delivery_trace)
+        pre, post = self.reorder.reports()
         bytes_acked = self.sender.bytes_acked
         duration_s = self.cfg.duration
         sizes = self.path.cycle_sizes

@@ -5,7 +5,8 @@ reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
 The ``reference_*`` functions, ``ReferenceEngine`` and ``EagerTimerSim``
 are the straightforward earlier forms of code that was since rewritten for
-speed or size.
+speed or size.  ``RecordingSim`` keeps the packet orders that a TCP run
+no longer keeps.
 """
 
 import heapq
@@ -236,3 +237,22 @@ class EagerTimerSim(_StreamSim):
                 self.now = t
                 path.service(self._deliver_one)
         return self._metrics()
+
+
+class RecordingSim(_StreamSim):
+    """TCP stream that records every packet it takes from the path, in
+    arrival order, and every packet it hands to the receiver, in delivery
+    order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.arrivals = []
+        self.deliveries = []
+
+    def _on_arrival(self, p):
+        self.arrivals.append(p)
+        super()._on_arrival(p)
+
+    def _deliver_one(self, p, stamp):
+        self.deliveries.append(p)
+        super()._deliver_one(p, stamp)

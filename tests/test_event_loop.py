@@ -23,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EagerTimerSim
+from oracles import EagerTimerSim, RecordingSim, reference_first_copies
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
+from srpicsim.metrics import reorder_report
+from srpicsim.packets import SEQ_MOD
 from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
 from srpicsim.tcp import MSS, _PRIO_ACK, AckRecord, _StreamSim, run_transfer
 
@@ -70,7 +72,7 @@ def small_configs(fwd=PATHS, rev=PATHS):
 
 def _assert_cycles_match_replay(sim):
     # A cycle still open at the hard stop is the replay's last one.
-    arrivals = [p.arrival_time for p in sim.arrival_trace]
+    arrivals = [p.arrival_time for p in sim.arrivals]
     done = sim.path.cycle_sizes
     rest = len(arrivals) - sum(done)
     assert bool(rest) == bool(sim.path.ring)
@@ -82,7 +84,7 @@ def _assert_cycles_match_replay(sim):
 @pytest.mark.parametrize("srpic_on", [False, True])
 def test_cycle_sizes_match_offline_coalescing(name, srpic_on):
     cfg = load_scenario(str(SCENARIOS / name))
-    sim = _StreamSim(cfg, 1, 0, srpic_on)
+    sim = RecordingSim(cfg, 1, 0, srpic_on)
     sim.run()
     assert not sim.path.ring
     _assert_cycles_match_replay(sim)
@@ -92,15 +94,32 @@ def test_cycle_sizes_match_offline_coalescing(name, srpic_on):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16))
 def test_cycle_sizes_match_offline_coalescing_on_small_configs(srpic_on, cfg, seed):
-    sim = _StreamSim(cfg, seed, 0, srpic_on)
+    sim = RecordingSim(cfg, seed, 0, srpic_on)
     sim.run()
     _assert_cycles_match_replay(sim)
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_streamed_reports_equal_the_batch_definition(srpic_on, cfg, seed):
+    # The first copies come from the reference scan over sequence numbers
+    # taken relative to isn, so a run that crosses 2**32 is judged on plain
+    # integers; every transmission has its own send_index.
+    sim = RecordingSim(cfg, seed, 0, srpic_on)
+    m = sim.run()
+    plain = [replace(p, seq=(p.seq - cfg.isn) % SEQ_MOD) for p in sim.arrivals]
+    first = {p.send_index for p in reference_first_copies(plain)}
+    assert m.reorder_pre == reorder_report([p for p in sim.arrivals if p.send_index in first])
+    assert m.reorder_post == reorder_report(
+        [p for p in sim.deliveries if p.send_index in first]
+    )
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
 def test_a_finished_stream_is_freed_by_reference_counting(srpic_on):
     # A reference cycle through the receive path would keep every finished
-    # stream, with its traces, alive until the cycle collector runs.
+    # stream, with its held packets, alive until the cycle collector runs.
     cfg = ScenarioConfig(
         name="unit", duration=0.01, fwd=PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.01)
     )

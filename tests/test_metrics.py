@@ -8,7 +8,6 @@ from srpicsim.metrics import (
     OverlappingSegmentsError,
     PartitionError,
     _first_copies,
-    _reordered_flags,
     classify_block_reordering,
     max_reordering_extent,
     reorder_report,
@@ -20,6 +19,7 @@ from oracles import (
     brute_classify,
     brute_max_extent,
     brute_reordered_count,
+    brute_reordered_flags,
     make_trace,
     reference_classify,
 )
@@ -182,13 +182,15 @@ class TestClassifierOracles:
             cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)))))
             partition = [b - a for a, b in zip([0] + cuts, cuts + [n]) if b - a > 0]
         got = classify_block_reordering(trace, partition)
-        assert got == reference_classify(*_reordered_flags(trace), partition)
-        assert got == brute_classify(make_trace(offsets, lens), partition)
+        plain = make_trace(offsets, lens)
+        assert got == reference_classify(offsets, brute_reordered_flags(plain), partition)
+        assert got == brute_classify(plain, partition)
         report = reorder_report(trace, partition)
         assert (report.intra_block, report.inter_block) == got
 
     def test_partition_errors_match_reference(self):
-        offsets, flags = _reordered_flags(make_trace([3, 1, 2]))
+        offsets = [3, 1, 2]
+        flags = brute_reordered_flags(make_trace(offsets))
         for partition in ([2, 2], [3, 0], [4, -1], [1, 1]):
             with pytest.raises(PartitionError):
                 reference_classify(offsets, flags, partition)

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from dataclasses import fields, replace
 from itertools import accumulate
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
-from srpicsim.metrics import _first_copies, first_copy_reports, reorder_report
+from srpicsim.metrics import FirstCopyReports, _first_copies, first_copy_reports, reorder_report
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, TcpFlags
 from srpicsim.scenario import ScenarioConfig, load_scenario
 from srpicsim.tcp import (
@@ -26,7 +27,7 @@ from srpicsim.tcp import (
     sender_start,
 )
 
-from oracles import make_trace, reference_first_copies, reference_mark_sacked
+from oracles import RecordingSim, make_trace, reference_first_copies, reference_mark_sacked
 
 FLOW = FlowKey(1, 2, 3, 4)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -417,45 +418,53 @@ class TestRewrittenHelpers:
         assert state.retransmit_queue[0].sacked == expected.retransmit_queue[0].sacked
 
 
+def _trace_with_copies(data):
+    """A stream of segments, each arriving up to six places late, plus
+    retransmitted copies that cover an earlier range, shifted or resized,
+    near the original.  With 1 MiB units a trace spans up to 2 GiB; the
+    start may sit just below the 2**32 wrap.  Returns the unwrapped
+    ``(start, length)`` of each packet and the trace."""
+    unit = data.draw(st.sampled_from([1, 1 << 20]))
+    base = data.draw(st.one_of(st.just(0), st.integers(SEQ_MOD - 200 * unit, SEQ_MOD - 1)))
+    lens = data.draw(st.lists(st.integers(1, 40), max_size=50))
+    starts = list(accumulate(lens, initial=0))
+    late = data.draw(st.lists(st.integers(0, 6), min_size=len(lens), max_size=len(lens)))
+    order = sorted(range(len(lens)), key=lambda i: i + late[i])
+    ranges = [(starts[i], lens[i]) for i in order]
+    for _ in range(data.draw(st.integers(0, 10)) if ranges else 0):
+        src = data.draw(st.integers(0, len(ranges) - 1))
+        pos = data.draw(st.integers(max(0, src - 4), min(len(ranges), src + 8)))
+        start, length = ranges[src]
+        copy_start = start + data.draw(st.integers(-5, 5))
+        ranges.insert(pos, (copy_start, data.draw(st.integers(1, 40))))
+    trace = make_trace(
+        [(base + s * unit) % SEQ_MOD for s, _ in ranges], [n * unit for _, n in ranges]
+    )
+    return ranges, trace
+
+
+def _sorted_blocks(ranges, trace, block):
+    """Delivery order as a block sorter gives it: each block of arrivals
+    sorted by sequence."""
+    delivered = []
+    for i in range(0, len(trace), block):
+        chunk = sorted(zip(ranges[i : i + block], trace[i : i + block]), key=lambda c: c[0])
+        delivered.extend(p for _, p in chunk)
+    return delivered
+
+
 class TestTrustedReports:
-    """Run metrics skip ``reorder_report``'s unwrap and overlap check by
-    reusing the offsets of ``_first_copies``; they must not change a field."""
+    """Run metrics come from ``FirstCopyReports``, fed one packet at a
+    time; they must equal ``reorder_report`` on the first copies."""
 
     @given(data=st.data())
     @settings(max_examples=300, derandomize=True)
     def test_trusted_path_matches_reorder_report(self, data):
-        # A stream of segments, each arriving up to six places late, plus
-        # retransmitted copies that cover an earlier range, shifted or
-        # resized, near the original.  With 1 MiB units a trace spans up to
-        # 2 GiB; the start may sit just below the 2**32 wrap.
-        unit = data.draw(st.sampled_from([1, 1 << 20]))
-        base = data.draw(
-            st.one_of(st.just(0), st.integers(SEQ_MOD - 200 * unit, SEQ_MOD - 1))
-        )
-        lens = data.draw(st.lists(st.integers(1, 40), max_size=50))
-        starts = list(accumulate(lens, initial=0))
-        late = data.draw(st.lists(st.integers(0, 6), min_size=len(lens), max_size=len(lens)))
-        order = sorted(range(len(lens)), key=lambda i: i + late[i])
-        ranges = [(starts[i], lens[i]) for i in order]
-        for _ in range(data.draw(st.integers(0, 10)) if ranges else 0):
-            src = data.draw(st.integers(0, len(ranges) - 1))
-            pos = data.draw(st.integers(max(0, src - 4), min(len(ranges), src + 8)))
-            start, length = ranges[src]
-            copy_start = start + data.draw(st.integers(-5, 5))
-            ranges.insert(pos, (copy_start, data.draw(st.integers(1, 40))))
-        trace = make_trace(
-            [(base + s * unit) % SEQ_MOD for s, _ in ranges], [n * unit for _, n in ranges]
-        )
+        ranges, trace = _trace_with_copies(data)
         kept, _offsets = _first_copies(trace)
         assert first_copy_reports(trace, [])[0] == reorder_report(kept)
 
-        # Delivery order as a block sorter gives it: each block of
-        # arrivals sorted by sequence.
-        block = data.draw(st.integers(1, 8))
-        delivered = []
-        for i in range(0, len(trace), block):
-            chunk = sorted(zip(ranges[i : i + block], trace[i : i + block]), key=lambda c: c[0])
-            delivered.extend(p for _, p in chunk)
+        delivered = _sorted_blocks(ranges, trace, data.draw(st.integers(1, 8)))
         kept_ids = {id(p) for p in kept}
         post_trace = [p for p in delivered if id(p) in kept_ids]
         assert first_copy_reports(trace, delivered) == (
@@ -463,10 +472,78 @@ class TestTrustedReports:
             reorder_report(post_trace),
         )
 
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True)
+    def test_interleaved_deliveries_match_all_arrivals_first(self, data):
+        # Each block is delivered once its last packet has arrived, as the
+        # sorter does at a flush; the last block may stay held.
+        ranges, trace = _trace_with_copies(data)
+        block = data.draw(st.integers(1, 8))
+        hold_last = data.draw(st.booleans())
+        acc = FirstCopyReports()
+        delivered = []
+        for i in range(0, len(trace), block):
+            for p in trace[i : i + block]:
+                acc.arrive(p)
+            if hold_last and i + block >= len(trace):
+                break
+            for p in _sorted_blocks(ranges[i : i + block], trace[i : i + block], block):
+                acc.deliver(p)
+                delivered.append(p)
+        assert acc.reports() == first_copy_reports(trace, delivered)
+
+    def test_a_later_copy_delivered_after_its_first_copy(self):
+        # The copy of [0, 10) reaches the receiver after the original; were
+        # it counted, it would be reordered behind [10, 20).
+        a, b, c, copy_a = make_trace([0, 10, 20, 0], [10, 10, 10, 10])
+        acc = FirstCopyReports()
+        for p in (b, a, copy_a, c):
+            acc.arrive(p)
+        for p in (a, b, copy_a, c):
+            acc.deliver(p)
+        assert acc.reports() == (reorder_report([b, a, c]), reorder_report([a, b, c]))
+        assert acc.reports()[1].reordered_count == 0
+
+    def test_a_first_copy_held_at_the_hard_stop(self):
+        # [10, 20) arrived but was never delivered: only the arrival report
+        # counts it.
+        a, b, c = make_trace([10, 0, 20], [10, 10, 10])
+        acc = FirstCopyReports()
+        for p in (a, b, c):
+            acc.arrive(p)
+        for p in (b, c):
+            acc.deliver(p)
+        pre, post = acc.reports()
+        assert pre == reorder_report([a, b, c]) and pre.reordered_count == 1
+        assert post == reorder_report([b, c]) and post.total_packets == 2
+
     def test_an_empty_payload_is_rejected_by_send_index(self):
         trace = make_trace([0, 10, 20], [10, 0, 10])
         with pytest.raises(ValueError, match="send_index=1"):
             first_copy_reports(trace, trace)
+
+
+class TestRunMemory:
+    """A run keeps no packet per segment: its reports hold one offset per
+    first copy each (about 35 bytes), where the packet traces they
+    replaced held about 390 bytes per segment sent."""
+
+    @pytest.mark.parametrize("srpic_on", [True, False])
+    def test_peak_bytes_per_segment(self, srpic_on):
+        cfg = replace(load_scenario(str(SCENARIOS / "table4_analog.yaml")), duration=1.0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            m = _StreamSim(cfg, 1, 0, srpic_on).run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert m.segments_sent > 2000
+        assert peak / m.segments_sent < 120
 
 
 class TestPositionalRecords:
@@ -488,9 +565,9 @@ class TestPositionalRecords:
         ]
 
     def test_first_arrival_of_a_stream(self):
-        sim = _StreamSim(scenario(duration=0.001), 1, 0, False)
+        sim = RecordingSim(scenario(duration=0.001), 1, 0, False)
         sim.run()
-        p = sim.arrival_trace[0]
+        p = sim.arrivals[0]
         assert p.flow == sim.flow
         assert p.flags is TcpFlags.ACK
         assert not p.is_fragment and not p.has_disallowed_options
