@@ -5,8 +5,8 @@ reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
 The ``reference_*`` functions, ``ReferenceEngine`` and ``EagerTimerSim``
 are the straightforward earlier forms of code that was since rewritten for
-speed or size.  ``RecordingSim`` keeps the packet orders that a TCP run
-no longer keeps.
+speed or size.  ``RecordingSim`` records the packet orders that a TCP run
+does not keep.
 """
 
 import heapq

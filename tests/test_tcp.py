@@ -525,8 +525,8 @@ class TestTrustedReports:
 
 class TestRunMemory:
     """A run keeps no packet per segment: its reports hold one offset per
-    first copy each (about 35 bytes), where the packet traces they
-    replaced held about 390 bytes per segment sent."""
+    first copy each (about 35 bytes), where keeping every arrived and
+    delivered packet costs about 390 bytes per segment sent."""
 
     @pytest.mark.parametrize("srpic_on", [True, False])
     def test_peak_bytes_per_segment(self, srpic_on):
