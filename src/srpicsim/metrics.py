@@ -14,8 +14,8 @@ outside its block are exactly the earlier blocks' packets, so it is
 inter-block exactly when the largest offset over the earlier blocks
 exceeds its own; ``_Walk.end_block`` takes that maximum at a block's end.
 
-``_Unwrap`` places each packet at its serial distance from the one before
-it, so an order may cross the 2**32 wrap any number of times.
+``_unwrapper`` places each packet at its serial distance from the one
+before it, so an order may cross the 2**32 wrap any number of times.
 
 The one-trace functions raise ``OverlappingSegmentsError`` when two packets
 share a payload byte.  A TCP run carries retransmitted copies, so
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import inf
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .packets import Packet, SEQ_HALF, SEQ_MOD
 
@@ -62,25 +62,25 @@ def _ratio(count: int, total: int) -> float:
     return count / total if total else 0.0
 
 
-class _Unwrap:
-    """Plain-int offsets ordered like ``seq_cmp``: each sequence at its
-    serial distance from the one before (the first from 0), valid while
-    consecutive packets are less than 2**31 apart."""
+def _unwrapper() -> Callable[[int], int]:
+    """A function giving each sequence passed to it a plain-int offset
+    ordered like ``seq_cmp``: its serial distance from the one before (the
+    first from 0), valid while consecutive packets are less than 2**31
+    apart.  A primed generator keeps the state in fast locals."""
+    def offsets():
+        prev = off = 0
+        while True:
+            seq = yield off
+            off += ((seq - prev + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
+            prev = seq
 
-    __slots__ = ("seq", "off")
-
-    def __init__(self):
-        self.seq = self.off = 0
-
-    def step(self, seq: int) -> int:
-        self.off += ((seq - self.seq + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
-        self.seq = seq
-        return self.off
+    gen = offsets()
+    next(gen)
+    return gen.send
 
 
 def _unwrap(trace: Sequence[Packet]) -> list[int]:
-    step = _Unwrap().step
-    return [step(p.seq) for p in trace]
+    return list(map(_unwrapper(), [p.seq for p in trace]))
 
 
 class _Walk:
@@ -210,8 +210,8 @@ class FirstCopyReports:
     def __init__(self):
         self.pre = _Walk()
         self.post = _Walk()
-        self._arrivals = _Unwrap()
-        self._deliveries = _Unwrap()
+        self._arrivals = _unwrapper()
+        self._deliveries = _unwrapper()
         # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
         # Ranges that touch are merged, so the lists stay as short as the
         # number of holes.
@@ -225,7 +225,7 @@ class FirstCopyReports:
         A packet is a later copy when it shares a byte with one kept
         before it; an empty payload raises ``ValueError``.
         """
-        s = self._arrivals.step(p.seq)
+        s = self._arrivals(p.seq)
         e = s + p.payload_len
         if e <= s:
             raise ValueError(f"packet send_index={p.send_index} has no payload")
@@ -257,7 +257,7 @@ class FirstCopyReports:
         if later and id(p) in later:
             later.remove(id(p))
         else:
-            self.post.add(self._deliveries.step(p.seq), p.payload_len)
+            self.post.add(self._deliveries(p.seq), p.payload_len)
 
     def reports(self) -> tuple[ReorderReport, ReorderReport]:
         """Reports on the first copies in arrival and in delivery order."""
