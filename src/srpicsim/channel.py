@@ -17,7 +17,6 @@ from statistics import NormalDist
 
 from .packets import Packet
 
-_INV_CDF = NormalDist().inv_cdf
 _ARRIVAL_ORDER = attrgetter("arrival_time", "send_index")
 
 
@@ -51,18 +50,24 @@ class PathStreams:
         self.cfg = cfg
         self._drop_rng = random.Random(f"{cfg.seed}:drop")
         self._delay_rng = random.Random(f"{cfg.seed}:delay")
-        self._mean_us = cfg.alpha_ms * 1000.0
-        self._std_us = cfg.beta * self._mean_us
+        self._drop_rate = cfg.drop_rate
+        self._mean_us = mean = cfg.alpha_ms * 1000.0
+        std = cfg.beta * mean
+        # NormalDist(mean, std).inv_cdf(u) is mean + x * std for the
+        # standard quantile x of u, bit for bit the same as
+        # mean + std * NormalDist().inv_cdf(u).  A zero std-dev has no
+        # NormalDist (its inv_cdf raises), and it draws nothing.
+        self._delay_at = NormalDist(mean, std).inv_cdf if std != 0.0 else None
 
     def next_dropped(self) -> bool:
-        if self.cfg.drop_rate <= 0.0:
+        if self._drop_rate <= 0.0:
             return False
-        return self._drop_rng.random() < self.cfg.drop_rate
+        return self._drop_rng.random() < self._drop_rate
 
     def next_delay_us(self) -> float:
-        if self._std_us == 0.0:
+        if self._delay_at is None:
             return self._mean_us
-        d = self._mean_us + self._std_us * _INV_CDF(self._delay_rng.random())
+        d = self._delay_at(self._delay_rng.random())
         return d if d > 0.0 else 0.0
 
 

@@ -12,13 +12,16 @@ Most packets arrive in sequence and cost one append.  A manager flushes
 the end of each coalescing cycle and whenever the global packet count
 reaches the ring-buffer size, so no flow can stall another flow's
 delivery for longer than one ring worth of service time.
+
+Serial order is ``packets.seq_cmp``'s.  The per-packet paths write its
+tests out inline, and the tests check each inline form against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .packets import FlowKey, Packet, is_suitable, payload_end, seq_cmp
+from .packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable
 
 DEFAULT_BLOCK_SIZE = 32
 DEFAULT_RINGBUFFER_SIZE = 512
@@ -26,8 +29,14 @@ DEFAULT_RINGBUFFER_SIZE = 512
 
 def _sorted_insert(lst: list[Packet], p: Packet) -> None:
     # Insert keeping ascending seq order; equal keys keep arrival order.
+    # Steps left past every q with seq_cmp(q.seq, seq) == 1, written out
+    # inline.
+    seq = p.seq
     i = len(lst)
-    while i > 0 and seq_cmp(lst[i - 1].seq, p.seq) == 1:
+    while i:
+        q = lst[i - 1].seq
+        if q == seq or (q - seq) % SEQ_MOD > SEQ_HALF:
+            break
         i -= 1
     lst.insert(i, p)
 
@@ -49,15 +58,17 @@ class SrpicManager:
 
     def add(self, p: Packet) -> None:
         """Route one suitable packet into the three lists (no flush check)."""
+        seq = p.seq
         if self.packet_cnt == 0:
             self.curr_list.append(p)
-            self.next_exp = payload_end(p)
+            self.next_exp = (seq + p.payload_len) % SEQ_MOD  # payload_end(p)
             self.packet_cnt = 1
             return
-        if p.seq == self.next_exp:
+        next_exp = self.next_exp
+        if seq == next_exp:
             self.curr_list.append(p)
-            self.next_exp = payload_end(p)
-        elif seq_cmp(p.seq, self.next_exp) < 0:
+            self.next_exp = (seq + p.payload_len) % SEQ_MOD
+        elif (seq - next_exp) % SEQ_MOD > SEQ_HALF:  # seq_cmp(seq, next_exp) < 0
             _sorted_insert(self.prev_list, p)
         else:
             _sorted_insert(self.after_list, p)
@@ -124,10 +135,11 @@ class SrpicEngine:
         m = self.managers.get(p.flow)
         if m is None:
             m = self.find_or_create_manager(p.flow)
-        out = accept(m, p) or []
+        m.add(p)  # accept(m, p), written out
+        out = m.flush() if m.packet_cnt >= m.block_size else []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
-            out = out + self.flush_all()
+            out += self.flush_all()
         return out
 
     def flush_all(self) -> list[Packet]:

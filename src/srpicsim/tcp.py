@@ -23,6 +23,13 @@ arrivals before ACKs), then to the timeout.  The timer is one RFC
 
 ``metrics.FirstCopyReports`` builds a run's reordering reports as packets
 arrive and are delivered.
+
+The per-segment paths compare sequence numbers with serial tests written
+out inline; ``packets.seq_cmp`` is their definition, and the tests check
+each inline form against it.  The loop pushes heap items through the
+module's ``heapq`` name and calls the receiver, the sender and the path
+streams through their module and class names, looked up per call, so a
+replacement installed there sees every call.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import TYPE_CHECKING
 from .channel import PathStreams
 from .coalescing import ReceivePath
 from .metrics import FirstCopyReports, ReorderReport, sum_reports
-from .packets import FlowKey, Packet, SEQ_HALF, SEQ_MOD, TcpFlags, seq_cmp
+from .packets import FlowKey, Packet, SEQ_HALF, SEQ_MOD, TcpFlags
 from .sorter import SrpicEngine
 
 if TYPE_CHECKING:
@@ -161,31 +168,35 @@ def receiver_on_segment(state: ReceiverState, seg: Packet) -> AckRecord:
     first.  Stale data entirely below the cumulative point is also
     answered with a duplicate ACK.
     """
-    off = ((seg.seq - state._nxt) + SEQ_HALF) % SEQ_MOD - SEQ_HALF
-    start = state._nxt + off
+    nxt = state._nxt
+    ooo = state._ooo
+    start = nxt + ((seg.seq - nxt) + SEQ_HALF) % SEQ_MOD - SEQ_HALF
     end = start + seg.payload_len
     advanced = False
 
-    if end <= state._nxt:
+    if end <= nxt:
         pass  # stale duplicate, nothing to remember
-    elif start <= state._nxt:
-        old = state._nxt
-        state._nxt = max(state._nxt, end)
-        while state._ooo and state._ooo[0][0] <= state._nxt:
-            state._nxt = max(state._nxt, state._ooo.pop(0)[1])
-        state.delivered_bytes += state._nxt - old
+    elif start <= nxt:
+        old = nxt
+        nxt = end  # end > nxt here
+        while ooo and ooo[0][0] <= nxt:
+            e = ooo.pop(0)[1]
+            if e > nxt:
+                nxt = e
+        state._nxt = nxt
+        state.delivered_bytes += nxt - old
         advanced = True
     else:
         state._touch += 1
-        _ooo_insert(state._ooo, start, end, state._touch)
+        _ooo_insert(ooo, start, end, state._touch)
 
     blocks: tuple[tuple[int, int], ...] = ()
-    if state.sack_enabled and state._ooo:
-        recent = sorted(state._ooo, key=lambda r: -r[2])[:3]
+    if ooo and state.sack_enabled:
+        recent = sorted(ooo, key=lambda r: -r[2])[:3]
         blocks = tuple((s % SEQ_MOD, e % SEQ_MOD) for s, e, _ in recent)
     if not advanced:
         state.dup_acks_sent += 1
-    return AckRecord(state._nxt % SEQ_MOD, blocks, not advanced, seg.send_time)
+    return AckRecord(nxt % SEQ_MOD, blocks, not advanced, seg.send_time)
 
 
 def _ooo_insert(ooo: list[list], start: int, end: int, touch: int) -> None:
@@ -213,12 +224,14 @@ def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[Segmen
         state.sack_blocks_rcvd += len(ack.sack_blocks)
         _mark_sacked(state, ack.sack_blocks)
 
-    c = seq_cmp(ack.ack_seq, state.snd_una)
-    if c > 0:
-        _on_advance(state, ack, now, sent)
-    elif c == 0 and ack.is_duplicate:
+    # seq_cmp(ack_seq, snd_una), written out inline: after, equal, before.
+    ack_seq, una = ack.ack_seq, state.snd_una
+    if ack_seq != una:
+        if (ack_seq - una) % SEQ_MOD <= SEQ_HALF:
+            _on_advance(state, ack, now, sent)
+        # acks below snd_una are stale copies overtaken by newer ones: ignored
+    elif ack.is_duplicate:
         _on_dupack(state, ack, now, sent)
-    # acks below snd_una are stale copies overtaken by newer ones: ignored
 
     _fill_window(state, now, sent)
     return sent
@@ -262,16 +275,17 @@ def _on_dupack(state: SenderState, ack: AckRecord, now: float, sent: list) -> No
 
 
 def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> None:
-    head_was_retransmitted = (
-        state.retransmit_queue[0].retransmitted if state.retransmit_queue else False
-    )
+    q = state.retransmit_queue
+    head_was_retransmitted = q[0].retransmitted if q else False
     was_dupacks = state.dup_ack_count
 
     # Pop the acked segments: seq_cmp(end, ack_seq) <= 0, written out inline.
     acked_segments = 0
     ack_seq = ack.ack_seq
-    q = state.retransmit_queue
-    while q and (ack_seq - q[0].seq - q[0].length) % SEQ_MOD < SEQ_HALF:
+    while q:
+        head = q[0]
+        if (ack_seq - head.seq - head.length) % SEQ_MOD >= SEQ_HALF:
+            break
         q.popleft()
         acked_segments += 1
     state.bytes_acked += (ack_seq - state.snd_una) % SEQ_MOD
@@ -303,7 +317,9 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
     state.dup_ack_count = 0
 
     if state.in_recovery:
-        if seq_cmp(state.snd_una, state.recover_point) >= 0:
+        # seq_cmp(snd_una, recover_point) >= 0, written out inline; snd_una
+        # is ack_seq by now.
+        if (ack_seq - state.recover_point) % SEQ_MOD <= SEQ_HALF:
             state.in_recovery = False
             state.cwnd = state.ssthresh
         elif state.retransmit_queue:
@@ -333,13 +349,15 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
                 sent.append(seg)
 
     if not state.in_recovery:
+        cwnd, ssthresh = state.cwnd, state.ssthresh
         for _ in range(acked_segments):
-            if state.cwnd < state.ssthresh:
-                state.cwnd += 1.0
+            if cwnd < ssthresh:
+                cwnd += 1.0
             else:
-                state.cwnd += 1.0 / state.cwnd
-        if state.cwnd > state.max_cwnd:
-            state.cwnd = state.max_cwnd
+                cwnd += 1.0 / cwnd
+        if cwnd > state.max_cwnd:
+            cwnd = state.max_cwnd
+        state.cwnd = cwnd
 
     if state.mode == "adaptive" and state.dupthresh > DUPTHRESH_MIN:
         if now - state.last_adapt_time >= state.rto_us():
@@ -364,12 +382,23 @@ def sender_on_timeout(state: SenderState, now: float) -> list[SegmentRecord]:
 
 
 def _fill_window(state: SenderState, now: float, sent: list) -> None:
-    window = min(int(state.cwnd), int(state.max_cwnd))
-    while len(state.retransmit_queue) < window and now < state.data_deadline_us:
-        seg = SegmentRecord(state.next_send_seq % SEQ_MOD, MSS)
-        state.retransmit_queue.append(seg)
-        state.next_send_seq += MSS
+    if not now < state.data_deadline_us:
+        return
+    q = state.retransmit_queue
+    window = int(state.cwnd)
+    cap = int(state.max_cwnd)
+    if cap < window:
+        window = cap
+    n = len(q)
+    if n >= window:
+        return
+    nxt = state.next_send_seq
+    for _ in range(window - n):
+        seg = SegmentRecord(nxt % SEQ_MOD, MSS)
+        q.append(seg)
         sent.append(seg)
+        nxt += MSS
+    state.next_send_seq = nxt
 
 
 def sender_start(state: SenderState, now: float = 0.0) -> list[SegmentRecord]:
@@ -436,6 +465,12 @@ class _StreamSim:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, t: float, prio: int, kind: str, payload=None) -> None:
+        """Queue one heap item ``(t, prio, evseq, kind, payload)``.
+
+        ``_transmit`` and ``_deliver_one`` build the same item inline; this
+        builder serves code that queues an event by hand, such as the
+        test oracles' timeout events.
+        """
         self._evseq += 1
         heapq.heappush(self._heap, (t, prio, self._evseq, kind, payload))
 
@@ -444,16 +479,24 @@ class _StreamSim:
             self._transmit(seg.seq, seg.length)
 
     def _transmit(self, seq: int, length: int) -> None:
-        st = max(self.now, self._last_send_time + self.spacing_us)
+        # heapq is looked up per call, so a shim installed on this module
+        # sees every push.
+        now = self.now
+        st = self._last_send_time + self.spacing_us
+        if not st > now:
+            st = now
         self._last_send_time = st
-        self.sender.segments_sent += 1
-        idx = self.sender.segments_sent
-        dropped = self.fwd.next_dropped()
-        delay = self.fwd.next_delay_us()
+        sender = self.sender
+        idx = sender.segments_sent = sender.segments_sent + 1
+        fwd = self.fwd
+        dropped = fwd.next_dropped()
+        delay = fwd.next_delay_us()
         if dropped:
             return
-        p = Packet(self.flow, seq, length, TcpFlags.ACK, False, False, idx, st, st + delay)
-        self._push(p.arrival_time, _PRIO_ARRIVAL, "arr", p)
+        t = st + delay
+        p = Packet(self.flow, seq, length, TcpFlags.ACK, False, False, idx, st, t)
+        self._evseq += 1
+        heapq.heappush(self._heap, (t, _PRIO_ARRIVAL, self._evseq, "arr", p))
 
     def _arm_rto(self) -> None:
         # One timer: re-arming supersedes the previous instant.
@@ -477,11 +520,17 @@ class _StreamSim:
     def _deliver_one(self, p: Packet, stamp: float) -> None:
         self.reorder.deliver(p)
         ack = receiver_on_segment(self.receiver, p)
-        dropped = self.rev.next_dropped()
-        delay = self.rev.next_delay_us()
+        rev = self.rev
+        dropped = rev.next_dropped()
+        delay = rev.next_delay_us()
         if dropped:
             return
-        self._push(max(self.now, stamp + delay), _PRIO_ACK, "ack", ack)
+        t = stamp + delay
+        now = self.now
+        if not t > now:
+            t = now
+        self._evseq += 1
+        heapq.heappush(self._heap, (t, _PRIO_ACK, self._evseq, "ack", ack))
 
     # -- sender events -------------------------------------------------------
 
@@ -509,7 +558,8 @@ class _StreamSim:
         while True:
             t = path.svc_t
             rto_t = self._rto_t
-            if heap and heap[0][0] < t and heap[0][0] <= rto_t:
+            top = heap[0][0] if heap else _INF
+            if top < t and top <= rto_t:
                 t, _prio, _n, kind, payload = heapq.heappop(heap)
                 if t > hard_stop:
                     break

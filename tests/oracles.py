@@ -123,6 +123,15 @@ def reference_mark_sacked(state, blocks):
                 seg.sacked = True
 
 
+def reference_sorted_insert(lst, p):
+    """Insert ``p`` after every packet whose seq does not follow its own by
+    ``seq_cmp``, scanning from the tail: equal keys keep arrival order."""
+    i = len(lst)
+    while i > 0 and seq_cmp(lst[i - 1].seq, p.seq) == 1:
+        i -= 1
+    lst.insert(i, p)
+
+
 def reference_classify(offsets, flags, partition):
     """Intra/inter split by scanning every earlier packet of each
     reordered one: inter when an earlier, greater offset lies in another

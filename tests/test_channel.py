@@ -1,3 +1,4 @@
+import random
 import statistics
 
 import pytest
@@ -150,3 +151,25 @@ class TestPathConfig:
         for _ in range(100):
             assert s1.next_dropped() == s2.next_dropped()
             assert s1.next_delay_us() == s2.next_delay_us()
+
+    @pytest.mark.parametrize(
+        "alpha_ms, beta, seed",
+        [(2.5, 0.02, 1), (2.5, 0.1, 7), (0.001, 50.0, 2), (1.0, 0.3, 2**40 + 3)],
+    )
+    def test_delay_draw_is_the_standard_quantile_scaled(self, alpha_ms, beta, seed):
+        # The k-th draw is mean + std * NormalDist().inv_cdf(u) for the k-th
+        # u of the same delay stream, clamped at zero.
+        streams = PathStreams(PathConfig(alpha_ms=alpha_ms, beta=beta, seed=seed))
+        rng = random.Random(f"{seed}:delay")
+        mean = alpha_ms * 1000.0
+        std = beta * mean
+        for _ in range(500):
+            d = mean + std * statistics.NormalDist().inv_cdf(rng.random())
+            assert streams.next_delay_us() == (d if d > 0.0 else 0.0)
+
+    @pytest.mark.parametrize("alpha_ms, beta", [(2.5, 0.0), (0.0, 0.3), (0.0, 0.0)])
+    def test_a_zero_std_dev_gives_the_mean_and_draws_nothing(self, alpha_ms, beta):
+        streams = PathStreams(PathConfig(alpha_ms=alpha_ms, beta=beta, seed=5))
+        state = streams._delay_rng.getstate()
+        assert [streams.next_delay_us() for _ in range(20)] == [alpha_ms * 1000.0] * 20
+        assert streams._delay_rng.getstate() == state

@@ -11,11 +11,14 @@ timeout instant, the outcome of a run whose ACKs re-arm the timer several
 times at one instant, and the sorter seen from outside: each cycle
 delivers what it fetched, within the hold bound, and in-order arrivals
 with slow constant ACKs give the same metrics in both arms.  A finished
-stream is freed by reference counting alone.
+stream is freed by reference counting alone, and replacements installed
+at the loop's patch points see every call.
 """
 
 import gc
+import heapq
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,11 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import EagerTimerSim, RecordingSim, reference_first_copies
-from srpicsim.channel import PathConfig
+from srpicsim import tcp
+from srpicsim.channel import PathConfig, PathStreams
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
 from srpicsim.metrics import reorder_report
-from srpicsim.packets import SEQ_MOD
+from srpicsim.packets import SEQ_MOD, Packet
 from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
+from srpicsim.sorter import SrpicEngine
 from srpicsim.tcp import MSS, _PRIO_ACK, AckRecord, _StreamSim, run_transfer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -134,6 +139,91 @@ def test_a_finished_stream_is_freed_by_reference_counting(srpic_on):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
+    # The benchmark's tracer and audit replace the heapq module that tcp
+    # holds, the sorter and channel methods on their classes, and the
+    # receiver and sender functions by their names in tcp.  Each count
+    # taken through a replacement must match one the run keeps itself.
+    cfg = ScenarioConfig(
+        name="unit",
+        duration=0.02,
+        fwd=PathConfig(alpha_ms=2.5, beta=0.05, drop_rate=0.03),
+        rev=PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.03),
+        sack_enabled=True,
+    )
+    sim = _StreamSim(cfg, 1, 0, srpic_on)
+    n = Counter()
+    kept = Counter()  # (kind, handled) -> popped items
+
+    class Heapq:
+        @staticmethod
+        def heappush(heap, item):
+            assert type(item) is tuple and len(item) == 5
+            assert (item[3], type(item[4])) in {("arr", Packet), ("ack", AckRecord)}
+            n["push." + item[3]] += 1
+            heapq.heappush(heap, item)
+
+        @staticmethod
+        def heappop(heap):
+            item = heapq.heappop(heap)
+            kept[item[3], item[0] <= sim.hard_stop_us] += 1
+            return item
+
+    def counting(name, fn, on_result=None):
+        def wrapper(*args):
+            result = fn(*args)
+            n[name] += 1
+            if on_result is not None:
+                on_result(args, result)
+            return result
+
+        return wrapper
+
+    def path_of(args):
+        return "fwd" if args[0] is sim.fwd else "rev"
+
+    def dropped(args, result):
+        n[path_of(args) + ".dropped"] += result
+
+    def draw(args, result):
+        n[path_of(args) + ".delays"] += 1
+
+    def emitted(args, out):
+        n["emitted"] += len(out)
+
+    monkeypatch.setattr(tcp, "heapq", Heapq)
+    for name, fn, on_result in (
+        ("next_dropped", PathStreams.next_dropped, dropped),
+        ("next_delay_us", PathStreams.next_delay_us, draw),
+    ):
+        monkeypatch.setattr(PathStreams, name, counting(name, fn, on_result))
+    for name in ("ingest", "end_cycle"):
+        fn = getattr(SrpicEngine, name)
+        monkeypatch.setattr(SrpicEngine, name, counting(name, fn, emitted))
+    for name in ("receiver_on_segment", "sender_on_ack"):
+        monkeypatch.setattr(tcp, name, counting(name, getattr(tcp, name)))
+    sim.run()
+
+    sent = sim.sender.segments_sent
+    delivered = n["receiver_on_segment"]
+    assert n["fwd.delays"] == sent and n["rev.delays"] == delivered
+    assert n["next_dropped"] == n["next_delay_us"] == sent + delivered
+    assert n["push.arr"] == sent - n["fwd.dropped"] > 0
+    assert n["push.ack"] == delivered - n["rev.dropped"] > 0
+    assert n["push.arr"] + n["push.ack"] == sum(kept.values()) + len(sim._heap)
+    assert n["sender_on_ack"] == kept["ack", True] > 0
+    fetched = kept["arr", True] - len(sim.path.ring)
+    if srpic_on:
+        assert n["ingest"] == fetched
+        assert n["end_cycle"] == len(sim.path.cycle_sizes) > 0
+        assert n["emitted"] == delivered
+    else:
+        assert n["ingest"] == n["end_cycle"] == 0
+        assert delivered == fetched
+    assert delivered > 0
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])

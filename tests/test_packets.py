@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_sorted_insert
 from srpicsim.packets import (
     DISQUALIFYING_FLAGS,
+    SEQ_HALF,
+    SEQ_MOD,
     FlowKey,
     Packet,
     TcpFlags,
@@ -14,7 +17,8 @@ from srpicsim.packets import (
     payload_end,
     seq_cmp,
 )
-from srpicsim.sorter import SrpicEngine
+from srpicsim.sorter import SrpicEngine, SrpicManager, _sorted_insert
+from srpicsim.tcp import AckRecord, SenderState, sender_on_ack
 
 FLOW = FlowKey(1, 2, 1000, 2000)
 
@@ -153,3 +157,55 @@ class TestFlowKey:
             engine.ingest(Packet(other, 100, 10))
         assert len(engine.managers) == 1 + len(FlowKey._fields)
         assert all(m.packet_cnt == 1 for m in engine.managers.values())
+
+
+# Sequence numbers near 0, 2**31 and 2**32, where an inline serial test
+# that gets a boundary wrong would disagree with seq_cmp.  Two draws from
+# one anchor give distances of exactly 0, and the anchors 2**31 apart give
+# distances of exactly 2**31.
+_ANCHORS = (0, SEQ_HALF, SEQ_MOD)
+SERIAL = st.builds(
+    lambda anchor, d: (anchor + d) % SEQ_MOD,
+    st.sampled_from(_ANCHORS),
+    st.integers(-3, 3),
+)
+
+
+class TestInlineSerialTests:
+    """Every hot-path comparison written out inline agrees with seq_cmp,
+    the one definition of serial order."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(ack_seq=SERIAL, snd_una=SERIAL, duplicate=st.booleans())
+    def test_sender_on_ack_advance_dupack_split(self, ack_seq, snd_una, duplicate):
+        # An empty queue and a passed deadline: the ACK only moves state.
+        state = SenderState(next_send_seq=snd_una, snd_una=snd_una, data_deadline_us=0.0)
+        sender_on_ack(state, AckRecord(ack_seq, (), duplicate), 0.0)
+        c = seq_cmp(ack_seq, snd_una)
+        assert state.snd_una == (ack_seq if c > 0 else snd_una)
+        assert state.dup_acks_in == (1 if c == 0 and duplicate else 0)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(seqs=st.lists(SERIAL, max_size=12))
+    def test_sorted_insert_matches_seq_cmp_insertion(self, seqs):
+        got, want = [], []
+        for i, s in enumerate(seqs):
+            p = pkt(seq=s, send_index=i)
+            _sorted_insert(got, p)
+            reference_sorted_insert(want, p)
+        assert [p.send_index for p in got] == [p.send_index for p in want]
+
+    @settings(max_examples=300, derandomize=True)
+    @given(first=SERIAL, seq=SERIAL, length=st.integers(1, 3))
+    def test_manager_add_picks_lists_by_seq_cmp(self, first, seq, length):
+        m = SrpicManager(block_size=64)
+        m.add(pkt(seq=first, payload_len=length))
+        next_exp = payload_end(pkt(seq=first, payload_len=length))
+        assert m.next_exp == next_exp
+        p = pkt(seq=seq, payload_len=length)
+        m.add(p)
+        c = seq_cmp(seq, next_exp)
+        lists = {-1: m.prev_list, 0: m.curr_list, 1: m.after_list}
+        assert lists[c][-1] is p
+        assert sum(map(len, lists.values())) == 2
+        assert m.next_exp == (payload_end(p) if c == 0 else next_exp)
