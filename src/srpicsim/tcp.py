@@ -479,8 +479,6 @@ class _StreamSim:
             self._transmit(seg.seq, seg.length)
 
     def _transmit(self, seq: int, length: int) -> None:
-        # heapq is looked up per call, so a shim installed on this module
-        # sees every push.
         now = self.now
         st = self._last_send_time + self.spacing_us
         if not st > now:

@@ -159,14 +159,13 @@ class TestFlowKey:
         assert all(m.packet_cnt == 1 for m in engine.managers.values())
 
 
-# Sequence numbers near 0, 2**31 and 2**32, where an inline serial test
-# that gets a boundary wrong would disagree with seq_cmp.  Two draws from
-# one anchor give distances of exactly 0, and the anchors 2**31 apart give
-# distances of exactly 2**31.
-_ANCHORS = (0, SEQ_HALF, SEQ_MOD)
+# Sequence numbers within 3 of 0 (on both sides of the 2**32 wrap) and of
+# 2**31, where an inline serial test that gets a boundary wrong would
+# disagree with seq_cmp.  Equal offsets from one anchor give distances of
+# exactly 0, and from the two anchors distances of exactly 2**31.
 SERIAL = st.builds(
     lambda anchor, d: (anchor + d) % SEQ_MOD,
-    st.sampled_from(_ANCHORS),
+    st.sampled_from([0, SEQ_HALF]),
     st.integers(-3, 3),
 )
 
