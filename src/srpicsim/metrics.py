@@ -4,9 +4,10 @@ The reordered test is RFC 4737's next-expected walk: a packet at or above
 the next expected sequence number is in order and moves the expectation
 to the end of its payload; a packet below it is reordered.  A reordered
 packet's extent is the number of greater-sequence packets before it.
-``_Walk`` is the one implementation.  It takes one packet at a time and
-keeps the expectation, the count, the best extent and the earlier offsets
-in ascending order, one offset per packet.
+``_Walk`` implements it for the one-trace functions.  It takes one packet
+at a time and keeps the expectation, the count, the best extent and the
+earlier offsets in ascending order, one offset per packet; the tests hold
+the run's ``_RangeWalk`` to it.
 
 Given consecutive blocks, a reordered packet is intra-block when every
 earlier packet with a greater sequence lies in its own block.  Those
@@ -18,19 +19,21 @@ exceeds its own; ``_Walk.end_block`` takes that maximum at a block's end.
 before it, so an order may cross the 2**32 wrap any number of times.
 
 The one-trace functions raise ``OverlappingSegmentsError`` when two packets
-share a payload byte.  A TCP run carries retransmitted copies, so
-``FirstCopyReports`` walks the first copy of each payload range in arrival
-and in delivery order as the run goes, and keeps no packet.  Arrivals are
-unwrapped against the set of kept byte ranges.  Every report field is
-unchanged when all offsets shift by one amount, so the delivered first
-copies are unwrapped in their own order.  Only the rare later copies are
-remembered, by ``id``, until they are delivered: a packet is held, and so
-alive, from its arrival until its delivery.
+share a payload byte, and accept zero-length payloads at packet edges.  A
+TCP run carries retransmitted copies, so ``FirstCopyReports`` walks the
+first copy of each payload range in arrival and in delivery order as the
+run goes, and keeps no packet and nothing per packet.  First copies are
+disjoint and nonempty, so ``_RangeWalk`` keeps only their merged byte
+ranges, each with its packet count: one range per hole.  The arrival walk's
+ranges also mark a later copy: it shares a byte with one of them.  Each
+first copy's arrival offset waits in a dict keyed by ``id`` until the
+delivery walk takes it: a packet is held, and so alive, from its arrival
+until its delivery, so no two packets in the dict share an ``id``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from math import inf
@@ -200,24 +203,86 @@ def sum_reports(reports: Sequence[ReorderReport]) -> ReorderReport:
     )
 
 
+class _RangeWalk:
+    """The next-expected walk over disjoint, nonempty packets, kept as
+    sorted byte ranges merged where they touch (one per hole), each with
+    its packet count.  The next expected offset is the top range's end, and
+    a reordered packet's extent is the sum of the counts above it.
+    """
+
+    __slots__ = ("starts", "ends", "counts", "count", "best")
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.counts: list[int] = []  # packets in each range
+        self.count = self.best = 0
+
+    def add(self, s: int, e: int) -> bool:
+        """Take the packet ``[s, e)``; False, keeping nothing, when it
+        shares a byte with a kept range."""
+        ends = self.ends
+        if ends and ends[-1] == s:  # in order: extends the top range
+            ends[-1] = e
+            self.counts[-1] += 1
+            return True
+        starts, counts = self.starts, self.counts
+        i = bisect_right(starts, s)  # ranges below i start at or before s
+        if i and ends[i - 1] > s:
+            return False
+        if i == len(starts):  # in order, past a hole
+            starts.append(s)
+            ends.append(e)
+            counts.append(1)
+            return True
+        if starts[i] < e:
+            return False
+        self.count += 1
+        extent = sum(counts[i:])
+        if extent > self.best:
+            self.best = extent
+        if i and ends[i - 1] == s:
+            if starts[i] == e:  # fills a hole exactly
+                del starts[i]
+                ends[i - 1] = ends.pop(i)
+                counts[i - 1] += counts.pop(i) + 1
+            else:
+                ends[i - 1] = e
+                counts[i - 1] += 1
+        elif starts[i] == e:
+            starts[i] = s
+            counts[i] += 1
+        else:
+            starts.insert(i, s)
+            ends.insert(i, e)
+            counts.insert(i, 1)
+        return True
+
+    def report(self) -> ReorderReport:
+        n, count = sum(self.counts), self.count
+        return ReorderReport(n, count, _ratio(count, n), self.best)
+
+
 class FirstCopyReports:
     """A run's reports on the first copies, fed as packets arrive and are
     delivered: ``arrive(p)`` in arrival order, ``deliver(p)`` in delivery
-    order, each packet delivered at most once and after its arrival."""
+    order, each packet delivered at most once and after its arrival.
 
-    __slots__ = ("pre", "post", "_arrivals", "_deliveries", "_starts", "_ends", "_later")
+    Both walks are ``_RangeWalk``s: merged byte ranges of the first copies
+    so far, each with its packet count.  A later first copy shares no byte
+    with them, and a range is contiguous, so each range lies all below or
+    all above it, and its extent is the sum of the counts above it.  Arrivals
+    are unwrapped in their own order, and a first copy is delivered at the
+    offset it arrived with, kept in ``_held`` by ``id`` until then.
+    """
+
+    __slots__ = ("pre", "post", "_arrivals", "_held")
 
     def __init__(self):
-        self.pre = _Walk()
-        self.post = _Walk()
+        self.pre = _RangeWalk()
+        self.post = _RangeWalk()
         self._arrivals = _unwrapper()
-        self._deliveries = _unwrapper()
-        # Bytes already kept, as sorted disjoint ranges [starts[i], ends[i]).
-        # Ranges that touch are merged, so the lists stay as short as the
-        # number of holes.
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-        self._later: set[int] = set()  # ids of later copies not yet delivered
+        self._held: dict[int, int] = {}  # id -> offset, first copies not yet delivered
 
     def arrive(self, p: Packet) -> int | None:
         """Take the next arrival; returns its offset if it is a first copy.
@@ -229,66 +294,16 @@ class FirstCopyReports:
         e = s + p.payload_len
         if e <= s:
             raise ValueError(f"packet send_index={p.send_index} has no payload")
-        starts, ends = self._starts, self._ends
-        if ends and ends[-1] == s:  # in order: extends the last range
-            ends[-1] = e
-        else:
-            i = bisect_left(starts, s)
-            right = i < len(starts)
-            if right and starts[i] < e or i and ends[i - 1] > s:
-                self._later.add(id(p))
-                return None
-            if i and ends[i - 1] == s:
-                if right and starts[i] == e:
-                    ends[i - 1] = ends.pop(i)
-                    del starts[i]
-                else:
-                    ends[i - 1] = e
-            elif right and starts[i] == e:
-                starts[i] = s
-            else:
-                starts.insert(i, s)
-                ends.insert(i, e)
-        self.pre.add(s, p.payload_len)
+        if not self.pre.add(s, e):
+            return None
+        self._held[id(p)] = s
         return s
 
     def deliver(self, p: Packet) -> None:
-        later = self._later
-        if later and id(p) in later:
-            later.remove(id(p))
-        else:
-            self.post.add(self._deliveries(p.seq), p.payload_len)
+        s = self._held.pop(id(p), None)
+        if s is not None:
+            self.post.add(s, s + p.payload_len)
 
     def reports(self) -> tuple[ReorderReport, ReorderReport]:
         """Reports on the first copies in arrival and in delivery order."""
         return self.pre.report(), self.post.report()
-
-
-def _first_copies(trace: Sequence[Packet]) -> tuple[list[Packet], list[int]]:
-    """The first-arriving copy of each payload range, with its offset."""
-    keep = FirstCopyReports().arrive
-    kept: list[Packet] = []
-    offsets: list[int] = []
-    for p in trace:
-        off = keep(p)
-        if off is not None:
-            kept.append(p)
-            offsets.append(off)
-    return kept, offsets
-
-
-def first_copy_reports(
-    arrivals: Sequence[Packet], deliveries: Sequence[Packet]
-) -> tuple[ReorderReport, ReorderReport]:
-    """Reports on the first copies in arrival order and in delivery order.
-
-    ``arrivals`` may hold retransmitted copies; an empty payload raises
-    ``ValueError``.  ``deliveries`` holds the same packet objects, possibly
-    fewer.
-    """
-    acc = FirstCopyReports()
-    for p in arrivals:
-        acc.arrive(p)
-    for p in deliveries:
-        acc.deliver(p)
-    return acc.reports()

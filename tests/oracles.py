@@ -6,7 +6,8 @@ integers, and the coalescing walk steps one service quantum at a time.
 The ``reference_*`` functions, ``ReferenceEngine`` and ``EagerTimerSim``
 are the straightforward earlier forms of code that was since rewritten for
 speed or size.  ``RecordingSim`` records the packet orders that a TCP run
-does not keep.
+does not keep, and ``first_copies`` and ``first_copy_reports`` feed such
+whole orders through the run's ``metrics.FirstCopyReports``.
 """
 
 import heapq
@@ -14,7 +15,7 @@ from bisect import bisect_left, insort
 from dataclasses import replace
 
 from srpicsim.channel import PathStreams
-from srpicsim.metrics import PartitionError
+from srpicsim.metrics import FirstCopyReports, PartitionError
 from srpicsim.packets import SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
 from srpicsim.sorter import SrpicEngine, accept
 from srpicsim.tcp import _StreamSim, sender_on_timeout, sender_start
@@ -111,6 +112,34 @@ def reference_first_copies(trace):
         insort(intervals, (s, e))
         kept.append(p)
     return kept
+
+
+def first_copies(trace):
+    """The first-arriving copy of each payload range, with its offset."""
+    keep = FirstCopyReports().arrive
+    kept = []
+    offsets = []
+    for p in trace:
+        off = keep(p)
+        if off is not None:
+            kept.append(p)
+            offsets.append(off)
+    return kept, offsets
+
+
+def first_copy_reports(arrivals, deliveries):
+    """Reports on the first copies in arrival order and in delivery order.
+
+    ``arrivals`` may hold retransmitted copies; an empty payload raises
+    ``ValueError``.  ``deliveries`` holds the same packet objects, possibly
+    fewer.
+    """
+    acc = FirstCopyReports()
+    for p in arrivals:
+        acc.arrive(p)
+    for p in deliveries:
+        acc.deliver(p)
+    return acc.reports()
 
 
 def reference_mark_sacked(state, blocks):

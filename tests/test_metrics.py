@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from srpicsim.metrics import (
     OverlappingSegmentsError,
     PartitionError,
-    _first_copies,
     classify_block_reordering,
     max_reordering_extent,
     reorder_report,
@@ -20,6 +19,7 @@ from oracles import (
     brute_max_extent,
     brute_reordered_count,
     brute_reordered_flags,
+    first_copies,
     make_trace,
     reference_classify,
 )
@@ -228,7 +228,7 @@ class TestReportSharesOnePass:
 
 
 class TestFirstCopiesAndOverlapCheck:
-    """``_first_copies`` and the public overlap check share only the unwrap;
+    """``first_copies`` and the public overlap check share only the unwrap;
     on nonempty payloads they still agree on which traces hold a copy."""
 
     @given(
@@ -244,7 +244,7 @@ class TestFirstCopiesAndOverlapCheck:
         trace = make_trace(
             [(base + s) % (1 << 32) for s, _ in segs], [n for _, n in segs]
         )
-        kept, _offsets = _first_copies(trace)
+        kept, _offsets = first_copies(trace)
         try:
             reorder_report(trace)
         except OverlappingSegmentsError:

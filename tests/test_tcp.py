@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
-from srpicsim.metrics import FirstCopyReports, _first_copies, first_copy_reports, reorder_report
+from srpicsim.metrics import FirstCopyReports, reorder_report
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, TcpFlags
 from srpicsim.scenario import ScenarioConfig, load_scenario
 from srpicsim.tcp import (
@@ -27,7 +27,14 @@ from srpicsim.tcp import (
     sender_start,
 )
 
-from oracles import RecordingSim, make_trace, reference_first_copies, reference_mark_sacked
+from oracles import (
+    RecordingSim,
+    first_copies,
+    first_copy_reports,
+    make_trace,
+    reference_first_copies,
+    reference_mark_sacked,
+)
 
 FLOW = FlowKey(1, 2, 3, 4)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -336,7 +343,7 @@ class TestSequenceWrap:
         # 3 GiB in order: offsets measured from the first packet would put
         # everything past 2 GiB below it.
         trace = make_trace([(i << 20) % SEQ_MOD for i in range(3000)], [1 << 20] * 3000)
-        kept, offsets = _first_copies(trace)
+        kept, offsets = first_copies(trace)
         assert kept == trace
         assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
@@ -361,7 +368,7 @@ class TestRewrittenHelpers:
         # trace may cross the 2**32 wrap.
         plain = make_trace([s for s, _ in segs], [n for _, n in segs])
         shifted = make_trace([(base + s) % SEQ_MOD for s, _ in segs], [n for _, n in segs])
-        kept, _offsets = _first_copies(shifted)
+        kept, _offsets = first_copies(shifted)
         assert [p.send_index for p in kept] == [
             p.send_index for p in reference_first_copies(plain)
         ]
@@ -461,7 +468,7 @@ class TestTrustedReports:
     @settings(max_examples=300, derandomize=True)
     def test_trusted_path_matches_reorder_report(self, data):
         ranges, trace = _trace_with_copies(data)
-        kept, _offsets = _first_copies(trace)
+        kept, _offsets = first_copies(trace)
         assert first_copy_reports(trace, [])[0] == reorder_report(kept)
 
         delivered = _sorted_blocks(ranges, trace, data.draw(st.integers(1, 8)))
@@ -523,27 +530,104 @@ class TestTrustedReports:
             first_copy_reports(trace, trace)
 
 
+# Ten-byte segments with retransmitted copies that share bytes with a kept
+# range: inside one, across a hole into two, over every range, and partway
+# into a hole that a shorter first copy then fills.
+_COPIES_OVER_KEPT_RANGES = [
+    (0, 10), (10, 10), (40, 10), (50, 10),
+    (5, 10),  # copy across two kept packets of one range
+    (20, 10),
+    (45, 10),  # copy inside a range above a hole
+    (25, 20),  # copy over the hole [30, 40) and both ranges around it
+    (30, 10),  # first copy that fills the hole exactly
+    (0, 60),  # copy over everything kept
+    (60, 10), (80, 10),
+    (70, 5),  # first copy that half fills the hole [70, 80)
+    (72, 8),  # copy that reaches back into it
+    (75, 5),
+    (65, 1),  # copy inside the top range
+]
+_SEGS = [(i * MSS, MSS) for i in range(64)]
+# ``(start, length)`` pairs in arrival order, the stream's isn and the
+# largest extent in arrival order.
+_HOLE_HEAVY = {
+    "evens_then_odds": (_SEGS[::2] + _SEGS[1::2], 0, 31),  # 1 behind 2, 4, ..., 62
+    "reversed": (_SEGS[::-1], 0, 63),
+    "first_last_across_the_wrap": (_SEGS[1:] + _SEGS[:1], SEQ_MOD - 3 * MSS, 63),
+    "copies": (_COPIES_OVER_KEPT_RANGES, SEQ_MOD - 25, 2),
+}
+
+
+class TestHoleHeavyWalks:
+    """Orders that keep many holes open or fill them all at once, through
+    ``FirstCopyReports``: the reports equal ``reorder_report`` on the first
+    copies, and the range counts add up to the kept packets."""
+
+    @pytest.mark.parametrize("name", list(_HOLE_HEAVY))
+    @pytest.mark.parametrize("delivery", ["sorted_blocks", "reverse"])
+    def test_reports_match_reorder_report(self, name, delivery):
+        ranges, isn, pre_extent = _HOLE_HEAVY[name]
+        trace = make_trace([(isn + s) % SEQ_MOD for s, _ in ranges], [n for _, n in ranges])
+        kept, _offsets = first_copies(trace)
+        plain = make_trace([s for s, _ in ranges], [n for _, n in ranges])
+        assert [p.send_index for p in kept] == [
+            p.send_index for p in reference_first_copies(plain)
+        ]
+        if delivery == "reverse":
+            delivered = trace[::-1]
+        else:
+            delivered = _sorted_blocks(ranges, trace, 8)
+        kept_ids = {id(p) for p in kept}
+        post_trace = [p for p in delivered if id(p) in kept_ids]
+
+        acc = FirstCopyReports()
+        for p in trace:
+            acc.arrive(p)
+        for p in delivered:
+            acc.deliver(p)
+        assert acc.reports() == (reorder_report(kept), reorder_report(post_trace))
+        assert acc.reports()[0].max_extent == pre_extent
+        assert sum(acc.pre.counts) == sum(acc.post.counts) == len(kept)
+        # Every byte kept is contiguous at the end: one range per walk.
+        assert len(acc.pre.starts) == len(acc.post.starts) == 1
+
+
+def _run_peak(cfg, srpic_on):
+    """The run's metrics and the traced peak it adds, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m = _StreamSim(cfg, 1, 0, srpic_on).run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return m, peak
+
+
 class TestRunMemory:
-    """A run keeps no packet per segment: its reports hold one offset per
-    first copy each (about 35 bytes), where keeping every arrived and
-    delivered packet costs about 390 bytes per segment sent."""
+    """A run keeps nothing per segment: its reports hold one range per hole,
+    and the receive path 8 bytes per coalescing cycle.  One offset per
+    first copy per report cost about 85 bytes per segment sent, and keeping
+    every arrived and delivered packet about 390."""
 
     @pytest.mark.parametrize("srpic_on", [True, False])
     def test_peak_bytes_per_segment(self, srpic_on):
         cfg = replace(load_scenario(str(SCENARIOS / "table4_analog.yaml")), duration=1.0)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            m = _StreamSim(cfg, 1, 0, srpic_on).run()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        m, peak = _run_peak(cfg, srpic_on)
         assert m.segments_sent > 2000
-        assert peak / m.segments_sent < 120
+        assert peak / m.segments_sent < 24
+
+    @pytest.mark.parametrize("srpic_on", [True, False])
+    def test_peak_of_a_full_table4_arm(self, srpic_on):
+        # 3 s, the scenario's own length: 28,513 segments with the sorter.
+        cfg = load_scenario(str(SCENARIOS / "table4_analog.yaml"))
+        m, peak = _run_peak(cfg, srpic_on)
+        assert m.segments_sent > 7000
+        assert peak < 128 * 1024
 
 
 class TestPositionalRecords:
