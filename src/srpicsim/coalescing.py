@@ -85,12 +85,12 @@ class ReceivePath:
     """One receive ring, its service clock and an optional block sorter.
 
     ``service`` completes the service due at ``svc_t`` (``inf`` while idle)
-    and, when that empties the ring, flushes the engine and records the
-    cycle's size.  Each packet goes to ``deliver(p, fetched_at)``, and a TCP
-    run ACKs it at the later of its flush and ``fetched_at`` plus the
-    reverse delay: with in-order lossless arrivals and a constant reverse
-    delay above the hold bound, the sorter arms then differ only in holds.
-    Holds go to ``max_hold_us``, checked against the one-flow block bound.
+    and, when that empties the ring, flushes the engine and counts the
+    cycle in ``cycles`` and its packets in ``cycle_packets``.  Each packet
+    goes to ``deliver(p, fetched_at)``, and a TCP run ACKs it at the later
+    of its flush and ``fetched_at`` plus the reverse delay: with in-order
+    lossless arrivals and a constant reverse delay above the hold bound,
+    the sorter arms then differ only in holds.  Holds go to ``max_hold_us``, checked against the one-flow block bound.
     ``deliver`` is ``None`` only without an engine, and comes per call: a
     stored bound method of the path's owner would make a reference cycle.
     """
@@ -101,7 +101,8 @@ class ReceivePath:
         self.engine = engine
         self.ring: deque = deque()
         self.svc_t = math.inf
-        self.cycle_sizes: list[int] = []
+        self.cycles = 0  # completed cycles
+        self.cycle_packets = 0  # packets of completed cycles
         self._served = 0  # packets fetched in the current cycle
         self.max_hold_us = 0.0
         if engine is not None:
@@ -139,7 +140,8 @@ class ReceivePath:
         if self.ring:
             self.svc_t = now + self.quantum_us
         else:
-            self.cycle_sizes.append(self._served)
+            self.cycles += 1
+            self.cycle_packets += self._served
             self._served = 0
             self.svc_t = math.inf
 
@@ -155,20 +157,23 @@ def simulate_coalescing(
     path = ReceivePath(params)
     ring, arrive, service = path.ring, path.arrive, path.service
     last = math.nextafter(-math.inf, 0.0)  # least finite float: -inf fails below
-    for t in arr:
+    firsts = []  # index of each cycle's first arrival
+    for i, t in enumerate(arr):
         if not last <= t < math.inf:
             raise ValueError("arrival_times must be finite and nondecreasing")
         last = t
         while path.svc_t <= t:
             service()
+        if not ring:
+            firsts.append(i)
         arrive(t, t)  # the ring holds arrival times, not packets
     while ring:
         service()
-    cycles, first = [], 0
-    for k in path.cycle_sizes:
-        cycles.append(CycleRecord(arr[first], k * path.quantum_us, k))
-        first += k
-    return cycles
+    q = path.quantum_us
+    return [
+        CycleRecord(arr[a], (b - a) * q, b - a)
+        for a, b in zip(firsts, firsts[1:] + [len(arr)])
+    ]
 
 
 def hold_delay_bound(block_size: int, r_sn_prime: float) -> float:

@@ -4,31 +4,33 @@ The reordered test is RFC 4737's next-expected walk: a packet at or above
 the next expected sequence number is in order and moves the expectation
 to the end of its payload; a packet below it is reordered.  A reordered
 packet's extent is the number of greater-sequence packets before it.
-``_Walk`` implements it for the one-trace functions.  It takes one packet
-at a time and keeps the expectation, the count, the best extent and the
-earlier offsets in ascending order, one offset per packet; the tests hold
-the run's ``_RangeWalk`` to it.
+``_RangeWalk`` is the one implementation.  It takes disjoint, nonempty
+packets one at a time and keeps their merged byte ranges, each with its
+packet count: one range per hole.
 
 Given consecutive blocks, a reordered packet is intra-block when every
 earlier packet with a greater sequence lies in its own block.  Those
-outside its block are exactly the earlier blocks' packets, so it is
-inter-block exactly when the largest offset over the earlier blocks
-exceeds its own; ``_Walk.end_block`` takes that maximum at a block's end.
+outside its block are exactly the earlier blocks' packets.  Packets are
+disjoint and nonempty, so an earlier packet ends above a packet's first
+byte exactly when it starts above it: the packet is inter-block exactly
+when the largest end over the earlier blocks exceeds its start.
+``_RangeWalk.end_block`` takes that largest end, the top range's end, as
+the mark.
 
 ``_unwrapper`` places each packet at its serial distance from the one
 before it, so an order may cross the 2**32 wrap any number of times.
 
-The one-trace functions raise ``OverlappingSegmentsError`` when two packets
-share a payload byte, and accept zero-length payloads at packet edges.  A
-TCP run carries retransmitted copies, so ``FirstCopyReports`` walks the
-first copy of each payload range in arrival and in delivery order as the
-run goes, and keeps no packet and nothing per packet.  First copies are
-disjoint and nonempty, so ``_RangeWalk`` keeps only their merged byte
-ranges, each with its packet count: one range per hole.  The arrival walk's
-ranges also mark a later copy: it shares a byte with one of them.  Each
-first copy's arrival offset waits in a dict keyed by ``id`` until the
-delivery walk takes it: a packet is held, and so alive, from its arrival
-until its delivery, so no two packets in the dict share an ``id``.
+Every packet walked must carry payload: an empty one raises
+``ValueError`` naming its ``send_index``, in the one-trace functions and in
+a run alike.  The one-trace functions raise ``OverlappingSegmentsError``
+when two packets share a payload byte.  A TCP run carries retransmitted
+copies, so ``FirstCopyReports`` walks the first copy of each payload range
+in arrival and in delivery order as the run goes, and keeps no packet and
+nothing per packet.  The arrival walk's ranges mark a later copy: it shares
+a byte with one of them.  Each first copy's arrival offset waits in a dict
+keyed by ``id`` until the delivery walk takes it: a packet is held, and so
+alive, from its arrival until its delivery, so no two packets in the dict
+share an ``id``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from math import inf
-from operator import add
 from typing import Callable, Sequence
 
 from .packets import Packet, SEQ_HALF, SEQ_MOD
@@ -65,6 +66,10 @@ def _ratio(count: int, total: int) -> float:
     return count / total if total else 0.0
 
 
+def _no_payload(p: Packet) -> ValueError:
+    return ValueError(f"packet send_index={p.send_index} has no payload")
+
+
 def _unwrapper() -> Callable[[int], int]:
     """A function giving each sequence passed to it a plain-int offset
     ordered like ``seq_cmp``: its serial distance from the one before (the
@@ -82,63 +87,8 @@ def _unwrapper() -> Callable[[int], int]:
     return gen.send
 
 
-def _unwrap(trace: Sequence[Packet]) -> list[int]:
-    return list(map(_unwrapper(), [p.seq for p in trace]))
-
-
-class _Walk:
-    """The next-expected walk over offsets, fed one packet at a time."""
-
-    __slots__ = ("next_exp", "count", "seen", "best", "mark", "inter")
-
-    def __init__(self):
-        self.next_exp = -inf
-        self.count = self.best = self.inter = 0
-        # Every offset so far, ascending.  A packet that is not reordered
-        # starts at or above every one of them, so it appends.
-        self.seen: list[int] = []
-        self.mark = -inf  # seen[-1] at the last end_block()
-
-    def add(self, off: int, length: int) -> None:
-        seen = self.seen
-        if off >= self.next_exp:
-            self.next_exp = off + length
-            seen.append(off)
-            return
-        self.count += 1
-        i = bisect_right(seen, off)
-        if len(seen) - i > self.best:
-            self.best = len(seen) - i
-        seen.insert(i, off)
-        if self.mark > off:
-            self.inter += 1
-
-    def end_block(self) -> None:
-        if self.seen:
-            self.mark = self.seen[-1]
-
-    def report(self, blocks: bool = False) -> ReorderReport:
-        n, count, inter = len(self.seen), self.count, self.inter
-        split = (count - inter, inter) if blocks else (None, None)
-        return ReorderReport(n, count, _ratio(count, n), self.best, *split)
-
-
-def _check_disjoint(offsets: list[int], lens: list[int]) -> None:
-    # Ranges in (start, end) order; each must start at or past the end of
-    # the one before it.
-    ranges = sorted(zip(offsets, map(add, offsets, lens)))
-    for (s1, e1), (s2, e2) in zip(ranges, islice(ranges, 1, None)):
-        if s2 < e1:
-            raise OverlappingSegmentsError(
-                f"payload ranges [{s1},{e1}) and [{s2},{e2}) overlap"
-            )
-
-
-def _walk(trace: Sequence[Packet], partition: Sequence[int] | None = None) -> _Walk:
-    """The walk over one checked trace, marked at each block's end."""
-    offsets = _unwrap(trace)
-    lens = [p.payload_len for p in trace]
-    _check_disjoint(offsets, lens)
+def _walk(trace: Sequence[Packet], partition: Sequence[int] | None = None) -> _RangeWalk:
+    """The walk over one trace, marked at each block's end."""
     n = len(trace)
     if partition is None:
         partition = (n,)
@@ -146,12 +96,21 @@ def _walk(trace: Sequence[Packet], partition: Sequence[int] | None = None) -> _W
         raise PartitionError(
             f"block lengths {list(partition)} do not cover a {n}-packet trace"
         )
-    walk = _Walk()
+    walk = _RangeWalk()
     add = walk.add
-    pairs = zip(offsets, lens)
+    unwrap = _unwrapper()
+    packets = iter(trace)
     for length in partition:
-        for off, size in islice(pairs, length):
-            add(off, size)
+        for p in islice(packets, length):
+            s = unwrap(p.seq)
+            e = s + p.payload_len
+            if e <= s:
+                raise _no_payload(p)
+            if not add(s, e):
+                raise OverlappingSegmentsError(
+                    f"packet send_index={p.send_index} shares a payload byte"
+                    " with an earlier packet"
+                )
         walk.end_block()
     return walk
 
@@ -207,16 +166,19 @@ class _RangeWalk:
     """The next-expected walk over disjoint, nonempty packets, kept as
     sorted byte ranges merged where they touch (one per hole), each with
     its packet count.  The next expected offset is the top range's end, and
-    a reordered packet's extent is the sum of the counts above it.
+    a reordered packet's extent is the sum of the counts above it.  A
+    reordered packet that starts below ``mark``, the top range's end at the
+    last ``end_block()``, is inter-block.
     """
 
-    __slots__ = ("starts", "ends", "counts", "count", "best")
+    __slots__ = ("starts", "ends", "counts", "count", "best", "mark", "inter")
 
     def __init__(self):
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.counts: list[int] = []  # packets in each range
-        self.count = self.best = 0
+        self.count = self.best = self.inter = 0
+        self.mark = -inf
 
     def add(self, s: int, e: int) -> bool:
         """Take the packet ``[s, e)``; False, keeping nothing, when it
@@ -238,6 +200,8 @@ class _RangeWalk:
         if starts[i] < e:
             return False
         self.count += 1
+        if self.mark > s:
+            self.inter += 1
         extent = sum(counts[i:])
         if extent > self.best:
             self.best = extent
@@ -258,9 +222,14 @@ class _RangeWalk:
             counts.insert(i, 1)
         return True
 
-    def report(self) -> ReorderReport:
-        n, count = sum(self.counts), self.count
-        return ReorderReport(n, count, _ratio(count, n), self.best)
+    def end_block(self) -> None:
+        if self.ends:
+            self.mark = self.ends[-1]
+
+    def report(self, blocks: bool = False) -> ReorderReport:
+        n, count, inter = sum(self.counts), self.count, self.inter
+        split = (count - inter, inter) if blocks else (None, None)
+        return ReorderReport(n, count, _ratio(count, n), self.best, *split)
 
 
 class FirstCopyReports:
@@ -293,7 +262,7 @@ class FirstCopyReports:
         s = self._arrivals(p.seq)
         e = s + p.payload_len
         if e <= s:
-            raise ValueError(f"packet send_index={p.send_index} has no payload")
+            raise _no_payload(p)
         if not self.pre.add(s, e):
             return None
         self._held[id(p)] = s

@@ -579,8 +579,8 @@ class _StreamSim:
         pre, post = self.reorder.reports()
         bytes_acked = self.sender.bytes_acked
         duration_s = self.cfg.duration
-        sizes = self.path.cycle_sizes
-        mean_block = sum(sizes) / len(sizes) if sizes else 0.0
+        cycles = self.path.cycles
+        mean_block = self.path.cycle_packets / cycles if cycles else 0.0
         return TransferMetrics(
             goodput_proxy=bytes_acked / duration_s,
             pkts_retrans=self.sender.pkts_retrans,

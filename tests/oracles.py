@@ -5,18 +5,32 @@ reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
 The ``reference_*`` functions, ``ReferenceEngine`` and ``EagerTimerSim``
 are the straightforward earlier forms of code that was since rewritten for
-speed or size.  ``RecordingSim`` records the packet orders that a TCP run
-does not keep, and ``first_copies`` and ``first_copy_reports`` feed such
-whole orders through the run's ``metrics.FirstCopyReports``.
+speed or size.  ``reference_report`` is the whole-trace walk that kept one
+offset per packet, and so holds the run's byte-range walk to an
+independent form.  ``RecordingSim`` records the packet orders and the
+cycle sizes that a TCP run does not keep, and ``first_copies`` and
+``first_copy_reports`` feed such whole orders through the run's
+``metrics.FirstCopyReports``.
 """
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import replace
+from itertools import islice
 
 from srpicsim.channel import PathStreams
-from srpicsim.metrics import FirstCopyReports, PartitionError
-from srpicsim.packets import SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
+from srpicsim.coalescing import ReceivePath
+from srpicsim.metrics import (
+    FirstCopyReports,
+    OverlappingSegmentsError,
+    PartitionError,
+    ReorderReport,
+    classify_block_reordering,
+    max_reordering_extent,
+    reorder_report,
+    reordered_count,
+)
+from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
 from srpicsim.sorter import SrpicEngine, accept
 from srpicsim.tcp import _StreamSim, sender_on_timeout, sender_start
 
@@ -73,6 +87,98 @@ def brute_classify(trace, partition):
         else:
             intra += 1
     return intra, inter
+
+
+def first_empty(trace):
+    """``send_index`` of the first packet with no payload, or None."""
+    return next((p.send_index for p in trace if p.payload_len == 0), None)
+
+
+def rejects_empty_payload(trace, partition, index):
+    """True when each whole-trace function raises a plain ``ValueError``
+    naming ``send_index=index`` on ``trace`` cut by ``partition``."""
+    calls = (
+        lambda: reordered_count(trace),
+        lambda: max_reordering_extent(trace),
+        lambda: classify_block_reordering(trace, partition),
+        lambda: reorder_report(trace, partition),
+    )
+    for call in calls:
+        try:
+            call()
+        except ValueError as exc:
+            if type(exc) is not ValueError or f"send_index={index} " not in str(exc):
+                return False
+        else:
+            return False
+    return True
+
+
+class _ReferenceWalk:
+    """The next-expected walk over offsets, fed one packet at a time."""
+
+    __slots__ = ("next_exp", "count", "seen", "best", "mark", "inter")
+
+    def __init__(self):
+        self.next_exp = -float("inf")
+        self.count = self.best = self.inter = 0
+        # Every offset so far, ascending.  A packet that is not reordered
+        # starts at or above every one of them, so it appends.
+        self.seen = []
+        self.mark = -float("inf")  # seen[-1] at the last end_block()
+
+    def add(self, off, length):
+        seen = self.seen
+        if off >= self.next_exp:
+            self.next_exp = off + length
+            seen.append(off)
+            return
+        self.count += 1
+        i = bisect_right(seen, off)
+        if len(seen) - i > self.best:
+            self.best = len(seen) - i
+        seen.insert(i, off)
+        if self.mark > off:
+            self.inter += 1
+
+    def end_block(self):
+        if self.seen:
+            self.mark = self.seen[-1]
+
+    def report(self, blocks=False):
+        n, count, inter = len(self.seen), self.count, self.inter
+        split = (count - inter, inter) if blocks else (None, None)
+        return ReorderReport(n, count, count / n if n else 0.0, self.best, *split)
+
+
+def reference_report(trace, partition=None):
+    """``metrics.reorder_report`` as the walk that kept every packet's
+    offset: a sort-based overlap check first, then the next-expected walk
+    over one ascending offset per packet, marked with the largest offset
+    at each block's end.  It accepts empty payloads at packet edges."""
+    offsets, off, prev = [], 0, 0
+    for p in trace:
+        off += ((p.seq - prev + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
+        prev = p.seq
+        offsets.append(off)
+    lens = [p.payload_len for p in trace]
+    ranges = sorted((o, o + n) for o, n in zip(offsets, lens))
+    for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
+        if s2 < e1:
+            raise OverlappingSegmentsError(f"payload ranges [{s1},{e1}) and [{s2},{e2}) overlap")
+    n = len(trace)
+    blocks = partition is not None
+    if not blocks:
+        partition = (n,)
+    elif any(b <= 0 for b in partition) or sum(partition) != n:
+        raise PartitionError(f"block lengths {list(partition)} do not cover a {n}-packet trace")
+    walk = _ReferenceWalk()
+    pairs = zip(offsets, lens)
+    for length in partition:
+        for o, size in islice(pairs, length):
+            walk.add(o, size)
+        walk.end_block()
+    return walk.report(blocks)
 
 
 def naive_coalescing_blocks(arrivals, t_intr_us, quantum_us):
@@ -277,13 +383,29 @@ class EagerTimerSim(_StreamSim):
         return self._metrics()
 
 
-class RecordingSim(_StreamSim):
-    """TCP stream that records every packet it takes from the path, in
-    arrival order, and every packet it hands to the receiver, in delivery
-    order."""
+class RecordingPath(ReceivePath):
+    """Receive path that records the size of each cycle as its ring
+    empties."""
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.cycle_sizes = []
+
+    def service(self, deliver=None):
+        before = self.cycle_packets
+        super().service(deliver)
+        if not self.ring:
+            self.cycle_sizes.append(self.cycle_packets - before)
+
+
+class RecordingSim(_StreamSim):
+    """TCP stream that records every packet it takes from the path, in
+    arrival order, and every packet it hands to the receiver, in delivery
+    order, and whose ``RecordingPath`` records the size of each cycle."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.path = RecordingPath(self.cfg.coalescing, self.path.engine)
         self.arrivals = []
         self.deliveries = []
 

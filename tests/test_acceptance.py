@@ -31,7 +31,9 @@ from oracles import (
     brute_classify,
     brute_max_extent,
     brute_reordered_count,
+    first_empty,
     make_trace,
+    rejects_empty_payload,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -303,8 +305,10 @@ def test_criterion_7_adaptive_sender_contrast():
 
 def test_criterion_8_metric_oracle_equivalence():
     """Every 7-packet permutation plus 10,000 random byte-sequence traces
-    agree exactly with independent brute-force metric implementations."""
-    mismatches = 0
+    agree exactly with independent brute-force metric implementations; a
+    trace holding an empty payload is rejected by that packet's
+    send_index."""
+    mismatches = empty_traces = 0
     for perm in itertools.permutations(range(1, 8)):
         trace = make_trace(list(perm))
         if reordered_count(trace) != brute_reordered_count(trace):
@@ -326,10 +330,6 @@ def test_criterion_8_metric_oracle_equivalence():
         order = list(range(n))
         rng.shuffle(order)
         trace = make_trace([starts[i] for i in order], [lens[i] for i in order])
-        if reordered_count(trace) != brute_reordered_count(trace):
-            mismatches += 1
-        if max_reordering_extent(trace) != brute_max_extent(trace):
-            mismatches += 1
         # random contiguous partition
         partition = []
         left = n
@@ -337,11 +337,25 @@ def test_criterion_8_metric_oracle_equivalence():
             take = rng.randrange(1, left + 1)
             partition.append(take)
             left -= take
+        empty = first_empty(trace)
+        if empty is not None:
+            empty_traces += 1
+            if not rejects_empty_payload(trace, partition, empty):
+                mismatches += 1
+            continue
+        if reordered_count(trace) != brute_reordered_count(trace):
+            mismatches += 1
+        if max_reordering_extent(trace) != brute_max_extent(trace):
+            mismatches += 1
         if classify_block_reordering(trace, partition) != brute_classify(
             trace, partition
         ):
             mismatches += 1
-    report("8 (metric oracle equivalence)", mismatches == 0, f"mismatches={mismatches}")
+    report(
+        "8 (metric oracle equivalence)",
+        mismatches == 0,
+        f"mismatches={mismatches}, traces rejected for an empty payload={empty_traces}",
+    )
 
 
 # -- 9 ---------------------------------------------------------------------

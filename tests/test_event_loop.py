@@ -26,11 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EagerTimerSim, RecordingSim, reference_first_copies
+from oracles import EagerTimerSim, RecordingSim, reference_first_copies, reference_report
 from srpicsim import tcp
 from srpicsim.channel import PathConfig, PathStreams
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
-from srpicsim.metrics import reorder_report
 from srpicsim.packets import SEQ_MOD, Packet
 from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
 from srpicsim.sorter import SrpicEngine
@@ -79,6 +78,7 @@ def _assert_cycles_match_replay(sim):
     # A cycle still open at the hard stop is the replay's last one.
     arrivals = [p.arrival_time for p in sim.arrivals]
     done = sim.path.cycle_sizes
+    assert (sim.path.cycles, sim.path.cycle_packets) == (len(done), sum(done))
     rest = len(arrivals) - sum(done)
     assert bool(rest) == bool(sim.path.ring)
     replay = simulate_coalescing(arrivals, sim.cfg.coalescing)
@@ -115,8 +115,8 @@ def test_streamed_reports_equal_the_batch_definition(srpic_on, cfg, seed):
     m = sim.run()
     plain = [replace(p, seq=(p.seq - cfg.isn) % SEQ_MOD) for p in sim.arrivals]
     first = {p.send_index for p in reference_first_copies(plain)}
-    assert m.reorder_pre == reorder_report([p for p in sim.arrivals if p.send_index in first])
-    assert m.reorder_post == reorder_report(
+    assert m.reorder_pre == reference_report([p for p in sim.arrivals if p.send_index in first])
+    assert m.reorder_post == reference_report(
         [p for p in sim.deliveries if p.send_index in first]
     )
 
@@ -218,7 +218,7 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     fetched = kept["arr", True] - len(sim.path.ring)
     if srpic_on:
         assert n["ingest"] == fetched
-        assert n["end_cycle"] == len(sim.path.cycle_sizes) > 0
+        assert n["end_cycle"] == sim.path.cycles > 0
         assert n["emitted"] == delivered
     else:
         assert n["ingest"] == n["end_cycle"] == 0
@@ -291,7 +291,7 @@ def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
         sack_enabled=sack,
         segment_spacing_us=4.0,
     )
-    sim = _StreamSim(cfg, seed, 0, True)
+    sim = RecordingSim(cfg, seed, 0, True)
     engine = sim.path.engine
     ingest, end_cycle = engine.ingest, engine.end_cycle
     fetched, emitted, fetch_time, holds, cycle_sizes = [], [], {}, [], []

@@ -20,8 +20,11 @@ from oracles import (
     brute_reordered_count,
     brute_reordered_flags,
     first_copies,
+    first_empty,
     make_trace,
     reference_classify,
+    reference_report,
+    rejects_empty_payload,
 )
 
 
@@ -129,8 +132,6 @@ class TestOracleAgreement:
             lens.append(data.draw(st.integers(min_value=0, max_value=gap)))
         order = data.draw(st.permutations(list(range(n))))
         trace = make_trace([starts[i] for i in order], [lens[i] for i in order])
-        assert reordered_count(trace) == brute_reordered_count(trace)
-        assert max_reordering_extent(trace) == brute_max_extent(trace)
         # random contiguous partition
         cuts = sorted(
             data.draw(
@@ -138,6 +139,12 @@ class TestOracleAgreement:
             )
         )
         partition = [b - a for a, b in zip([0] + cuts, cuts + [n]) if b - a > 0]
+        empty = first_empty(trace)
+        if empty is not None:
+            assert rejects_empty_payload(trace, partition, empty)
+            return
+        assert reordered_count(trace) == brute_reordered_count(trace)
+        assert max_reordering_extent(trace) == brute_max_extent(trace)
         assert classify_block_reordering(trace, partition) == brute_classify(
             trace, partition
         )
@@ -181,6 +188,10 @@ class TestClassifierOracles:
         else:
             cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)))))
             partition = [b - a for a, b in zip([0] + cuts, cuts + [n]) if b - a > 0]
+        empty = first_empty(trace)
+        if empty is not None:
+            assert rejects_empty_payload(trace, partition, empty)
+            return
         got = classify_block_reordering(trace, partition)
         plain = make_trace(offsets, lens)
         assert got == reference_classify(offsets, brute_reordered_flags(plain), partition)
@@ -228,8 +239,9 @@ class TestReportSharesOnePass:
 
 
 class TestFirstCopiesAndOverlapCheck:
-    """``first_copies`` and the public overlap check share only the unwrap;
-    on nonempty payloads they still agree on which traces hold a copy."""
+    """``first_copies`` drops a packet exactly when the public overlap
+    check and the reference's sort-based check raise, on nonempty
+    payloads."""
 
     @given(
         segs=st.lists(
@@ -245,15 +257,16 @@ class TestFirstCopiesAndOverlapCheck:
             [(base + s) % (1 << 32) for s, _ in segs], [n for _, n in segs]
         )
         kept, _offsets = first_copies(trace)
-        try:
-            reorder_report(trace)
-        except OverlappingSegmentsError:
-            assert len(kept) < len(trace)
-        else:
-            assert len(kept) == len(trace)
+        for report in (reorder_report, reference_report):
+            try:
+                report(trace)
+            except OverlappingSegmentsError:
+                assert len(kept) < len(trace)
+            else:
+                assert len(kept) == len(trace)
 
     @pytest.mark.parametrize(
-        "seqs, lens, rejected",
+        "seqs, lens, inside",
         [
             ([0, 3], [6, 0], True),  # empty payload strictly inside another
             ([3, 0], [0, 6], True),  # the same, arriving first
@@ -262,13 +275,58 @@ class TestFirstCopiesAndOverlapCheck:
             ([4, 5, 5], [1, 3, 0], False),  # where two packets touch
         ],
     )
-    def test_zero_length_payloads(self, seqs, lens, rejected):
+    def test_zero_length_payloads(self, seqs, lens, inside):
+        # Wherever an empty payload lies, every whole-trace function
+        # rejects it by its send_index, as a run does.
         trace = make_trace(seqs, lens)
-        if rejected:
-            with pytest.raises(OverlappingSegmentsError):
-                reorder_report(trace)
-        else:
-            assert reorder_report(trace).total_packets == len(trace)
+        empty = first_empty(trace)
+        e = trace[empty]
+        assert inside == any(q.seq < e.seq < q.seq + q.payload_len for q in trace)
+        assert rejects_empty_payload(trace, [len(trace)], empty)
+        with pytest.raises(ValueError, match=f"send_index={empty} "):
+            first_copies(trace)
+
+
+class TestRangeWalkAgainstReference:
+    """The byte-range walk against the walk that kept one offset per
+    packet, on long disjoint, nonempty traces: shuffled or displaced within
+    a window, some crossing 2**32, cut into random blocks."""
+
+    @given(
+        long=st.booleans(),
+        seed=st.integers(0, 2**32),
+        shape=st.sampled_from(["shuffled", "windowed", "in order"]),
+        wrap=st.booleans(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_reorder_report_equals_reference(self, long, seed, shape, wrap):
+        # Seeded, not drawn value by value: a long trace would outgrow the
+        # buffer Hypothesis draws from.
+        rng = random.Random(seed)
+        n = rng.randrange(1000, 2001) if long else rng.randrange(1, 65)
+        starts, pos = [], 0
+        for _ in range(n):
+            starts.append(pos)
+            pos += rng.randrange(1, 3000)
+        # Half the packets touch the next one, as a stream's segments do.
+        lens = [
+            gap if rng.random() < 0.5 else rng.randrange(1, gap + 1)
+            for gap in (b - a for a, b in zip(starts, starts[1:] + [pos]))
+        ]
+        order = list(range(n))
+        if shape == "shuffled":
+            rng.shuffle(order)
+        elif shape == "windowed":
+            window = rng.choice([2, 8, 64])
+            order.sort(key=lambda i: i + rng.uniform(0, window))
+        base = (1 << 32) - rng.randrange(1, pos + 1) if wrap else 0
+        trace = make_trace(
+            [(base + starts[i]) % (1 << 32) for i in order], [lens[i] for i in order]
+        )
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n))) if n > 1 else []
+        partition = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        assert reorder_report(trace, partition) == reference_report(trace, partition)
+        assert reorder_report(trace) == reference_report(trace)
 
 
 class TestSortingTheorems:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound
-from srpicsim.metrics import FirstCopyReports, reorder_report
+from srpicsim.metrics import FirstCopyReports
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, TcpFlags
 from srpicsim.scenario import ScenarioConfig, load_scenario
 from srpicsim.tcp import (
@@ -34,6 +34,7 @@ from oracles import (
     make_trace,
     reference_first_copies,
     reference_mark_sacked,
+    reference_report,
 )
 
 FLOW = FlowKey(1, 2, 3, 4)
@@ -462,21 +463,21 @@ def _sorted_blocks(ranges, trace, block):
 
 class TestTrustedReports:
     """Run metrics come from ``FirstCopyReports``, fed one packet at a
-    time; they must equal ``reorder_report`` on the first copies."""
+    time; they must equal ``reference_report`` on the first copies."""
 
     @given(data=st.data())
     @settings(max_examples=300, derandomize=True)
     def test_trusted_path_matches_reorder_report(self, data):
         ranges, trace = _trace_with_copies(data)
         kept, _offsets = first_copies(trace)
-        assert first_copy_reports(trace, [])[0] == reorder_report(kept)
+        assert first_copy_reports(trace, [])[0] == reference_report(kept)
 
         delivered = _sorted_blocks(ranges, trace, data.draw(st.integers(1, 8)))
         kept_ids = {id(p) for p in kept}
         post_trace = [p for p in delivered if id(p) in kept_ids]
         assert first_copy_reports(trace, delivered) == (
-            reorder_report(kept),
-            reorder_report(post_trace),
+            reference_report(kept),
+            reference_report(post_trace),
         )
 
     @given(data=st.data())
@@ -508,7 +509,7 @@ class TestTrustedReports:
             acc.arrive(p)
         for p in (a, b, copy_a, c):
             acc.deliver(p)
-        assert acc.reports() == (reorder_report([b, a, c]), reorder_report([a, b, c]))
+        assert acc.reports() == (reference_report([b, a, c]), reference_report([a, b, c]))
         assert acc.reports()[1].reordered_count == 0
 
     def test_a_first_copy_held_at_the_hard_stop(self):
@@ -521,8 +522,8 @@ class TestTrustedReports:
         for p in (b, c):
             acc.deliver(p)
         pre, post = acc.reports()
-        assert pre == reorder_report([a, b, c]) and pre.reordered_count == 1
-        assert post == reorder_report([b, c]) and post.total_packets == 2
+        assert pre == reference_report([a, b, c]) and pre.reordered_count == 1
+        assert post == reference_report([b, c]) and post.total_packets == 2
 
     def test_an_empty_payload_is_rejected_by_send_index(self):
         trace = make_trace([0, 10, 20], [10, 0, 10])
@@ -560,7 +561,7 @@ _HOLE_HEAVY = {
 
 class TestHoleHeavyWalks:
     """Orders that keep many holes open or fill them all at once, through
-    ``FirstCopyReports``: the reports equal ``reorder_report`` on the first
+    ``FirstCopyReports``: the reports equal ``reference_report`` on the first
     copies, and the range counts add up to the kept packets."""
 
     @pytest.mark.parametrize("name", list(_HOLE_HEAVY))
@@ -585,7 +586,7 @@ class TestHoleHeavyWalks:
             acc.arrive(p)
         for p in delivered:
             acc.deliver(p)
-        assert acc.reports() == (reorder_report(kept), reorder_report(post_trace))
+        assert acc.reports() == (reference_report(kept), reference_report(post_trace))
         assert acc.reports()[0].max_extent == pre_extent
         assert sum(acc.pre.counts) == sum(acc.post.counts) == len(kept)
         # Every byte kept is contiguous at the end: one range per walk.
