@@ -15,6 +15,7 @@ from .coalescing import (
     CoalescingParams,
     CycleRecord,
     ReceiverSaturationError,
+    block_size_cbr,
     block_size_closed_form,
     hold_delay_bound,
     simulate_coalescing,
@@ -53,6 +54,7 @@ __all__ = [
     "CoalescingParams",
     "CycleRecord",
     "ReceiverSaturationError",
+    "block_size_cbr",
     "block_size_closed_form",
     "hold_delay_bound",
     "simulate_coalescing",

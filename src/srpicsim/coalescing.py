@@ -81,6 +81,35 @@ def block_size_closed_form(p_rate: float, params: CoalescingParams) -> int:
     return _guarded_ceil(value)
 
 
+def block_size_cbr(p_rate: float, params: CoalescingParams) -> int:
+    """Packets per coalescing cycle for arrivals exactly ``1/p_rate`` apart.
+
+    A cycle opens with an arrival at time 0 into the empty ring; its
+    ``k``-th service completes at ``t_intr + k*q``, with ``q`` the service
+    quantum, and arrivals come at ``j*g``, ``g = 1e6/p_rate`` microseconds.
+    A completion comes before an arrival at the same instant, so only the
+    arrivals strictly before it count: ``ceil((t_intr + k*q) / g)`` of
+    them.  The ring is empty after the ``k``-th completion when that count
+    is at most ``k``, that is when ``t_intr + k*q <= k*g``, or
+    ``k >= t_intr / (g - q)``.  The cycle ends at the least such ``k``, and
+    the next cycle opens at arrival ``k`` as this one did at arrival 0, so
+    every cycle drains ``max(1, ceil(t_intr / (g - q)))`` packets.  At a
+    tie, a whole quotient ``k``, arrival ``k`` comes just as the ``k``-th
+    service completes and opens the next cycle; the ceiling is guarded as
+    in ``block_size_closed_form``, so float rounding does not push a tie to
+    ``k + 1``.  Unlike that closed form, this count carries no
+    random-incidence term, which equally spaced arrivals do not realize.
+    """
+    if p_rate < 0:
+        raise ValueError("p_rate must be >= 0")
+    if p_rate >= params.r_sn_pps:
+        raise ReceiverSaturationError(
+            f"arrival rate {p_rate} pps >= service rate {params.r_sn_pps} pps"
+        )
+    gap_us = 1e6 / p_rate if p_rate else math.inf
+    return max(1, _guarded_ceil(params.t_intr_us / (gap_us - params.quantum_us)))
+
+
 class ReceivePath:
     """One receive ring, its service clock and an optional block sorter.
 

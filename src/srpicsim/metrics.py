@@ -17,8 +17,15 @@ when the largest end over the earlier blocks exceeds its start.
 ``_RangeWalk.end_block`` takes that largest end, the top range's end, as
 the mark.
 
-``_unwrapper`` places each packet at its serial distance from the one
-before it, so an order may cross the 2**32 wrap any number of times.
+Each packet is placed at an offset: its serial distance from the packet
+before it in the same order, ``((seq - prev + 2**31) % 2**32) - 2**31``,
+added to that packet's offset (the first packet's from 0).  So an order may
+cross the 2**32 wrap any number of times, as long as consecutive packets
+are less than 2**31 apart.  ``tests/oracles.py`` states this serial step
+once, as ``unwrapper``.  It is written out inline in ``_walk`` and in
+``FirstCopyReports.arrive``, the hot paths, each with its own local state.
+So is ``_RangeWalk.add``'s in-order case: a packet that starts at the top
+range's end extends that range, and every other packet goes to ``add``.
 
 Every packet walked must carry payload: an empty one raises
 ``ValueError`` naming its ``send_index``, in the one-trace functions and in
@@ -37,9 +44,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from math import inf
-from typing import Callable, Sequence
+from operator import index
+from typing import Sequence
 
 from .packets import Packet, SEQ_HALF, SEQ_MOD
 
@@ -70,48 +77,53 @@ def _no_payload(p: Packet) -> ValueError:
     return ValueError(f"packet send_index={p.send_index} has no payload")
 
 
-def _unwrapper() -> Callable[[int], int]:
-    """A function giving each sequence passed to it a plain-int offset
-    ordered like ``seq_cmp``: its serial distance from the one before (the
-    first from 0), valid while consecutive packets are less than 2**31
-    apart.  A primed generator keeps the state in fast locals."""
-    def offsets():
-        prev = off = 0
-        while True:
-            seq = yield off
-            off += ((seq - prev + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
-            prev = seq
-
-    gen = offsets()
-    next(gen)
-    return gen.send
-
-
 def _walk(trace: Sequence[Packet], partition: Sequence[int] | None = None) -> _RangeWalk:
-    """The walk over one trace, marked at each block's end."""
+    """The walk over one trace, marked at each block's end.
+
+    ``partition`` lists the block lengths: integers, each at least 1,
+    summing to the trace's length.
+    """
     n = len(trace)
     if partition is None:
-        partition = (n,)
-    elif any(b <= 0 for b in partition) or sum(partition) != n:
-        raise PartitionError(
-            f"block lengths {list(partition)} do not cover a {n}-packet trace"
-        )
+        lengths = [n]
+    else:
+        try:
+            lengths = [index(b) for b in partition]
+        except TypeError:
+            lengths = None
+        if lengths is None or min(lengths, default=1) < 1 or sum(lengths) != n:
+            raise PartitionError(
+                f"block lengths {list(partition)} are not integers of at least 1"
+                f" that cover a {n}-packet trace"
+            )
     walk = _RangeWalk()
-    add = walk.add
-    unwrap = _unwrapper()
-    packets = iter(trace)
-    for length in partition:
-        for p in islice(packets, length):
-            s = unwrap(p.seq)
-            e = s + p.payload_len
-            if e <= s:
-                raise _no_payload(p)
-            if not add(s, e):
-                raise OverlappingSegmentsError(
-                    f"packet send_index={p.send_index} shares a payload byte"
-                    " with an earlier packet"
-                )
-        walk.end_block()
+    add, end_block = walk.add, walk.end_block
+    ends, counts = walk.ends, walk.counts
+    top = None  # ends[-1] once there is a range
+    blocks = iter(lengths)
+    left = next(blocks, 0)  # packets still to come in the current block
+    prev = s = 0
+    for p in trace:
+        seq = p.seq
+        s += ((seq - prev + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
+        prev = seq
+        e = s + p.payload_len
+        if e <= s:
+            raise _no_payload(p)
+        if s == top:
+            top = ends[-1] = e
+            counts[-1] += 1
+        elif add(s, e):
+            top = ends[-1]
+        else:
+            raise OverlappingSegmentsError(
+                f"packet send_index={p.send_index} shares a payload byte"
+                " with an earlier packet"
+            )
+        left -= 1
+        if not left:
+            end_block()
+            left = next(blocks, 0)
     return walk
 
 
@@ -183,20 +195,21 @@ class _RangeWalk:
     def add(self, s: int, e: int) -> bool:
         """Take the packet ``[s, e)``; False, keeping nothing, when it
         shares a byte with a kept range."""
-        ends = self.ends
-        if ends and ends[-1] == s:  # in order: extends the top range
-            ends[-1] = e
-            self.counts[-1] += 1
-            return True
-        starts, counts = self.starts, self.counts
-        i = bisect_right(starts, s)  # ranges below i start at or before s
-        if i and ends[i - 1] > s:
-            return False
-        if i == len(starts):  # in order, past a hole
+        starts, ends, counts = self.starts, self.ends, self.counts
+        if not ends or ends[-1] < s:  # in order, past a hole
             starts.append(s)
             ends.append(e)
             counts.append(1)
             return True
+        if ends[-1] == s:  # in order: extends the top range
+            ends[-1] = e
+            counts[-1] += 1
+            return True
+        # s is below the top range's end, so i < len(starts) unless the
+        # top range holds s.
+        i = bisect_right(starts, s)  # ranges below i start at or before s
+        if i and ends[i - 1] > s:
+            return False
         if starts[i] < e:
             return False
         self.count += 1
@@ -245,12 +258,12 @@ class FirstCopyReports:
     offset it arrived with, kept in ``_held`` by ``id`` until then.
     """
 
-    __slots__ = ("pre", "post", "_arrivals", "_held")
+    __slots__ = ("pre", "post", "_seq", "_off", "_held")
 
     def __init__(self):
         self.pre = _RangeWalk()
         self.post = _RangeWalk()
-        self._arrivals = _unwrapper()
+        self._seq = self._off = 0  # the last arrival's sequence and offset
         self._held: dict[int, int] = {}  # id -> offset, first copies not yet delivered
 
     def arrive(self, p: Packet) -> int | None:
@@ -259,11 +272,18 @@ class FirstCopyReports:
         A packet is a later copy when it shares a byte with one kept
         before it; an empty payload raises ``ValueError``.
         """
-        s = self._arrivals(p.seq)
+        seq = p.seq
+        s = self._off = self._off + ((seq - self._seq + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
+        self._seq = seq
         e = s + p.payload_len
         if e <= s:
             raise _no_payload(p)
-        if not self.pre.add(s, e):
+        pre = self.pre
+        ends = pre.ends
+        if ends and ends[-1] == s:
+            ends[-1] = e
+            pre.counts[-1] += 1
+        elif not pre.add(s, e):
             return None
         self._held[id(p)] = s
         return s
@@ -271,7 +291,14 @@ class FirstCopyReports:
     def deliver(self, p: Packet) -> None:
         s = self._held.pop(id(p), None)
         if s is not None:
-            self.post.add(s, s + p.payload_len)
+            post = self.post
+            ends = post.ends
+            e = s + p.payload_len
+            if ends and ends[-1] == s:
+                ends[-1] = e
+                post.counts[-1] += 1
+            else:
+                post.add(s, e)
 
     def reports(self) -> tuple[ReorderReport, ReorderReport]:
         """Reports on the first copies in arrival and in delivery order."""

@@ -7,7 +7,10 @@ The ``reference_*`` functions, ``ReferenceEngine`` and ``EagerTimerSim``
 are the straightforward earlier forms of code that was since rewritten for
 speed or size.  ``reference_report`` is the whole-trace walk that kept one
 offset per packet, and so holds the run's byte-range walk to an
-independent form.  ``RecordingSim`` records the packet orders and the
+independent form.  ``unwrapper`` is the one stated definition of the serial
+step that ``metrics`` writes out inline, and ``add_only_walk`` and
+``add_only_reports`` feed ``metrics._RangeWalk`` through ``add`` alone, the
+walks that the inline in-order steps must reproduce state for state.  ``RecordingSim`` records the packet orders and the
 cycle sizes that a TCP run does not keep, and ``first_copies`` and
 ``first_copy_reports`` feed such whole orders through the run's
 ``metrics.FirstCopyReports``.
@@ -22,6 +25,7 @@ from srpicsim.channel import PathStreams
 from srpicsim.coalescing import ReceivePath
 from srpicsim.metrics import (
     FirstCopyReports,
+    _RangeWalk,
     OverlappingSegmentsError,
     PartitionError,
     ReorderReport,
@@ -114,6 +118,63 @@ def rejects_empty_payload(trace, partition, index):
     return True
 
 
+def unwrapper():
+    """The serial step: a function giving each sequence passed to it a
+    plain-int offset ordered like ``seq_cmp``, its serial distance from the
+    sequence before it, ``((seq - prev + 2**31) % 2**32) - 2**31``, added to
+    that one's offset (the first from 0).  Valid while consecutive packets
+    are less than 2**31 apart."""
+    prev = off = 0
+
+    def step(seq):
+        nonlocal prev, off
+        off += ((seq - prev + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
+        prev = seq
+        return off
+
+    return step
+
+
+def walk_state(walk):
+    """Every field of a ``metrics._RangeWalk``, by name."""
+    return {name: getattr(walk, name) for name in _RangeWalk.__slots__}
+
+
+def add_only_walk(trace, partition=None):
+    """``metrics._walk`` with each packet placed by ``unwrapper`` and taken
+    by ``_RangeWalk.add``, marked at each block's end."""
+    walk = _RangeWalk()
+    unwrap = unwrapper()
+    packets = iter(trace)
+    for length in [len(trace)] if partition is None else partition:
+        for p in islice(packets, length):
+            s = unwrap(p.seq)
+            if not walk.add(s, s + p.payload_len):
+                raise OverlappingSegmentsError(f"packet send_index={p.send_index}")
+        walk.end_block()
+    return walk
+
+
+def add_only_reports(arrivals, deliveries):
+    """``metrics.FirstCopyReports`` with each arrival placed by ``unwrapper``
+    and each first copy taken by ``_RangeWalk.add``: the arrival and the
+    delivery walks, and what ``arrive`` returns for each arrival."""
+    pre, post = _RangeWalk(), _RangeWalk()
+    unwrap = unwrapper()
+    held, returned = {}, []
+    for p in arrivals:
+        s = unwrap(p.seq)
+        kept = pre.add(s, s + p.payload_len)
+        if kept:
+            held[id(p)] = s
+        returned.append(s if kept else None)
+    for p in deliveries:
+        s = held.pop(id(p), None)
+        if s is not None:
+            post.add(s, s + p.payload_len)
+    return pre, post, returned
+
+
 class _ReferenceWalk:
     """The next-expected walk over offsets, fed one packet at a time."""
 
@@ -156,11 +217,8 @@ def reference_report(trace, partition=None):
     offset: a sort-based overlap check first, then the next-expected walk
     over one ascending offset per packet, marked with the largest offset
     at each block's end.  It accepts empty payloads at packet edges."""
-    offsets, off, prev = [], 0, 0
-    for p in trace:
-        off += ((p.seq - prev + SEQ_HALF) % SEQ_MOD) - SEQ_HALF
-        prev = p.seq
-        offsets.append(off)
+    unwrap = unwrapper()
+    offsets = [unwrap(p.seq) for p in trace]
     lens = [p.payload_len for p in trace]
     ranges = sorted((o, o + n) for o, n in zip(offsets, lens))
     for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):

@@ -7,6 +7,7 @@ import pytest
 from srpicsim.coalescing import (
     CoalescingParams,
     ReceiverSaturationError,
+    block_size_cbr,
     block_size_closed_form,
     hold_delay_bound,
     simulate_coalescing,
@@ -52,6 +53,77 @@ class TestClosedForm:
             for t in (0.0, 5.0, 20.0, 80.0)
         ]
         assert by_delay == sorted(by_delay)
+
+
+def _cbr_cycle_sizes(p_rate, params, cycles):
+    """Cycle sizes of ``simulate_coalescing`` over arrivals every
+    ``1/p_rate``, spaced as acceptance criterion 3b spaces them, enough for
+    ``cycles`` cycles of ``block_size_cbr`` packets and one more packet."""
+    n = cycles * block_size_cbr(p_rate, params) + 1
+    rate = p_rate / 1e6  # packets per microsecond
+    return [c.block_packets for c in simulate_coalescing([i / rate for i in range(n)], params)]
+
+
+class TestCbrBlockSize:
+    """``block_size_cbr`` is the exact cycle size for equally spaced
+    arrivals: every cycle that the arrivals fill drains that many."""
+
+    def test_criterion_3_grid(self):
+        params = CoalescingParams(t_intr_us=5.0, r_sn_pps=1e6)
+        utils = (0.1, 0.3, 0.5, 0.7, 0.9)
+        assert [block_size_cbr(u * 1e6, params) for u in utils] == [1, 3, 5, 12, 45]
+        for u in utils:
+            sizes = _cbr_cycle_sizes(u * 1e6, params, 20)
+            assert set(sizes[:-1]) == {block_size_cbr(u * 1e6, params)}
+
+    @pytest.mark.parametrize(
+        "t_intr, p_rate, r_sn, k",
+        [
+            # t_intr / (1/p - 1/r_sn) is a whole number: arrival k lands just
+            # as the k-th service completes, and opens the next cycle.
+            (5.0, 5e5, 1e6, 5),
+            (2.0, 5e5, 1e6, 2),
+            (8.0, 5e5, 1e6, 8),
+            (4.0, 1e6 / 3, 1e6, 2),
+            (12.0, 1.25e5, 5e5, 2),
+            (1.0, 7.5e5, 1e6, 3),
+            (5.0, 7.5e5, 1e6, 15),
+            (30.0, 7.5e5, 1e6, 90),
+            # No tie: one past the whole number, and the floor of one.
+            (5.0, 4e5, 1e6, 4),
+            (3.0, 2e5, 1e6, 1),
+            (0.0, 5e5, 1e6, 1),
+        ],
+    )
+    def test_exact_including_ties(self, t_intr, p_rate, r_sn, k):
+        params = CoalescingParams(t_intr_us=t_intr, r_sn_pps=r_sn)
+        assert block_size_cbr(p_rate, params) == k
+        sizes = _cbr_cycle_sizes(p_rate, params, 4)
+        assert sizes[:-1] == [k] * 4 and sizes[-1] == 1
+
+    def test_matches_simulation_on_random_cases(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            params = CoalescingParams(
+                t_intr_us=rng.choice([0.0, 1.0, 5.0, 100.0, rng.uniform(0, 200)]),
+                r_sn_pps=rng.choice([1e5, 1e6, rng.uniform(5e4, 2e6)]),
+            )
+            u = rng.choice([0.25, 0.5, 0.75, rng.uniform(0.01, 0.95)])
+            p_rate = u * params.r_sn_pps
+            k = block_size_cbr(p_rate, params)
+            if k > 2000:
+                continue
+            sizes = _cbr_cycle_sizes(p_rate, params, 3)
+            assert sizes[:-1] == [k] * 3, (params, p_rate)
+
+    def test_idle_and_saturation(self):
+        params = CoalescingParams(t_intr_us=30.0, r_sn_pps=1e6)
+        assert block_size_cbr(0.0, params) == 1
+        for p_rate in (1e6, 2e6):
+            with pytest.raises(ReceiverSaturationError):
+                block_size_cbr(p_rate, params)
+        with pytest.raises(ValueError):
+            block_size_cbr(-1.0, params)
 
 
 class TestSimulate:

@@ -1,20 +1,28 @@
 import random
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srpicsim.metrics import (
+    FirstCopyReports,
     OverlappingSegmentsError,
     PartitionError,
+    _walk,
     classify_block_reordering,
     max_reordering_extent,
     reorder_report,
     reordered_count,
 )
+from srpicsim.packets import SEQ_HALF, SEQ_MOD
 from srpicsim.sorter import SrpicEngine
 
 from oracles import (
+    add_only_reports,
+    add_only_walk,
     brute_classify,
     brute_max_extent,
     brute_reordered_count,
@@ -25,6 +33,7 @@ from oracles import (
     reference_classify,
     reference_report,
     rejects_empty_payload,
+    walk_state,
 )
 
 
@@ -96,6 +105,23 @@ class TestClassification:
             classify_block_reordering(make_trace([1, 2, 3]), [2, 2])
         with pytest.raises(PartitionError):
             classify_block_reordering(make_trace([1, 2, 3]), [3, 0])
+
+    @pytest.mark.parametrize(
+        "partition",
+        [[1.5, 1.5], [3.0], [1, 2.0], ["3"], [None, 3], [2, 1, 0], [4, -1], [np.float64(3)]],
+    )
+    def test_block_lengths_must_be_integers_of_at_least_one(self, partition):
+        # reordered_count and max_reordering_extent take no partition.
+        trace = make_trace([1, 3, 2])
+        for walk in (classify_block_reordering, reorder_report, _walk):
+            with pytest.raises(PartitionError):
+                walk(trace, partition)
+
+    def test_integer_types_are_block_lengths(self):
+        trace = make_trace([1, 3, 2])
+        want = reorder_report(trace, [2, 1])
+        assert reorder_report(trace, np.array([2, 1])) == want
+        assert reorder_report(trace, (True, 2)) == reorder_report(trace, [1, 2])
 
     def test_report_totals(self):
         trace = make_trace([2, 1, 4, 3])
@@ -327,6 +353,133 @@ class TestRangeWalkAgainstReference:
         partition = [b - a for a, b in zip([0] + cuts, cuts + [n])]
         assert reorder_report(trace, partition) == reference_report(trace, partition)
         assert reorder_report(trace) == reference_report(trace)
+
+
+# Traces starting within 3 of 0 (on both sides of the 2**32 wrap) or of
+# 2**31, with steps between packets that are small or lie within 3 of 2**31
+# either way, where an inline serial step that gets the wrap or the half-way
+# point wrong would disagree with ``unwrapper``.
+ANCHORS = st.builds(
+    lambda anchor, d: (anchor + d) % SEQ_MOD,
+    st.sampled_from([0, SEQ_HALF]),
+    st.integers(-3, 3),
+)
+STEPS = st.one_of(
+    st.integers(-4, 4).map(lambda k: 4 * k),
+    st.builds(lambda sign, d: sign * (SEQ_HALF + d), st.sampled_from([1, -1]), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def serial_traces(draw):
+    seq = draw(ANCHORS)
+    seqs = [seq]
+    for step in draw(st.lists(STEPS, max_size=15)):
+        seq = (seq + step) % SEQ_MOD
+        seqs.append(seq)
+    lens = draw(st.lists(st.integers(1, 4), min_size=len(seqs), max_size=len(seqs)))
+    return make_trace(seqs, lens)
+
+
+def _partitions(n):
+    cuts = st.sets(st.integers(1, max(n - 1, 1))).map(lambda s: sorted(c for c in s if c < n))
+    return cuts.map(lambda c: [b - a for a, b in zip([0] + c, c + [n])])
+
+
+class TestInlineWalkSteps:
+    """``_walk`` and ``FirstCopyReports`` write out the serial step and
+    ``_RangeWalk.add``'s in-order case; each must leave the walk in the
+    state that ``unwrapper`` offsets fed through ``add`` alone give."""
+
+    @given(trace=serial_traces(), data=st.data())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_walk_equals_add_only_walk(self, trace, data):
+        partition = data.draw(_partitions(len(trace)))
+        try:
+            want = walk_state(add_only_walk(trace, partition))
+        except OverlappingSegmentsError:
+            with pytest.raises(OverlappingSegmentsError):
+                _walk(trace, partition)
+        else:
+            assert walk_state(_walk(trace, partition)) == want
+
+    @given(trace=serial_traces(), data=st.data())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_first_copy_reports_equal_add_only_feeder(self, trace, data):
+        # Arrivals may share bytes here: arrive drops such later copies.
+        delivered = data.draw(st.permutations(trace))[: data.draw(st.integers(0, len(trace)))]
+        pre, post, returned = add_only_reports(trace, delivered)
+        acc = FirstCopyReports()
+        assert [acc.arrive(p) for p in trace] == returned
+        for p in delivered:
+            acc.deliver(p)
+        assert walk_state(acc.pre) == walk_state(pre)
+        assert walk_state(acc.post) == walk_state(post)
+        # Merged: no two kept ranges touch.
+        for walk in (acc.pre, acc.post):
+            assert all(e < s for e, s in zip(walk.ends, walk.starts[1:]))
+
+    @given(seed=st.integers(0, 2**32), wrap=st.booleans())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_one_packet_blocks_equal_reference(self, seed, wrap):
+        # Every packet is its own block, so every reordered packet is
+        # inter-block, and the mark moves after every packet.
+        rng = random.Random(seed)
+        n = rng.randrange(1, 200)
+        order = list(range(n))
+        order.sort(key=lambda i: i + rng.uniform(0, rng.choice([1, 4, 32])))
+        base = (1 << 32) - rng.randrange(1, 3 * n + 1) if wrap else 0
+        trace = make_trace([(base + 3 * i) % (1 << 32) for i in order], [rng.randrange(1, 4) for _ in order])
+        ones = [1] * n
+        walk = _walk(trace, ones)
+        assert walk.report(True) == reference_report(trace, ones)
+        assert walk.inter == walk.count
+        assert walk_state(walk) == walk_state(add_only_walk(trace, ones))
+
+
+def _python_calls(fn):
+    """Python-level calls made while ``fn()`` runs, by qualified name."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestInOrderCallCount:
+    """An in-order packet extends the top range inline: no ``add`` call,
+    and no other Python call, per packet."""
+
+    TRACE = make_trace([((1 << 32) - 5000 + 10 * i) % (1 << 32) for i in range(2000)], [10] * 2000)
+
+    def test_reorder_report(self):
+        calls = _python_calls(lambda: reorder_report(self.TRACE, [50] * 40))
+        assert calls["_RangeWalk.add"] == 1
+        assert calls["_RangeWalk.end_block"] == 40
+        assert sum(calls.values()) - 40 < 20
+
+    def test_arrive_and_deliver(self):
+        acc = FirstCopyReports()
+
+        def feed():
+            for p in self.TRACE:
+                acc.arrive(p)
+            for p in self.TRACE:
+                acc.deliver(p)
+
+        calls = _python_calls(feed)
+        assert calls["_RangeWalk.add"] == 2  # the first arrival and delivery
+        per_packet = calls["FirstCopyReports.arrive"] + calls["FirstCopyReports.deliver"]
+        assert per_packet == 4000
+        assert sum(calls.values()) - per_packet < 5
+        assert acc.reports() == (reference_report(self.TRACE),) * 2
 
 
 class TestSortingTheorems:
