@@ -35,7 +35,6 @@ from .tcp import (
     ReceiverState,
     SenderState,
     TransferMetrics,
-    TransferResult,
     receiver_on_segment,
     run_transfer,
     sender_on_ack,
@@ -71,7 +70,6 @@ __all__ = [
     "ReceiverState",
     "SenderState",
     "TransferMetrics",
-    "TransferResult",
     "receiver_on_segment",
     "run_transfer",
     "sender_on_ack",

@@ -10,6 +10,7 @@ where a drop actually removed a packet.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from operator import attrgetter
@@ -34,6 +35,10 @@ class PathConfig:
             raise ValueError("alpha_ms must be >= 0")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        if not math.isfinite(self.alpha_ms * 1000.0):
+            raise ValueError("alpha_ms * 1000 (the mean delay in us) must be finite")
+        if not math.isfinite(self.beta * (self.alpha_ms * 1000.0)):
+            raise ValueError("beta * alpha_ms * 1000 (the delay std-dev in us) must be finite")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
 

@@ -119,7 +119,8 @@ class ReceivePath:
     goes to ``deliver(p, fetched_at)``, and a TCP run ACKs it at the later
     of its flush and ``fetched_at`` plus the reverse delay: with in-order
     lossless arrivals and a constant reverse delay above the hold bound,
-    the sorter arms then differ only in holds.  Holds go to ``max_hold_us``, checked against the one-flow block bound.
+    the sorter arms then differ only in holds.  Holds go to
+    ``max_hold_us``, checked against the one-flow block bound.
     ``deliver`` is ``None`` only without an engine, and comes per call: a
     stored bound method of the path's owner would make a reference cycle.
     """

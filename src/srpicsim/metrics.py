@@ -161,19 +161,6 @@ def reorder_report(
     return _walk(trace, partition).report(partition is not None)
 
 
-def sum_reports(reports: Sequence[ReorderReport]) -> ReorderReport:
-    """One report over several streams: packet and reordered counts add
-    up, the extent is the largest, and the block fields stay unset."""
-    total = sum(r.total_packets for r in reports)
-    count = sum(r.reordered_count for r in reports)
-    return ReorderReport(
-        total_packets=total,
-        reordered_count=count,
-        ratio=_ratio(count, total),
-        max_extent=max((r.max_extent for r in reports), default=0),
-    )
-
-
 class _RangeWalk:
     """The next-expected walk over disjoint, nonempty packets, kept as
     sorted byte ranges merged where they touch (one per hole), each with

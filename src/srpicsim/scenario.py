@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Any, Iterable
@@ -63,11 +64,13 @@ class ScenarioConfig:
             raise ConfigError("name: must be a nonempty string")
         if self.duration <= 0:
             raise ConfigError("duration: must be > 0 seconds")
+        if not math.isfinite(self.duration * 1e6):
+            raise ConfigError("duration: duration * 1e6 (the run length in us) must be finite")
         if self.num_streams < 1:
             raise ConfigError("num_streams: must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds: must be a nonempty list")
-        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        repeated = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
         if repeated:
             raise ConfigError(f"seeds: {repeated} repeated; each seed runs once")
         if self.sender_mode not in ("static", "adaptive"):
@@ -270,8 +273,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     rows: list[dict] = []
     for seed in cfg.seeds:
         for srpic_on in (False, True):
-            result = run_transfer(cfg, seed=seed, srpic=srpic_on)
-            for sid, m in enumerate(result.streams):
+            for sid, m in enumerate(run_transfer(cfg, seed=seed, srpic=srpic_on)):
                 rows.append(
                     {
                         "scenario": cfg.name,

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from .channel import PathStreams
 from .coalescing import ReceivePath
-from .metrics import FirstCopyReports, ReorderReport, sum_reports
+from .metrics import FirstCopyReports, ReorderReport
 from .packets import FlowKey, Packet, SEQ_HALF, SEQ_MOD, TcpFlags
 from .sorter import SrpicEngine
 
@@ -113,7 +113,6 @@ class ReceiverState:
     isn: int = 0
 
     dup_acks_sent: int = 0
-    delivered_bytes: int = 0
 
     _nxt: int = 0  # unwrapped next expected byte
     _ooo: list[list] = field(default_factory=list)  # [start, end, touch], unwrapped
@@ -153,12 +152,6 @@ class TransferMetrics:
     dupthresh_final: int
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    streams: list[TransferMetrics]
-    aggregate: TransferMetrics
-
-
 def receiver_on_segment(state: ReceiverState, seg: Packet) -> AckRecord:
     """Process one data segment; returns the ACK it generates.
 
@@ -177,14 +170,12 @@ def receiver_on_segment(state: ReceiverState, seg: Packet) -> AckRecord:
     if end <= nxt:
         pass  # stale duplicate, nothing to remember
     elif start <= nxt:
-        old = nxt
         nxt = end  # end > nxt here
         while ooo and ooo[0][0] <= nxt:
             e = ooo.pop(0)[1]
             if e > nxt:
                 nxt = e
         state._nxt = nxt
-        state.delivered_bytes += nxt - old
         advanced = True
     else:
         state._touch += 1
@@ -464,16 +455,6 @@ class _StreamSim:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, t: float, prio: int, kind: str, payload=None) -> None:
-        """Queue one heap item ``(t, prio, evseq, kind, payload)``.
-
-        ``_transmit`` and ``_deliver_one`` build the same item inline; this
-        builder serves code that queues an event by hand, such as the
-        test oracles' timeout events.
-        """
-        self._evseq += 1
-        heapq.heappush(self._heap, (t, prio, self._evseq, kind, payload))
-
     def _emit_actions(self, sent: list[SegmentRecord]) -> None:
         for seg in sent:
             self._transmit(seg.seq, seg.length)
@@ -597,27 +578,7 @@ class _StreamSim:
         )
 
 
-def _aggregate(streams: list[TransferMetrics]) -> TransferMetrics:
-    return TransferMetrics(
-        goodput_proxy=sum(m.goodput_proxy for m in streams),
-        pkts_retrans=sum(m.pkts_retrans for m in streams),
-        dup_acks_in=sum(m.dup_acks_in for m in streams),
-        sack_blocks_rcvd=sum(m.sack_blocks_rcvd for m in streams),
-        reorder_pre=sum_reports([m.reorder_pre for m in streams]),
-        reorder_post=sum_reports([m.reorder_post for m in streams]),
-        mean_block_size=(
-            sum(m.mean_block_size for m in streams) / len(streams) if streams else 0.0
-        ),
-        max_hold_delay_us=max((m.max_hold_delay_us for m in streams), default=0.0),
-        segments_sent=sum(m.segments_sent for m in streams),
-        bytes_acked=sum(m.bytes_acked for m in streams),
-        dup_acks_sent=sum(m.dup_acks_sent for m in streams),
-        dupthresh_final=max((m.dupthresh_final for m in streams), default=DUPTHRESH_MIN),
-    )
-
-
-def run_transfer(cfg: "ScenarioConfig", *, seed: int, srpic: bool) -> TransferResult:
+def run_transfer(cfg: "ScenarioConfig", *, seed: int, srpic: bool) -> list[TransferMetrics]:
     """Run one arm of a scenario at one seed: every stream independently,
-    one result each plus the aggregate.  ``srpic`` selects the sorter arm."""
-    streams = [_StreamSim(cfg, seed, sid, srpic).run() for sid in range(cfg.num_streams)]
-    return TransferResult(streams=streams, aggregate=_aggregate(streams))
+    one result each, in stream order.  ``srpic`` selects the sorter arm."""
+    return [_StreamSim(cfg, seed, sid, srpic).run() for sid in range(cfg.num_streams)]

@@ -406,7 +406,8 @@ class EagerTimerSim(_StreamSim):
             self._deadline = float("inf")
             return
         self._deadline = self.now + self.sender.rto_us()
-        self._push(self._deadline, 3, "rto", self.sender.snd_una)
+        self._evseq += 1
+        heapq.heappush(self._heap, (self._deadline, 3, self._evseq, "rto", self.sender.snd_una))
 
     def _on_timeout_event(self, snapshot):
         if self.now + 1e-9 < self._deadline:

@@ -187,7 +187,7 @@ def test_criterion_4_hold_delay_bounds():
     for beta in (0.0, 0.002, 0.1):
         point = override_param(_scaled(cfg, (1, 2)), "beta", beta)
         for seed in point.seeds:
-            m = run_transfer(point, seed=seed, srpic=True).aggregate
+            m = run_transfer(point, seed=seed, srpic=True)[0]
             worst = max(worst, m.max_hold_delay_us)
     ok = worst <= block_bound and worst <= ring_bound
     report(
@@ -253,7 +253,7 @@ def test_criterion_6_drops_only_no_harm():
         sums = {"off": [0.0, 0.0, 0.0], "on": [0.0, 0.0, 0.0]}
         for seed in point.seeds:
             for arm, key in ((False, "off"), (True, "on")):
-                m = run_transfer(point, seed=seed, srpic=arm).aggregate
+                m = run_transfer(point, seed=seed, srpic=arm)[0]
                 sums[key][0] += m.goodput_proxy
                 sums[key][1] += m.pkts_retrans
                 sums[key][2] += m.dup_acks_in
@@ -279,8 +279,8 @@ def test_criterion_7_adaptive_sender_contrast():
     dup = {"off": 0, "on": 0}
     wins = 0
     for seed in cfg.seeds:
-        base = run_transfer(cfg, seed=seed, srpic=False).aggregate
-        srpic = run_transfer(cfg, seed=seed, srpic=True).aggregate
+        base = run_transfer(cfg, seed=seed, srpic=False)[0]
+        srpic = run_transfer(cfg, seed=seed, srpic=True)[0]
         frac["off"].append(base.pkts_retrans / base.segments_sent)
         frac["on"].append(srpic.pkts_retrans / srpic.segments_sent)
         dup["off"] += base.dup_acks_in

@@ -144,6 +144,20 @@ class TestPathConfig:
         with pytest.raises(ValueError):
             PathConfig(drop_rate=1.5)
 
+    @pytest.mark.parametrize(
+        "alpha_ms, beta, message",
+        [
+            (1.0e306, 0.0, "alpha_ms \\* 1000"),
+            (2.5, 1.0e306, "beta \\* alpha_ms \\* 1000"),
+            (1.0e300, 1.0e10, "beta \\* alpha_ms \\* 1000"),
+        ],
+    )
+    def test_delay_infinite_in_microseconds_rejected(self, alpha_ms, beta, message):
+        # Finite in milliseconds but infinite in microseconds: the mean or
+        # the std-dev of the draws would be inf, and every delay 0 or inf.
+        with pytest.raises(ValueError, match=message):
+            PathConfig(alpha_ms=alpha_ms, beta=beta)
+
     def test_streams_are_reproducible_per_seed(self):
         cfg = PathConfig(alpha_ms=1.0, beta=0.1, drop_rate=0.3, seed=99)
         s1 = PathStreams(cfg)

@@ -263,7 +263,7 @@ def test_rearms_at_one_instant_keep_the_first_expiry():
         max_cwnd=2,
         segment_spacing_us=0.5,
     )
-    m = run_transfer(cfg, seed=136, srpic=True).aggregate
+    m = run_transfer(cfg, seed=136, srpic=True)[0]
     assert (m.pkts_retrans, m.segments_sent, m.bytes_acked) == (1, 23, 31856)
 
 
@@ -343,7 +343,8 @@ def test_an_ack_at_the_timeout_instant_comes_first(srpic_on):
     )
     sim = _StreamSim(cfg, 1, 0, srpic_on)
     rto = sim.sender.rto_us()
-    sim._push(rto, _PRIO_ACK, "ack", AckRecord(ack_seq=MSS))
+    sim._evseq += 1
+    heapq.heappush(sim._heap, (rto, _PRIO_ACK, sim._evseq, "ack", AckRecord(ack_seq=MSS)))
     sim.hard_stop_us = 2.5 * rto
     sim.run()
     assert sim.sender.bytes_acked == MSS
@@ -368,6 +369,6 @@ SLOW_ACKS = st.builds(
 def test_in_order_arrivals_give_the_same_metrics_in_both_arms(cfg, seed):
     bound_us = hold_delay_bound(cfg.srpic.block_size, cfg.coalescing.r_sn_pps)
     assert cfg.rev.alpha_ms * 1000.0 > bound_us
-    off = run_transfer(cfg, seed=seed, srpic=False).streams[0]
-    on = run_transfer(cfg, seed=seed, srpic=True).streams[0]
+    off = run_transfer(cfg, seed=seed, srpic=False)[0]
+    on = run_transfer(cfg, seed=seed, srpic=True)[0]
     assert replace(on, max_hold_delay_us=0.0) == replace(off, max_hold_delay_us=0.0)

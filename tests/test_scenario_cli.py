@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -152,6 +153,16 @@ class TestConfigLoading:
         path.write_text(SMALL_YAML.replace("duration: 0.2", "duration: 0"), "utf-8")
         with pytest.raises(ConfigError, match="duration"):
             load_scenario(str(path))
+
+    def test_repeated_seeds_found_in_one_pass(self):
+        # Every replace validates again (each sweep point, --seed-count),
+        # so the check must stay linear in the number of seeds.
+        seeds = (*range(200_000), 150_000, 3)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(name="many", duration=0.1, seeds=seeds)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == "seeds: [3, 150000] repeated; each seed runs once"
 
     @pytest.mark.parametrize("isn", [-1, 2**32, 1.5, "x"])
     def test_isn_out_of_range_rejected(self, tmp_path, isn):
@@ -536,6 +547,30 @@ class TestCli:
         if isinstance(value, float):
             with pytest.raises(ConfigError, match=key):
                 override_param(tiny_cfg(), key, value)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("duration", 1.0e303, "duration: duration * 1e6"),
+            ("fwd.alpha_ms", 1.0e306, "alpha_ms * 1000"),
+            ("fwd.beta", 1.0e306, "beta * alpha_ms * 1000"),
+        ],
+    )
+    def test_value_infinite_in_microseconds_exits_2(
+        self, key, value, message, tiny_config, tmp_path, capsys, no_run
+    ):
+        # Finite in the file, but infinite once the run scales it to
+        # microseconds: a run that never ends, or delays that clamp to 0.
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(with_key(key, value)), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        section = key.rpartition(".")[0] or key
+        assert f"{section}: " in err and message in err and "Traceback" not in err
+        args = ["sweep", str(tiny_config), "--param", key, "--values", repr(value)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: " in err and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text, column",
