@@ -35,10 +35,10 @@ class PathConfig:
             raise ValueError("alpha_ms must be >= 0")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if not math.isfinite(self.alpha_ms * 1000.0):
-            raise ValueError("alpha_ms * 1000 (the mean delay in us) must be finite")
-        if not math.isfinite(self.beta * (self.alpha_ms * 1000.0)):
-            raise ValueError("beta * alpha_ms * 1000 (the delay std-dev in us) must be finite")
+        # A draw is mean + x * std, |x| <= 8.21 for random() > 0: 9 std-devs bound it.
+        mean_us = self.alpha_ms * 1000.0
+        if not math.isfinite(mean_us + 9.0 * (self.beta * mean_us)):
+            raise ValueError("alpha_ms * 1000 + 9 * beta * alpha_ms * 1000 (in us) must be finite")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
 

@@ -64,18 +64,22 @@ def _guarded_ceil(x: float) -> int:
     return math.ceil(x - 1e-9 * max(1.0, abs(x)))
 
 
-def block_size_closed_form(p_rate: float, params: CoalescingParams) -> int:
-    """Steady-state packets per coalescing cycle at arrival rate ``p_rate``.
-
-    ``p_rate`` is in packets/second and must stay below the service rate,
-    otherwise the sender overruns the receiver and no finite cycle exists.
-    """
+def _check_below_saturation(p_rate: float, params: CoalescingParams) -> None:
     if p_rate < 0:
         raise ValueError("p_rate must be >= 0")
     if p_rate >= params.r_sn_pps:
         raise ReceiverSaturationError(
             f"arrival rate {p_rate} pps >= service rate {params.r_sn_pps} pps"
         )
+
+
+def block_size_closed_form(p_rate: float, params: CoalescingParams) -> int:
+    """Steady-state packets per coalescing cycle at arrival rate ``p_rate``.
+
+    ``p_rate`` is in packets/second and must stay below the service rate,
+    otherwise the sender overruns the receiver and no finite cycle exists.
+    """
+    _check_below_saturation(p_rate, params)
     t_intr_s = params.t_intr_us * 1e-6
     value = (1.0 + t_intr_s * p_rate) * params.r_sn_pps / (params.r_sn_pps - p_rate)
     return _guarded_ceil(value)
@@ -100,12 +104,7 @@ def block_size_cbr(p_rate: float, params: CoalescingParams) -> int:
     ``k + 1``.  Unlike that closed form, this count carries no
     random-incidence term, which equally spaced arrivals do not realize.
     """
-    if p_rate < 0:
-        raise ValueError("p_rate must be >= 0")
-    if p_rate >= params.r_sn_pps:
-        raise ReceiverSaturationError(
-            f"arrival rate {p_rate} pps >= service rate {params.r_sn_pps} pps"
-        )
+    _check_below_saturation(p_rate, params)
     gap_us = 1e6 / p_rate if p_rate else math.inf
     return max(1, _guarded_ceil(params.t_intr_us / (gap_us - params.quantum_us)))
 

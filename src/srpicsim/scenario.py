@@ -106,8 +106,8 @@ def _settable(cls) -> dict[str, str]:
 def _coerce(key: str, declared: str, value):
     """Return ``value`` as the declared type of ``key``, exactly.
 
-    An int takes no fractional part, a bool is true/false (or 1/0), a
-    float is finite and a str is a string; anything else is a ConfigError.
+    An int is integral and converts to a float, a bool is true/false (or
+    1/0), a float is finite and a str is a string; else a ConfigError.
     """
     if declared == "tuple[int, ...]":
         if not isinstance(value, (list, tuple)):
@@ -126,6 +126,11 @@ def _coerce(key: str, declared: str, value):
         or (declared == "float" and not math.isfinite(coerced))
     ):
         raise ConfigError(f"{key}: {value!r} is not a valid {declared}")
+    if declared == "int":
+        try:
+            float(coerced)  # a run scales some ints as floats
+        except OverflowError:
+            raise ConfigError(f"{key}: is too large to convert to a float") from None
     return coerced
 
 
@@ -196,7 +201,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else path
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or a value YAML cannot build
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         return scenario_from_mapping(doc)

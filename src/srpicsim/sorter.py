@@ -6,20 +6,18 @@ Each TCP stream gets a manager holding three ordered lists:
 * ``prev_list`` — out-of-order packets below the next expected sequence;
 * ``after_list`` — out-of-order packets above it.
 
-Most packets arrive in sequence and cost one append.  A manager flushes
-(``prev ++ curr ++ after``, then reinit) when it accumulates
-``block_size`` packets; the engine additionally flushes every manager at
-the end of each coalescing cycle and whenever the global packet count
-reaches the ring-buffer size, so no flow can stall another flow's
-delivery for longer than one ring worth of service time.
+Most packets arrive in sequence and cost one append.  ``SrpicEngine.ingest``
+is the one way in: it flushes a manager (``prev ++ curr ++ after``, then
+reinit) when it holds the engine's ``block_size`` packets, and every
+manager when the global packet count reaches the ring-buffer size, so no
+flow stalls another flow's delivery beyond one ring of service time;
+``end_cycle`` flushes every manager at the end of each coalescing cycle.
 
 Serial order is ``packets.seq_cmp``'s.  The per-packet paths write its
 tests out inline, and the tests check each inline form against it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable
 
@@ -41,20 +39,21 @@ def _sorted_insert(lst: list[Packet], p: Packet) -> None:
     lst.insert(i, p)
 
 
-@dataclass
 class SrpicManager:
-    """Sorter state for one flow.
+    """Sorter state for one flow; its engine holds the block size.
 
     ``next_exp`` is meaningful only while ``packet_cnt`` > 0; the first
     packet of a block always seeds ``curr_list`` and defines it.
     """
 
-    block_size: int = DEFAULT_BLOCK_SIZE
-    packet_cnt: int = 0
-    next_exp: int = 0
-    prev_list: list[Packet] = field(default_factory=list)
-    curr_list: list[Packet] = field(default_factory=list)
-    after_list: list[Packet] = field(default_factory=list)
+    __slots__ = ("packet_cnt", "next_exp", "prev_list", "curr_list", "after_list")
+
+    def __init__(self) -> None:
+        self.packet_cnt = 0
+        self.next_exp = 0
+        self.prev_list: list[Packet] = []
+        self.curr_list: list[Packet] = []
+        self.after_list: list[Packet] = []
 
     def add(self, p: Packet) -> None:
         """Route one suitable packet into the three lists (no flush check)."""
@@ -85,15 +84,6 @@ class SrpicManager:
         return out
 
 
-def accept(manager: SrpicManager, p: Packet) -> list[Packet] | None:
-    """Feed one suitable packet to a manager; returns the flushed block
-    when this packet filled it, else None."""
-    manager.add(p)
-    if manager.packet_cnt >= manager.block_size:
-        return manager.flush()
-    return None
-
-
 class SrpicEngine:
     """Sorting engine over all flows seen on one receive path.
 
@@ -115,13 +105,6 @@ class SrpicEngine:
         self.managers: dict[FlowKey, SrpicManager] = {}  # in creation order
         self.global_packet_cnt = 0
 
-    def find_or_create_manager(self, key: FlowKey) -> SrpicManager:
-        m = self.managers.get(key)
-        if m is None:
-            m = SrpicManager(block_size=self.block_size)
-            self.managers[key] = m
-        return m
-
     def ingest(self, p: Packet) -> list[Packet]:
         """Process one packet fetched from the ring; returns everything
         delivered upward at this point (possibly empty).
@@ -134,9 +117,9 @@ class SrpicEngine:
             return [p]
         m = self.managers.get(p.flow)
         if m is None:
-            m = self.find_or_create_manager(p.flow)
-        m.add(p)  # accept(m, p), written out
-        out = m.flush() if m.packet_cnt >= m.block_size else []
+            m = self.managers[p.flow] = SrpicManager()
+        m.add(p)
+        out = m.flush() if m.packet_cnt >= self.block_size else []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
             out += self.flush_all()
@@ -158,16 +141,3 @@ class SrpicEngine:
     def end_cycle(self) -> list[Packet]:
         """End-of-coalescing flush: everything still held goes upward."""
         return self.flush_all()
-
-    def process_cycle(self, fetched: list[Packet]) -> list[Packet]:
-        """Run one coalescing cycle's fetch order through the sorter.
-
-        Output is a permutation of the input: unsuitable packets appear
-        at their fetch position, sorted blocks at their flush points, and
-        the cycle ends with a flush of all managers.
-        """
-        out: list[Packet] = []
-        for p in fetched:
-            out.extend(self.ingest(p))
-        out.extend(self.end_cycle())
-        return out

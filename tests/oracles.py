@@ -13,7 +13,8 @@ step that ``metrics`` writes out inline, and ``add_only_walk`` and
 walks that the inline in-order steps must reproduce state for state.  ``RecordingSim`` records the packet orders and the
 cycle sizes that a TCP run does not keep, and ``first_copies`` and
 ``first_copy_reports`` feed such whole orders through the run's
-``metrics.FirstCopyReports``.
+``metrics.FirstCopyReports``.  ``sort_cycle`` runs one cycle's fetch order
+through a sorter engine.
 """
 
 import heapq
@@ -35,7 +36,7 @@ from srpicsim.metrics import (
     reordered_count,
 )
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
-from srpicsim.sorter import SrpicEngine, accept
+from srpicsim.sorter import SrpicEngine, SrpicManager
 from srpicsim.tcp import _StreamSim, sender_on_timeout, sender_start
 
 FLOW = FlowKey(1, 2, 1000, 2000)
@@ -365,16 +366,24 @@ def reference_apply_path(trace, cfg):
     return survivors
 
 
+def sort_cycle(engine, fetched):
+    """One coalescing cycle through the sorter: ``ingest`` on each fetched
+    packet, then ``end_cycle``, as ``ReceivePath.service`` calls them."""
+    out = [q for p in fetched for q in engine.ingest(p)]
+    return out + engine.end_cycle()
+
+
 class ReferenceEngine(SrpicEngine):
     """Sorter engine with the plain ``ingest``/``flush_all`` pair: every
-    packet looks its manager up through ``find_or_create_manager`` and
-    every manager is flushed, empty or not."""
+    packet looks its manager up through ``dict.setdefault`` and flushes it
+    when it holds a block, and every manager is flushed, empty or not."""
 
     def ingest(self, p):
         if not is_suitable(p):
             return [p]
-        m = self.find_or_create_manager(p.flow)
-        out = accept(m, p) or []
+        m = self.managers.setdefault(p.flow, SrpicManager())
+        m.add(p)
+        out = m.flush() if m.packet_cnt >= self.block_size else []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
             out = out + self.flush_all()

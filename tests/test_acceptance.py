@@ -34,6 +34,7 @@ from oracles import (
     first_empty,
     make_trace,
     rejects_empty_payload,
+    sort_cycle,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -66,7 +67,7 @@ def test_criterion_1_golden_sorting_walk():
         ([1], [2, 3, 4], [6, 7], 5),
         ([1], [2, 3, 4, 5], [6, 7], 6),
     ]
-    m = SrpicManager(block_size=7)
+    m = SrpicManager()
     seen = [([], [], [], 0)]
     for p in make_trace([2, 3, 1, 4, 6, 7, 5]):
         m.add(p)
@@ -82,7 +83,7 @@ def test_criterion_1_golden_sorting_walk():
     ok = seen == expected_states and flushed == [1, 2, 3, 4, 5, 6, 7]
     # same trace through the engine must flush automatically at the block cap
     eng = SrpicEngine(block_size=7)
-    out = [p.seq for p in eng.process_cycle(make_trace([2, 3, 1, 4, 6, 7, 5]))]
+    out = [p.seq for p in sort_cycle(eng, make_trace([2, 3, 1, 4, 6, 7, 5]))]
     report("1 (golden sorting walk)", ok and out == [1, 2, 3, 4, 5, 6, 7])
 
 
@@ -105,7 +106,7 @@ def test_criterion_2_block_sorting_always_reduces():
         nonzero_pre += pre > 0
         for block in (5, 10, 20):
             eng = SrpicEngine(block_size=block, ringbuffer_size=512)
-            post, _ = reordered_count(eng.process_cycle(trace))
+            post, _ = reordered_count(sort_cycle(eng, trace))
             reduced[block] += post <= pre
             if block == 20:
                 zeroed += post == 0

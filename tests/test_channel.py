@@ -1,3 +1,4 @@
+import math
 import random
 import statistics
 
@@ -150,13 +151,20 @@ class TestPathConfig:
             (1.0e306, 0.0, "alpha_ms \\* 1000"),
             (2.5, 1.0e306, "beta \\* alpha_ms \\* 1000"),
             (1.0e300, 1.0e10, "beta \\* alpha_ms \\* 1000"),
+            # Mean and std-dev are finite (1e308 us each), but mean + x * std
+            # overflows for x above about 0.8: many draws would be inf or 0.
+            (1.0e305, 1.0, "9 \\* beta \\* alpha_ms \\* 1000"),
         ],
     )
     def test_delay_infinite_in_microseconds_rejected(self, alpha_ms, beta, message):
-        # Finite in milliseconds but infinite in microseconds: the mean or
-        # the std-dev of the draws would be inf, and every delay 0 or inf.
+        # Finite in milliseconds but infinite in microseconds: the mean, the
+        # std-dev or the far tail of the draws would be inf.
         with pytest.raises(ValueError, match=message):
             PathConfig(alpha_ms=alpha_ms, beta=beta)
+
+    def test_every_draw_finite_at_the_accepted_extreme(self):
+        streams = PathStreams(PathConfig(alpha_ms=1.0e300, beta=1.0, seed=3))
+        assert all(math.isfinite(streams.next_delay_us()) for _ in range(10_000))
 
     def test_streams_are_reproducible_per_seed(self):
         cfg = PathConfig(alpha_ms=1.0, beta=0.1, drop_rate=0.3, seed=99)

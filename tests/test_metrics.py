@@ -33,6 +33,7 @@ from oracles import (
     reference_classify,
     reference_report,
     rejects_empty_payload,
+    sort_cycle,
     walk_state,
 )
 
@@ -48,7 +49,7 @@ class TestReorderedCount:
 
     def test_sorted_output_clean(self):
         eng = SrpicEngine(block_size=7)
-        out = eng.process_cycle(make_trace([2, 3, 1, 4, 6, 7, 5]))
+        out = sort_cycle(eng, make_trace([2, 3, 1, 4, 6, 7, 5]))
         assert reordered_count(out) == (0, 0.0)
 
     def test_empty(self):

@@ -197,7 +197,7 @@ class TestInlineSerialTests:
     @settings(max_examples=300, derandomize=True)
     @given(first=SERIAL, seq=SERIAL, length=st.integers(1, 3))
     def test_manager_add_picks_lists_by_seq_cmp(self, first, seq, length):
-        m = SrpicManager(block_size=64)
+        m = SrpicManager()
         m.add(pkt(seq=first, payload_len=length))
         next_exp = payload_end(pkt(seq=first, payload_len=length))
         assert m.next_exp == next_exp

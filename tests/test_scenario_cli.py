@@ -491,6 +491,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "latin1.yaml: " in err and "utf-8" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line", ["max_cwnd: 1" + "0" * 5000, "name: 2020-13-45"], ids=["5001-digit-int", "month-13"]
+    )
+    def test_value_yaml_cannot_build_exits_2(self, line, tmp_path, capsys, no_run):
+        # YAML's own constructors raise ValueError on these, not YAMLError.
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"duration: 0.05\n{line}\n", encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.yaml: " in err and "Traceback" not in err
+
     def test_repeated_seed_exits_2(self, tmp_path, capsys, no_run):
         # Rows of one seed twice would make a CSV that compare rejects.
         path = tmp_path / "dup.yaml"
@@ -536,6 +547,9 @@ class TestCli:
             ("duration", math.inf),
             ("fwd.beta", math.nan),
             ("coalescing.r_sn_pps", math.inf),
+            # Too large for a float: the run would raise OverflowError.
+            pytest.param("max_cwnd", 10**400, id="max_cwnd-10**400"),
+            pytest.param("srpic.block_size", 10**400, id="srpic.block_size-10**400"),
         ],
     )
     def test_bad_value_exits_2(self, key, value, tmp_path, capsys, no_run):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from srpicsim.metrics import reordered_count
 from srpicsim.packets import FlowKey, Packet, TcpFlags, is_suitable
-from srpicsim.sorter import SrpicEngine, SrpicManager, accept
+from srpicsim.sorter import SrpicEngine, SrpicManager
 
-from oracles import FLOW, ReferenceEngine, make_trace
+from oracles import FLOW, ReferenceEngine, make_trace, sort_cycle
 
 FLOW_B = FlowKey(3, 4, 1111, 2222)
 
@@ -20,7 +20,7 @@ class TestManagerGolden:
     """Step-by-step list states for the arrival order 2,3,1,4,6,7,5."""
 
     def states(self):
-        m = SrpicManager(block_size=7)
+        m = SrpicManager()
         observed = [(seqs(m.prev_list), seqs(m.curr_list), seqs(m.after_list), m.next_exp)]
         for p in make_trace([2, 3, 1, 4, 6, 7, 5]):
             m.add(p)
@@ -49,20 +49,19 @@ class TestManagerGolden:
         assert m.next_exp == 0
         assert m.prev_list == m.curr_list == m.after_list == []
 
-    def test_accept_triggers_flush_at_block_size(self):
-        m = SrpicManager(block_size=7)
+    def test_ingest_flushes_at_block_size(self):
+        eng = SrpicEngine(block_size=7)
         trace = make_trace([2, 3, 1, 4, 6, 7, 5])
         for p in trace[:-1]:
-            assert accept(m, p) is None
-        flushed = accept(m, trace[-1])
-        assert seqs(flushed) == [1, 2, 3, 4, 5, 6, 7]
+            assert eng.ingest(p) == []
+        assert seqs(eng.ingest(trace[-1])) == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestManagerBasics:
     def test_single_packet_no_flush(self):
-        m = SrpicManager(block_size=32)
-        assert accept(m, make_trace([9])[0]) is None
-        assert seqs(m.curr_list) == [9]
+        eng = SrpicEngine(block_size=32)
+        assert eng.ingest(make_trace([9])[0]) == []
+        assert seqs(eng.managers[FLOW].curr_list) == [9]
 
     def test_flush_empty_manager(self):
         assert SrpicManager().flush() == []
@@ -94,20 +93,21 @@ class TestManagerBasics:
 class TestEngine:
     def test_find_or_create(self):
         eng = SrpicEngine()
-        m1 = eng.find_or_create_manager(FLOW)
-        assert m1.packet_cnt == 0
-        assert eng.find_or_create_manager(FLOW) is m1
-        eng.find_or_create_manager(FLOW_B)
+        eng.ingest(make_trace([1])[0])
+        eng.ingest(make_trace([1], flow=FLOW_B)[0])
         assert list(eng.managers) == [FLOW, FLOW_B]
+        eng.ingest(make_trace([2])[0])
+        assert list(eng.managers) == [FLOW, FLOW_B]
+        assert eng.managers[FLOW].packet_cnt == 2
 
     def test_in_order_cycle_is_identity(self):
         eng = SrpicEngine()
         trace = make_trace(list(range(1, 11)))
-        assert eng.process_cycle(trace) == trace
+        assert sort_cycle(eng, trace) == trace
 
     def test_golden_cycle(self):
         eng = SrpicEngine(block_size=7)
-        out = eng.process_cycle(make_trace([2, 3, 1, 4, 6, 7, 5]))
+        out = sort_cycle(eng, make_trace([2, 3, 1, 4, 6, 7, 5]))
         assert seqs(out) == [1, 2, 3, 4, 5, 6, 7]
 
     def test_unsuitable_delivered_immediately(self):
@@ -115,7 +115,7 @@ class TestEngine:
         trace = make_trace([2, 3, 9, 4])
         syn = Packet(flow=FLOW, seq=9, payload_len=1, flags=TcpFlags.SYN)
         trace[2] = syn
-        out = eng.process_cycle(trace)
+        out = sort_cycle(eng, trace)
         # the SYN precedes the held data block
         assert out[0] is syn
         assert seqs(out[1:]) == [2, 3, 4]
@@ -124,7 +124,7 @@ class TestEngine:
         a = make_trace([1, 2, 3])
         b = make_trace([1, 2, 3], flow=FLOW_B)
         eng = SrpicEngine(block_size=2)
-        out = eng.process_cycle([a[0], b[0], a[1], b[1], a[2], b[2]])
+        out = sort_cycle(eng, [a[0], b[0], a[1], b[1], a[2], b[2]])
         # each flow's pair flushes when it fills; leftovers flush in
         # creation order at end of cycle
         assert [(p.flow is FLOW, p.seq) for p in out] == [
@@ -200,7 +200,7 @@ class TestEngineProperties:
     def test_multiset_preserved_and_unsuitable_in_order(self, data, block_size, ring):
         trace = _suitable_trace([d[0] for d in data], [d[1] for d in data])
         eng = SrpicEngine(block_size=block_size, ringbuffer_size=max(ring, block_size))
-        out = eng.process_cycle(trace)
+        out = sort_cycle(eng, trace)
         assert sorted(p.send_index for p in out) == list(range(len(trace)))
         unsuitable_in = [p.send_index for p in trace if not is_suitable(p)]
         unsuitable_out = [p.send_index for p in out if not is_suitable(p)]
@@ -215,13 +215,13 @@ class TestEngineProperties:
         trace = make_trace(list(perm))
         pre, _ = reordered_count(trace)
         eng = SrpicEngine(block_size=block_size)
-        post, _ = reordered_count(eng.process_cycle(trace))
+        post, _ = reordered_count(sort_cycle(eng, trace))
         assert post <= pre
 
     def test_full_block_sort_yields_zero(self):
         for perm in itertools.islice(itertools.permutations(range(1, 8)), 0, 5040, 97):
             eng = SrpicEngine(block_size=7)
-            out = eng.process_cycle(make_trace(list(perm)))
+            out = sort_cycle(eng, make_trace(list(perm)))
             assert seqs(out) == list(range(1, 8))
 
     @given(perm=st.permutations(list(range(1, 10))))
