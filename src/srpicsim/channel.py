@@ -14,11 +14,12 @@ import math
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from statistics import NormalDist
+from statistics import NormalDist, StatisticsError
 
 from .packets import Packet
 
-_ARRIVAL_ORDER = attrgetter("arrival_time", "send_index")
+_SEND_INDEX = attrgetter("send_index")
+_ARRIVAL_TIME = attrgetter("arrival_time")
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,26 @@ class PathStreams:
     def next_delay_us(self) -> float:
         if self._delay_at is None:
             return self._mean_us
-        d = self._delay_at(self._delay_rng.random())
+        try:
+            d = self._delay_at(self._delay_rng.random())
+        except StatisticsError:
+            # random() gave exactly 0.0, outside inv_cdf's 0 < u < 1.  As
+            # u -> 0 the draw falls toward -inf, which clamps to zero.
+            return 0.0
         return d if d > 0.0 else 0.0
 
 
 def apply_path(trace: list[Packet], cfg: PathConfig) -> list[Packet]:
     """Send a send-ordered trace through the path; returns survivors in
-    arrival order (ties broken by send_index, i.e. FIFO)."""
+    arrival order.
+
+    Equal arrival times go by ``send_index`` (FIFO), then by trace order:
+    the order of the key ``(arrival_time, send_index)``.  Two stable sorts
+    give it without building a key tuple per packet.  The first, by
+    ``send_index``, is a single pass over a send-ordered trace; the second,
+    by ``arrival_time`` alone, compares plain floats, and its stability
+    keeps the first sort's order among equal arrival times.
+    """
     streams = PathStreams(cfg)
     next_dropped = streams.next_dropped
     next_delay_us = streams.next_delay_us
@@ -103,5 +117,6 @@ def apply_path(trace: list[Packet], cfg: PathConfig) -> list[Packet]:
                 p.send_time + delay,
             )
         )
-    survivors.sort(key=_ARRIVAL_ORDER)
+    survivors.sort(key=_SEND_INDEX)
+    survivors.sort(key=_ARRIVAL_TIME)
     return survivors

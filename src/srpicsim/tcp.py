@@ -18,7 +18,9 @@ sorter) -> receiver -> reverse path -> ACK processing.  The loop takes the
 earliest of three instants: the next ring service completion, the top of
 a heap that holds only packet and ACK arrivals, and the retransmission
 timeout.  Ties go to ring service first, then to the heap (packet
-arrivals before ACKs), then to the timeout.  The timer is one RFC
+arrivals before ACKs), then to the timeout.  A heap item is
+``(time, priority, event number, kind, payload)``, and the loop runs a
+popped item's arrival or ACK step by its priority.  The timer is one RFC
 6298-style timer, re-armed whenever the cumulative ACK advances.
 
 ``metrics.FirstCopyReports`` builds a run's reordering reports as packets
@@ -492,10 +494,6 @@ class _StreamSim:
 
     # -- receive path -------------------------------------------------------
 
-    def _on_arrival(self, p: Packet) -> None:
-        self.reorder.arrive(p)
-        self.path.arrive(p, self.now)
-
     def _deliver_one(self, p: Packet, stamp: float) -> None:
         self.reorder.deliver(p)
         ack = receiver_on_segment(self.receiver, p)
@@ -513,13 +511,6 @@ class _StreamSim:
 
     # -- sender events -------------------------------------------------------
 
-    def _on_ack(self, ack: AckRecord) -> None:
-        before = self.sender.snd_una
-        for seg in sender_on_ack(self.sender, ack, self.now):
-            self._transmit(seg.seq, seg.length)
-        if self.sender.snd_una != before:
-            self._arm_rto()
-
     def _on_rto(self) -> None:
         if self.sender.snd_una == self._rto_snapshot:
             self._emit_actions(sender_on_timeout(self.sender, self.now))
@@ -530,20 +521,29 @@ class _StreamSim:
     def run(self) -> TransferMetrics:
         self._emit_actions(sender_start(self.sender, 0.0))
         self._arm_rto()
-        handlers = {"arr": self._on_arrival, "ack": self._on_ack}
         heap = self._heap
         hard_stop = self.hard_stop_us
         path, deliver = self.path, self._deliver_one
+        sender, arrive = self.sender, self.reorder.arrive
+        transmit = self._transmit
         while True:
             t = path.svc_t
             rto_t = self._rto_t
             top = heap[0][0] if heap else _INF
             if top < t and top <= rto_t:
-                t, _prio, _n, kind, payload = heapq.heappop(heap)
+                t, prio, _n, _kind, payload = heapq.heappop(heap)
                 if t > hard_stop:
                     break
                 self.now = t
-                handlers[kind](payload)
+                if prio == _PRIO_ARRIVAL:
+                    arrive(payload)
+                    path.arrive(payload, t)
+                else:  # _PRIO_ACK
+                    before = sender.snd_una
+                    for seg in sender_on_ack(sender, payload, t):
+                        transmit(seg.seq, seg.length)
+                    if sender.snd_una != before:
+                        self._arm_rto()
             elif rto_t < t:
                 if rto_t > hard_stop:
                     break

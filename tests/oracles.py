@@ -37,7 +37,7 @@ from srpicsim.metrics import (
 )
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
 from srpicsim.sorter import SrpicEngine, SrpicManager
-from srpicsim.tcp import _StreamSim, sender_on_timeout, sender_start
+from srpicsim.tcp import _StreamSim, sender_on_ack, sender_on_timeout, sender_start
 
 FLOW = FlowKey(1, 2, 1000, 2000)
 
@@ -405,10 +405,22 @@ class EagerTimerSim(_StreamSim):
     priority 3), ring service comes before every heap event, and a popped
     timeout is ignored while the latest deadline is more than 1e-9 away.
     The loop below is the two-source loop (ring service, then the heap)
-    that this timer ran under.
+    that this timer ran under, dispatching on each item's kind through a
+    table of handlers.
     """
 
     _deadline = float("inf")
+
+    def _on_arrival(self, p):
+        self.reorder.arrive(p)
+        self.path.arrive(p, self.now)
+
+    def _on_ack(self, ack):
+        before = self.sender.snd_una
+        for seg in sender_on_ack(self.sender, ack, self.now):
+            self._transmit(seg.seq, seg.length)
+        if self.sender.snd_una != before:
+            self._arm_rto()
 
     def _arm_rto(self):
         if not self.sender.retransmit_queue:
@@ -452,12 +464,17 @@ class EagerTimerSim(_StreamSim):
 
 
 class RecordingPath(ReceivePath):
-    """Receive path that records the size of each cycle as its ring
-    empties."""
+    """Receive path that records every packet that arrives, in arrival
+    order, and the size of each cycle as its ring empties."""
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.arrivals = []
         self.cycle_sizes = []
+
+    def arrive(self, p, now):
+        self.arrivals.append(p)
+        super().arrive(p, now)
 
     def service(self, deliver=None):
         before = self.cycle_packets
@@ -467,19 +484,16 @@ class RecordingPath(ReceivePath):
 
 
 class RecordingSim(_StreamSim):
-    """TCP stream that records every packet it takes from the path, in
-    arrival order, and every packet it hands to the receiver, in delivery
-    order, and whose ``RecordingPath`` records the size of each cycle."""
+    """TCP stream that records every packet it hands to the receiver, in
+    delivery order, and whose ``RecordingPath`` records every packet that
+    arrives, in arrival order (as ``arrivals``), and the size of each
+    cycle."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.path = RecordingPath(self.cfg.coalescing, self.path.engine)
-        self.arrivals = []
+        self.arrivals = self.path.arrivals
         self.deliveries = []
-
-    def _on_arrival(self, p):
-        self.arrivals.append(p)
-        super()._on_arrival(p)
 
     def _deliver_one(self, p, stamp):
         self.deliveries.append(p)

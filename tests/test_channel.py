@@ -124,6 +124,33 @@ class TestApplyPathOracle:
         cfg = PathConfig(alpha_ms=0.01, beta=beta, drop_rate=drop_rate, seed=seed)
         assert apply_path(trace, cfg) == reference_apply_path(trace, cfg)
 
+    @given(
+        packets=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 5)), max_size=40
+        ),
+        drop_rate=st.sampled_from([0.0, 0.3]),
+        beta=st.sampled_from([0.0, 0.002, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, derandomize=True)
+    def test_matches_reference_in_any_trace_order(self, packets, drop_rate, beta, seed):
+        # (flow, send_index, send slot) in the trace's own order: send_index
+        # need not follow it and repeats within and across flows, and with
+        # beta 0 a repeated send slot is an exact arrival tie.  A distinct
+        # seq per trace position makes equal lists equal in order.
+        trace = [
+            Packet(
+                flow=FlowKey(9, 8, 7, flow),
+                seq=i,
+                payload_len=1,
+                send_index=index,
+                send_time=slot * 5.0,
+            )
+            for i, (flow, index, slot) in enumerate(packets)
+        ]
+        cfg = PathConfig(alpha_ms=0.01, beta=beta, drop_rate=drop_rate, seed=seed)
+        assert apply_path(trace, cfg) == reference_apply_path(trace, cfg)
+
     def test_tied_arrivals_keep_send_order(self):
         trace = [
             Packet(flow=FLOW, seq=i, payload_len=1, send_index=i, send_time=7.0)
@@ -188,6 +215,27 @@ class TestPathConfig:
         for _ in range(500):
             d = mean + std * statistics.NormalDist().inv_cdf(rng.random())
             assert streams.next_delay_us() == (d if d > 0.0 else 0.0)
+
+    @pytest.mark.parametrize("alpha_ms, beta", [(2.5, 0.02), (0.001, 50.0)])
+    def test_a_zero_uniform_draws_zero_delay_and_shifts_nothing(self, alpha_ms, beta):
+        # random() may return exactly 0.0, outside inv_cdf's domain.  That
+        # draw is 0.0, the clamp's limit as u -> 0, and it takes one value
+        # of the stream like any other: the next draw is the second draw of
+        # an unpatched stream.
+        cfg = PathConfig(alpha_ms=alpha_ms, beta=beta, seed=8)
+        unpatched = PathStreams(cfg)
+        expected = [unpatched.next_delay_us() for _ in range(3)][1:]
+        streams = PathStreams(cfg)
+        real = streams._delay_rng.random
+        zero = [0.0]
+
+        def random_giving_zero_first():
+            u = real()
+            return zero.pop() if zero else u
+
+        streams._delay_rng.random = random_giving_zero_first
+        assert streams.next_delay_us() == 0.0
+        assert [streams.next_delay_us(), streams.next_delay_us()] == expected
 
     @pytest.mark.parametrize("alpha_ms, beta", [(2.5, 0.0), (0.0, 0.3), (0.0, 0.0)])
     def test_a_zero_std_dev_gives_the_mean_and_draws_nothing(self, alpha_ms, beta):

@@ -9,8 +9,9 @@ drops everything, the timer that queued one timeout event per arming
 (``oracles.EagerTimerSim``) on random small configs, an ACK at exactly the
 timeout instant, the outcome of a run whose ACKs re-arm the timer several
 times at one instant, and the sorter seen from outside: each cycle
-delivers what it fetched, within the hold bound, and in-order arrivals
-with slow constant ACKs give the same metrics in both arms.  A finished
+delivers what it fetched, within the hold bound, it never leaves a run
+more reordered than it found it, and in-order arrivals with slow constant
+ACKs give the same metrics in both arms.  A finished
 stream is freed by reference counting alone, and replacements installed
 at the loop's patch points see every call.
 """
@@ -350,6 +351,31 @@ def test_an_ack_at_the_timeout_instant_comes_first(srpic_on):
     assert sim.sender.bytes_acked == MSS
     assert sim.sender.pkts_retrans == 1
     assert sim.sender.last_rtx_time == 2 * rto
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_the_sorter_never_adds_reordering_to_a_run(cfg, seed):
+    """Criterion 2 per run: with the sorter on, every stream's reordered
+    count after the sorter is at most its count before it.
+
+    A stream has one flow, and every data segment is suitable, so the
+    delivered packets are the arrivals in arrival order (the ring is FIFO),
+    cut into consecutive flush batches, each sorted by sequence number.
+    Packets still held at the hard stop are a suffix of the arrivals, so
+    they only add to the count before the sorter.  A first copy ``curr``
+    is in order when it starts at or above every end before it.  Within a
+    sorted batch the first copies are disjoint and ascending, so the copy
+    before ``curr`` ends at or below its start, and the one after starts
+    at or above its end (``prev < curr < after``).  So in the sorted batch
+    ``curr`` is in order exactly when it starts at or above the largest end
+    before its batch.  That maximum is taken over the same set of earlier
+    packets in both orders, so it does not depend on their order, and in
+    arrival order ``curr`` needs the same bound and more.  So each batch's
+    in-order count can only grow, and the reordered count can only fall.
+    """
+    for m in run_transfer(cfg, seed=seed, srpic=True):
+        assert m.reorder_post.reordered_count <= m.reorder_pre.reordered_count
 
 
 # A forward path that keeps the send order and loses nothing, and ACKs
