@@ -26,9 +26,7 @@ from .metrics import (
     PartitionError,
     ReorderReport,
     classify_block_reordering,
-    max_reordering_extent,
     reorder_report,
-    reordered_count,
 )
 from .tcp import (
     AckRecord,
@@ -63,9 +61,7 @@ __all__ = [
     "PartitionError",
     "ReorderReport",
     "classify_block_reordering",
-    "max_reordering_extent",
     "reorder_report",
-    "reordered_count",
     "AckRecord",
     "ReceiverState",
     "SenderState",

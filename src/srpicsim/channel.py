@@ -53,7 +53,6 @@ class PathStreams:
     """
 
     def __init__(self, cfg: PathConfig):
-        self.cfg = cfg
         self._drop_rng = random.Random(f"{cfg.seed}:drop")
         self._delay_rng = random.Random(f"{cfg.seed}:delay")
         self._drop_rate = cfg.drop_rate

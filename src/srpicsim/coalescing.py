@@ -53,8 +53,6 @@ class CoalescingParams:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    start_time: float  # microseconds, first arrival into the empty ring
-    emptying_duration: float  # microseconds spent draining
     block_packets: int
 
 
@@ -179,15 +177,16 @@ def simulate_coalescing(
     arrival_times: Sequence[float], params: CoalescingParams
 ) -> list[CycleRecord]:
     """Replay an arrival time series (microseconds, finite, nondecreasing)
-    through a ``ReceivePath`` and report one record per cycle.  Every
-    arrival lands in exactly one cycle; the ring is unbounded.
+    through a ``ReceivePath`` and report one record per cycle, in order:
+    the packets the cycle drained.  Every arrival lands in exactly one
+    cycle; the ring is unbounded.  A cycle drains one packet per service
+    quantum, so its emptying takes ``block_packets * quantum_us``.
     """
-    arr = list(arrival_times)
     path = ReceivePath(params)
     ring, arrive, service = path.ring, path.arrive, path.service
     last = math.nextafter(-math.inf, 0.0)  # least finite float: -inf fails below
     firsts = []  # index of each cycle's first arrival
-    for i, t in enumerate(arr):
+    for i, t in enumerate(arrival_times):
         if not last <= t < math.inf:
             raise ValueError("arrival_times must be finite and nondecreasing")
         last = t
@@ -198,10 +197,8 @@ def simulate_coalescing(
         arrive(t, t)  # the ring holds arrival times, not packets
     while ring:
         service()
-    q = path.quantum_us
     return [
-        CycleRecord(arr[a], (b - a) * q, b - a)
-        for a, b in zip(firsts, firsts[1:] + [len(arr)])
+        CycleRecord(b - a) for a, b in zip(firsts, firsts[1:] + [len(arrival_times)])
     ]
 
 

@@ -28,16 +28,17 @@ So is ``_RangeWalk.add``'s in-order case: a packet that starts at the top
 range's end extends that range, and every other packet goes to ``add``.
 
 Every packet walked must carry payload: an empty one raises
-``ValueError`` naming its ``send_index``, in the one-trace functions and in
-a run alike.  The one-trace functions raise ``OverlappingSegmentsError``
-when two packets share a payload byte.  A TCP run carries retransmitted
-copies, so ``FirstCopyReports`` walks the first copy of each payload range
-in arrival and in delivery order as the run goes, and keeps no packet and
-nothing per packet.  The arrival walk's ranges mark a later copy: it shares
-a byte with one of them.  Each first copy's arrival offset waits in a dict
-keyed by ``id`` until the delivery walk takes it: a packet is held, and so
-alive, from its arrival until its delivery, so no two packets in the dict
-share an ``id``.
+``ValueError`` naming its ``send_index``, in a whole-trace report and in a
+run alike.  A whole-trace report, ``reorder_report`` or its block split
+``classify_block_reordering``, is one walk; it raises
+``OverlappingSegmentsError`` when two packets share a payload byte.  A TCP
+run carries retransmitted copies, so ``FirstCopyReports`` walks the first
+copy of each payload range in arrival and in delivery order as the run
+goes, and keeps no packet and nothing per packet.  The arrival walk's
+ranges mark a later copy: it shares a byte with one of them.  Each first
+copy's arrival offset waits in a dict keyed by ``id`` until the delivery
+walk takes it: a packet is held, and so alive, from its arrival until its
+delivery, so no two packets in the dict share an ``id``.
 """
 
 from __future__ import annotations
@@ -125,17 +126,6 @@ def _walk(trace: Sequence[Packet], partition: Sequence[int] | None = None) -> _R
             end_block()
             left = next(blocks, 0)
     return walk
-
-
-def reordered_count(trace: Sequence[Packet]) -> tuple[int, float]:
-    """Count of reordered packets and the reordering ratio (count/total)."""
-    count = _walk(trace).count
-    return count, _ratio(count, len(trace))
-
-
-def max_reordering_extent(trace: Sequence[Packet]) -> int:
-    """Largest extent over all reordered packets, 0 when none."""
-    return _walk(trace).best
 
 
 def classify_block_reordering(

@@ -62,8 +62,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("name: must be a nonempty string")
-        if self.duration <= 0:
-            raise ConfigError("duration: must be > 0 seconds")
+        if self.duration * 1e6 < 1:
+            raise ConfigError("duration: must be at least 1e-6 seconds, one simulated microsecond")
         if not math.isfinite(self.duration * 1e6):
             raise ConfigError("duration: duration * 1e6 (the run length in us) must be finite")
         if self.num_streams < 1:

@@ -123,10 +123,6 @@ class ReceiverState:
     def __post_init__(self):
         self._nxt = self.isn
 
-    @property
-    def out_of_order_queue(self) -> list[tuple[int, int]]:
-        return [(s % SEQ_MOD, e % SEQ_MOD) for s, e, _ in self._ooo]
-
 
 @dataclass(slots=True)
 class AckRecord:

@@ -31,9 +31,7 @@ from srpicsim.metrics import (
     PartitionError,
     ReorderReport,
     classify_block_reordering,
-    max_reordering_extent,
     reorder_report,
-    reordered_count,
 )
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
 from srpicsim.sorter import SrpicEngine, SrpicManager
@@ -101,12 +99,12 @@ def first_empty(trace):
 
 def rejects_empty_payload(trace, partition, index):
     """True when each whole-trace function raises a plain ``ValueError``
-    naming ``send_index=index`` on ``trace`` cut by ``partition``."""
+    naming ``send_index=index`` on ``trace``, whole and cut by
+    ``partition``."""
     calls = (
-        lambda: reordered_count(trace),
-        lambda: max_reordering_extent(trace),
-        lambda: classify_block_reordering(trace, partition),
+        lambda: reorder_report(trace),
         lambda: reorder_report(trace, partition),
+        lambda: classify_block_reordering(trace, partition),
     )
     for call in calls:
         try:

@@ -18,11 +18,7 @@ from srpicsim.coalescing import (
     hold_delay_bound,
     simulate_coalescing,
 )
-from srpicsim.metrics import (
-    classify_block_reordering,
-    max_reordering_extent,
-    reordered_count,
-)
+from srpicsim.metrics import reorder_report
 from srpicsim.scenario import load_scenario, override_param, rows_to_csv, run_scenario
 from srpicsim.sorter import SrpicEngine, SrpicManager
 from srpicsim.tcp import run_transfer
@@ -102,11 +98,11 @@ def test_criterion_2_block_sorting_always_reduces():
         keys = [i + rng.uniform(-3.0, 3.0) for i in range(n)]
         order = [s + 1 for s in sorted(range(n), key=lambda i: keys[i])]
         trace = make_trace(order)
-        pre, _ = reordered_count(trace)
+        pre = reorder_report(trace).reordered_count
         nonzero_pre += pre > 0
         for block in (5, 10, 20):
             eng = SrpicEngine(block_size=block, ringbuffer_size=512)
-            post, _ = reordered_count(sort_cycle(eng, trace))
+            post = reorder_report(sort_cycle(eng, trace)).reordered_count
             reduced[block] += post <= pre
             if block == 20:
                 zeroed += post == 0
@@ -312,9 +308,10 @@ def test_criterion_8_metric_oracle_equivalence():
     mismatches = empty_traces = 0
     for perm in itertools.permutations(range(1, 8)):
         trace = make_trace(list(perm))
-        if reordered_count(trace) != brute_reordered_count(trace):
+        rep = reorder_report(trace)
+        if (rep.reordered_count, rep.ratio) != brute_reordered_count(trace):
             mismatches += 1
-        if max_reordering_extent(trace) != brute_max_extent(trace):
+        if rep.max_extent != brute_max_extent(trace):
             mismatches += 1
     rng = random.Random(88)
     for _ in range(10_000):
@@ -344,13 +341,12 @@ def test_criterion_8_metric_oracle_equivalence():
             if not rejects_empty_payload(trace, partition, empty):
                 mismatches += 1
             continue
-        if reordered_count(trace) != brute_reordered_count(trace):
+        rep = reorder_report(trace, partition)
+        if (rep.reordered_count, rep.ratio) != brute_reordered_count(trace):
             mismatches += 1
-        if max_reordering_extent(trace) != brute_max_extent(trace):
+        if rep.max_extent != brute_max_extent(trace):
             mismatches += 1
-        if classify_block_reordering(trace, partition) != brute_classify(
-            trace, partition
-        ):
+        if (rep.intra_block, rep.inter_block) != brute_classify(trace, partition):
             mismatches += 1
     report(
         "8 (metric oracle equivalence)",

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from srpicsim.metrics import (
     PartitionError,
     _walk,
     classify_block_reordering,
-    max_reordering_extent,
     reorder_report,
-    reordered_count,
 )
 from srpicsim.packets import SEQ_HALF, SEQ_MOD
 from srpicsim.sorter import SrpicEngine
@@ -38,36 +37,40 @@ from oracles import (
 )
 
 
+def count_ratio(trace):
+    report = reorder_report(trace)
+    return report.reordered_count, report.ratio
+
+
 class TestReorderedCount:
     def test_in_order(self):
-        assert reordered_count(make_trace([1, 2, 3, 4, 5, 6, 7])) == (0, 0.0)
+        assert count_ratio(make_trace([1, 2, 3, 4, 5, 6, 7])) == (0, 0.0)
 
     def test_golden_arrival_order(self):
-        count, ratio = reordered_count(make_trace([2, 3, 1, 4, 6, 7, 5]))
+        count, ratio = count_ratio(make_trace([2, 3, 1, 4, 6, 7, 5]))
         assert count == 2
         assert ratio == pytest.approx(2 / 7)
 
     def test_sorted_output_clean(self):
         eng = SrpicEngine(block_size=7)
         out = sort_cycle(eng, make_trace([2, 3, 1, 4, 6, 7, 5]))
-        assert reordered_count(out) == (0, 0.0)
+        assert count_ratio(out) == (0, 0.0)
 
     def test_empty(self):
-        assert reordered_count([]) == (0, 0.0)
+        assert count_ratio([]) == (0, 0.0)
 
     def test_overlap_rejected(self):
         trace = make_trace([1, 1], lens=[2, 2])
         with pytest.raises(OverlappingSegmentsError):
-            reordered_count(trace)
+            reorder_report(trace)
 
     def test_wraparound_trace(self):
         # in-order arrivals across the 2**32 boundary are clean
         trace = make_trace([2**32 - 2, 2**32 - 1, 0, 1])
-        assert reordered_count(trace) == (0, 0.0)
+        assert count_ratio(trace) == (0, 0.0)
         # 0 arrives after 1 has already advanced the expectation past it
-        wrapped = make_trace([2**32 - 1, 1, 0, 2])
-        assert reordered_count(wrapped)[0] == 1
-        assert max_reordering_extent(wrapped) == 1
+        wrapped = reorder_report(make_trace([2**32 - 1, 1, 0, 2]))
+        assert (wrapped.reordered_count, wrapped.max_extent) == (1, 1)
 
     def test_trace_spanning_more_than_2_31_bytes(self):
         # 3 GiB in order, crossing the wrap once: every packet is in order
@@ -79,13 +82,13 @@ class TestReorderedCount:
 
 class TestMaxExtent:
     def test_in_order(self):
-        assert max_reordering_extent(make_trace([1, 2, 3])) == 0
+        assert reorder_report(make_trace([1, 2, 3])).max_extent == 0
 
     def test_adjacent_swap(self):
-        assert max_reordering_extent(make_trace([2, 1])) == 1
+        assert reorder_report(make_trace([2, 1])).max_extent == 1
 
     def test_displaced_by_three(self):
-        assert max_reordering_extent(make_trace([2, 3, 4, 1])) == 3
+        assert reorder_report(make_trace([2, 3, 4, 1])).max_extent == 3
 
 
 class TestClassification:
@@ -99,7 +102,7 @@ class TestClassification:
         trace = make_trace([5, 3, 1, 4, 2])
         intra, inter = classify_block_reordering(trace, [5])
         assert inter == 0
-        assert intra == reordered_count(trace)[0]
+        assert intra == reorder_report(trace).reordered_count
 
     def test_partition_must_cover(self):
         with pytest.raises(PartitionError):
@@ -112,7 +115,6 @@ class TestClassification:
         [[1.5, 1.5], [3.0], [1, 2.0], ["3"], [None, 3], [2, 1, 0], [4, -1], [np.float64(3)]],
     )
     def test_block_lengths_must_be_integers_of_at_least_one(self, partition):
-        # reordered_count and max_reordering_extent take no partition.
         trace = make_trace([1, 3, 2])
         for walk in (classify_block_reordering, reorder_report, _walk):
             with pytest.raises(PartitionError):
@@ -136,8 +138,9 @@ class TestOracleAgreement:
     @settings(max_examples=300, derandomize=True)
     def test_unit_permutations(self, perm):
         trace = make_trace(list(perm))
-        assert reordered_count(trace) == brute_reordered_count(trace)
-        assert max_reordering_extent(trace) == brute_max_extent(trace)
+        report = reorder_report(trace)
+        assert (report.reordered_count, report.ratio) == brute_reordered_count(trace)
+        assert report.max_extent == brute_max_extent(trace)
 
     @given(data=st.data())
     @settings(max_examples=150, derandomize=True)
@@ -170,11 +173,10 @@ class TestOracleAgreement:
         if empty is not None:
             assert rejects_empty_payload(trace, partition, empty)
             return
-        assert reordered_count(trace) == brute_reordered_count(trace)
-        assert max_reordering_extent(trace) == brute_max_extent(trace)
-        assert classify_block_reordering(trace, partition) == brute_classify(
-            trace, partition
-        )
+        report = reorder_report(trace, partition)
+        assert (report.reordered_count, report.ratio) == brute_reordered_count(trace)
+        assert report.max_extent == brute_max_extent(trace)
+        assert (report.intra_block, report.inter_block) == brute_classify(trace, partition)
 
 
 class TestClassifierOracles:
@@ -248,15 +250,12 @@ class TestReportSharesOnePass:
         cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)))))
         partition = [b - a for a, b in zip([0] + cuts, cuts + [n]) if b - a > 0]
         report = reorder_report(trace, partition)
-        count, ratio = reordered_count(trace)
-        assert (report.total_packets, report.reordered_count, report.ratio) == (n, count, ratio)
-        assert report.max_extent == max_reordering_extent(trace)
+        assert report.total_packets == n
         assert (report.intra_block, report.inter_block) == classify_block_reordering(
             trace, partition
         )
-        plain = reorder_report(trace)
-        assert (plain.intra_block, plain.inter_block) == (None, None)
-        assert plain.max_extent == report.max_extent
+        # Without a partition, the same walk with the block fields unset.
+        assert reorder_report(trace) == replace(report, intra_block=None, inter_block=None)
 
     def test_report_raises_like_the_parts(self):
         with pytest.raises(OverlappingSegmentsError):
@@ -501,7 +500,7 @@ class TestSortingTheorems:
                 partition = [block] * (n // block)
                 intra, inter = classify_block_reordering(trace, partition)
                 post = self._sorted_by_blocks(trace, block)
-                post_count, _ = reordered_count(post)
+                post_count = reorder_report(post).reordered_count
                 assert post_count <= inter
 
     def test_nested_partition_monotonicity(self):
@@ -513,6 +512,6 @@ class TestSortingTheorems:
             counts = []
             for block in (5, 10, 20):
                 post = self._sorted_by_blocks(trace, block)
-                counts.append(reordered_count(post)[0])
+                counts.append(reorder_report(post).reordered_count)
             assert counts[2] <= counts[1] <= counts[0]
             assert counts[2] == 0

@@ -586,6 +586,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{key}: " in err and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [5.0e-324, 1.0e-9, 9.99e-7])
+    def test_duration_below_one_microsecond_exits_2(
+        self, value, tiny_config, tmp_path, capsys, no_run
+    ):
+        # The run counts time in microseconds.  A shorter run still acks its
+        # initial window in the drain, and bytes_acked / duration is inf
+        # (5e-324) or absurd (1e-9 gave 1.448e+13 B/s).
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(with_key("duration", value)), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "duration: " in err and "microsecond" in err and "Traceback" not in err
+        args = ["sweep", str(tiny_config), "--param", "duration", "--values", repr(value)]
+        assert main(args) == 2
+        assert "duration: " in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="duration"):
+            ScenarioConfig(name="short", duration=value)
+
+    def test_one_microsecond_duration_loads(self):
+        assert ScenarioConfig(name="short", duration=1e-6).duration == 1e-6
+
     @pytest.mark.parametrize(
         "text, column",
         [

@@ -3,7 +3,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srpicsim.metrics import reordered_count
+from srpicsim.metrics import reorder_report
 from srpicsim.packets import FlowKey, Packet, TcpFlags, is_suitable
 from srpicsim.sorter import SrpicEngine, SrpicManager
 
@@ -213,9 +213,9 @@ class TestEngineProperties:
     @settings(max_examples=150, derandomize=True)
     def test_single_flow_sorting_never_increases_reordering(self, perm, block_size):
         trace = make_trace(list(perm))
-        pre, _ = reordered_count(trace)
+        pre = reorder_report(trace).reordered_count
         eng = SrpicEngine(block_size=block_size)
-        post, _ = reordered_count(sort_cycle(eng, trace))
+        post = reorder_report(sort_cycle(eng, trace)).reordered_count
         assert post <= pre
 
     def test_full_block_sort_yields_zero(self):

@@ -93,7 +93,7 @@ class TestReceiver:
         receiver_on_segment(st, seg(110))
         ack = receiver_on_segment(st, seg(100))
         assert ack.ack_seq == 120
-        assert st.out_of_order_queue == []
+        assert st._ooo == []
 
     def test_in_order_stream_never_duplicates(self):
         st = ReceiverState(isn=0)
@@ -123,7 +123,7 @@ class TestReceiver:
         receiver_on_segment(st, seg(120))
         ack = receiver_on_segment(st, seg(110))
         assert ack.sack_blocks[0] == (100, 130)
-        assert len(st.out_of_order_queue) == 1
+        assert len(st._ooo) == 1
 
 
 def dup_ack(ack_seq, blocks=()):
