@@ -6,6 +6,12 @@ a PRNG stream independent of the delay stream, and a delay is drawn for
 every packet whether or not it survives, so the delay series at a given
 seed is identical with and without drops — paired runs then differ only
 where a drop actually removed a packet.
+
+Each stream is drawn in chunks of ``_CHUNK`` values and read through an
+endless iterator (``PathStreams.drops`` and ``PathStreams.delays``), so
+the per-packet loops take each draw with one ``next()`` on a prefilled
+list.  Chunking changes no value: the k-th draw is the one a per-packet
+draw would give.
 """
 
 from __future__ import annotations
@@ -13,13 +19,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import attrgetter
-from statistics import NormalDist, StatisticsError
+from statistics import NormalDist
 
 from .packets import Packet
 
 _SEND_INDEX = attrgetter("send_index")
 _ARRIVAL_TIME = attrgetter("arrival_time")
+# Draws per chunk of a path stream.
+_CHUNK = 256
+_CHUNK_RANGE = range(_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -44,41 +54,72 @@ class PathConfig:
             raise ValueError("drop_rate must be in [0, 1]")
 
 
-class PathStreams:
-    """Per-path PRNG streams usable packet by packet.
+def _drop_chunks(rng: random.Random, rate: float):
+    """Endless lists of ``_CHUNK`` drop decisions ``rng.random() < rate``."""
+    while True:
+        draw = rng.random
+        yield [draw() < rate for _ in _CHUNK_RANGE]
 
+
+def _delay_chunks(rng: random.Random, at):
+    """Endless lists of ``_CHUNK`` delays ``at(rng.random())``, clamped at zero.
+
+    ``random()`` may give exactly 0.0, outside ``inv_cdf``'s 0 < u < 1.  As
+    u -> 0 the draw falls toward -inf, which clamps to zero, so that draw
+    is 0.0 and still takes one value of the stream.
+    """
+    while True:
+        draw = rng.random
+        chunk = []
+        for _ in _CHUNK_RANGE:
+            u = draw()
+            d = at(u) if u > 0.0 else 0.0
+            chunk.append(d if d > 0.0 else 0.0)
+        yield chunk
+
+
+class PathStreams:
+    """Per-path PRNG streams, read packet by packet.
+
+    ``drops`` and ``delays`` are endless iterators: ``next(drops)`` is the
+    next packet's drop decision and ``next(delays)`` its delay in µs.
     String seeding keeps the streams stable across platforms and runs;
     the k-th draw of each stream is a pure function of (seed, k), which is
     what lets paired simulation arms consume identical channel randomness.
+
+    A stream with a drop rate or a std-dev of zero draws nothing: it
+    repeats ``False`` or the mean.  Otherwise it draws ``_CHUNK`` values
+    at a time, the first chunk on the first ``next``, so a stream holds at
+    most one chunk of pending draws.  The chunk generators hold the
+    ``random.Random`` instance, not ``self``, so no reference cycle runs
+    through the streams, and they look up its ``random`` once per chunk.
     """
 
     def __init__(self, cfg: PathConfig):
         self._drop_rng = random.Random(f"{cfg.seed}:drop")
         self._delay_rng = random.Random(f"{cfg.seed}:delay")
-        self._drop_rate = cfg.drop_rate
-        self._mean_us = mean = cfg.alpha_ms * 1000.0
+        rate = cfg.drop_rate
+        mean = cfg.alpha_ms * 1000.0
         std = cfg.beta * mean
-        # NormalDist(mean, std).inv_cdf(u) is mean + x * std for the
-        # standard quantile x of u, bit for bit the same as
-        # mean + std * NormalDist().inv_cdf(u).  A zero std-dev has no
-        # NormalDist (its inv_cdf raises), and it draws nothing.
-        self._delay_at = NormalDist(mean, std).inv_cdf if std != 0.0 else None
+        if rate > 0.0:
+            self.drops = chain.from_iterable(_drop_chunks(self._drop_rng, rate))
+        else:
+            self.drops = repeat(False)
+        if std > 0.0:
+            # NormalDist(mean, std).inv_cdf(u) is mean + x * std for the
+            # standard quantile x of u, bit for bit the same as
+            # mean + std * NormalDist().inv_cdf(u).  With a zero std-dev
+            # inv_cdf raises, so that stream repeats the mean instead.
+            at = NormalDist(mean, std).inv_cdf
+            self.delays = chain.from_iterable(_delay_chunks(self._delay_rng, at))
+        else:
+            self.delays = repeat(mean)
 
     def next_dropped(self) -> bool:
-        if self._drop_rate <= 0.0:
-            return False
-        return self._drop_rng.random() < self._drop_rate
+        return next(self.drops)
 
     def next_delay_us(self) -> float:
-        if self._delay_at is None:
-            return self._mean_us
-        try:
-            d = self._delay_at(self._delay_rng.random())
-        except StatisticsError:
-            # random() gave exactly 0.0, outside inv_cdf's 0 < u < 1.  As
-            # u -> 0 the draw falls toward -inf, which clamps to zero.
-            return 0.0
-        return d if d > 0.0 else 0.0
+        return next(self.delays)
 
 
 def apply_path(trace: list[Packet], cfg: PathConfig) -> list[Packet]:
@@ -93,13 +134,10 @@ def apply_path(trace: list[Packet], cfg: PathConfig) -> list[Packet]:
     keeps the first sort's order among equal arrival times.
     """
     streams = PathStreams(cfg)
-    next_dropped = streams.next_dropped
-    next_delay_us = streams.next_delay_us
     survivors: list[Packet] = []
     append = survivors.append
-    for p in trace:
-        dropped = next_dropped()
-        delay = next_delay_us()
+    # The trace leads the zip, so nothing is drawn past its last packet.
+    for p, dropped, delay in zip(trace, streams.drops, streams.delays):
         if dropped:
             continue
         # Every field copied positionally, in declaration order.

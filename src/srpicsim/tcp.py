@@ -29,9 +29,11 @@ arrive and are delivered.
 The per-segment paths compare sequence numbers with serial tests written
 out inline; ``packets.seq_cmp`` is their definition, and the tests check
 each inline form against it.  The loop pushes heap items through the
-module's ``heapq`` name and calls the receiver, the sender and the path
-streams through their module and class names, looked up per call, so a
-replacement installed there sees every call.
+module's ``heapq`` name and calls the receiver and the sender through
+their module names, looked up per call.  It takes each channel draw with
+``next`` on the ``drops`` and ``delays`` iterators of the stream's
+``fwd`` and ``rev`` path streams, also looked up per draw.  So a
+replacement installed at any of these sees every call or draw.
 """
 
 from __future__ import annotations
@@ -404,6 +406,7 @@ def sender_start(state: SenderState, now: float = 0.0) -> list[SegmentRecord]:
 _PRIO_ARRIVAL = 1
 _PRIO_ACK = 2
 _INF = float("inf")
+_ACK = TcpFlags.ACK  # the flags of every data segment
 
 
 def _derive_seed(run_seed: int, stream_id: int, label: str) -> int:
@@ -466,12 +469,12 @@ class _StreamSim:
         sender = self.sender
         idx = sender.segments_sent = sender.segments_sent + 1
         fwd = self.fwd
-        dropped = fwd.next_dropped()
-        delay = fwd.next_delay_us()
+        dropped = next(fwd.drops)
+        delay = next(fwd.delays)
         if dropped:
             return
         t = st + delay
-        p = Packet(self.flow, seq, length, TcpFlags.ACK, False, False, idx, st, t)
+        p = Packet(self.flow, seq, length, _ACK, False, False, idx, st, t)
         self._evseq += 1
         heapq.heappush(self._heap, (t, _PRIO_ARRIVAL, self._evseq, "arr", p))
 
@@ -494,8 +497,8 @@ class _StreamSim:
         self.reorder.deliver(p)
         ack = receiver_on_segment(self.receiver, p)
         rev = self.rev
-        dropped = rev.next_dropped()
-        delay = rev.next_delay_us()
+        dropped = next(rev.drops)
+        delay = next(rev.delays)
         if dropped:
             return
         t = stamp + delay

@@ -14,15 +14,17 @@ walks that the inline in-order steps must reproduce state for state.  ``Recordin
 cycle sizes that a TCP run does not keep, and ``first_copies`` and
 ``first_copy_reports`` feed such whole orders through the run's
 ``metrics.FirstCopyReports``.  ``sort_cycle`` runs one cycle's fetch order
-through a sorter engine.
+through a sorter engine.  ``reference_draws`` draws a path's drops and
+delays one value at a time, without ``channel.PathStreams``.
 """
 
 import heapq
+import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import replace
 from itertools import islice
+from statistics import NormalDist
 
-from srpicsim.channel import PathStreams
 from srpicsim.coalescing import ReceivePath
 from srpicsim.metrics import (
     FirstCopyReports,
@@ -350,13 +352,36 @@ def reference_classify(offsets, flags, partition):
     return intra, inter
 
 
+def reference_draws(cfg):
+    """Endless ``(dropped, delay)`` pairs of a path, drawn one per packet.
+
+    The drop is ``random() < drop_rate`` on the ``f"{seed}:drop"`` stream,
+    and a rate of zero draws nothing.  The delay is the mean plus the
+    std-dev times the standard normal quantile of ``random()`` on the
+    ``f"{seed}:delay"`` stream; a uniform of exactly 0.0 (outside the
+    quantile's domain) and a negative draw give 0.0, and a std-dev of
+    zero gives the mean and draws nothing.
+    """
+    drop_rng = random.Random(f"{cfg.seed}:drop")
+    delay_rng = random.Random(f"{cfg.seed}:delay")
+    mean = cfg.alpha_ms * 1000.0
+    std = cfg.beta * mean
+    standard = NormalDist()
+    while True:
+        dropped = drop_rng.random() < cfg.drop_rate if cfg.drop_rate > 0.0 else False
+        delay = mean
+        if std > 0.0:
+            u = delay_rng.random()
+            d = mean + std * standard.inv_cdf(u) if u != 0.0 else 0.0
+            delay = d if d > 0.0 else 0.0
+        yield dropped, delay
+
+
 def reference_apply_path(trace, cfg):
-    """Path emulation copying each survivor with ``dataclasses.replace``."""
-    streams = PathStreams(cfg)
+    """Path emulation copying each survivor with ``dataclasses.replace``,
+    with the draws of ``reference_draws``."""
     survivors = []
-    for p in trace:
-        dropped = streams.next_dropped()
-        delay = streams.next_delay_us()
+    for p, (dropped, delay) in zip(trace, reference_draws(cfg)):
         if dropped:
             continue
         survivors.append(replace(p, arrival_time=p.send_time + delay))

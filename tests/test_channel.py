@@ -1,16 +1,18 @@
+import hashlib
 import math
 import random
 import statistics
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srpicsim.channel import PathConfig, PathStreams, apply_path
+from srpicsim.channel import _CHUNK, PathConfig, PathStreams, apply_path
 from srpicsim.metrics import reorder_report
 from srpicsim.packets import FlowKey, Packet, TcpFlags
 
-from oracles import reference_apply_path
+from oracles import reference_apply_path, reference_draws
 
 FLOW = FlowKey(9, 8, 7, 6)
 
@@ -215,26 +217,27 @@ class TestPathConfig:
             d = mean + std * statistics.NormalDist().inv_cdf(rng.random())
             assert streams.next_delay_us() == (d if d > 0.0 else 0.0)
 
+    @pytest.mark.parametrize("at", [0, _CHUNK])
     @pytest.mark.parametrize("alpha_ms, beta", [(2.5, 0.02), (0.001, 50.0)])
-    def test_a_zero_uniform_draws_zero_delay_and_shifts_nothing(self, alpha_ms, beta):
+    def test_a_zero_uniform_draws_zero_delay_and_shifts_nothing(self, alpha_ms, beta, at):
         # random() may return exactly 0.0, outside inv_cdf's domain.  That
         # draw is 0.0, the clamp's limit as u -> 0, and it takes one value
-        # of the stream like any other: the next draw is the second draw of
-        # an unpatched stream.
+        # of the stream like any other: every other draw is that of an
+        # unpatched stream.  Draw _CHUNK is the first of the second chunk.
         cfg = PathConfig(alpha_ms=alpha_ms, beta=beta, seed=8)
-        unpatched = PathStreams(cfg)
-        expected = [unpatched.next_delay_us() for _ in range(3)][1:]
+        expected = list(islice(PathStreams(cfg).delays, at + 3))
+        expected[at] = 0.0
         streams = PathStreams(cfg)
         real = streams._delay_rng.random
-        zero = [0.0]
+        calls = count()
 
-        def random_giving_zero_first():
+        def random_giving_zero_at():
             u = real()
-            return zero.pop() if zero else u
+            return 0.0 if next(calls) == at else u
 
-        streams._delay_rng.random = random_giving_zero_first
-        assert streams.next_delay_us() == 0.0
-        assert [streams.next_delay_us(), streams.next_delay_us()] == expected
+        streams._delay_rng.random = random_giving_zero_at
+        got = [streams.next_delay_us()] + list(islice(streams.delays, at + 2))
+        assert got == expected
 
     @pytest.mark.parametrize("alpha_ms, beta", [(2.5, 0.0), (0.0, 0.3), (0.0, 0.0)])
     def test_a_zero_std_dev_gives_the_mean_and_draws_nothing(self, alpha_ms, beta):
@@ -242,3 +245,72 @@ class TestPathConfig:
         state = streams._delay_rng.getstate()
         assert [streams.next_delay_us() for _ in range(20)] == [alpha_ms * 1000.0] * 20
         assert streams._delay_rng.getstate() == state
+
+
+class TestDrawStreams:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64),
+        alpha_ms=st.one_of(st.just(0.0), st.just(0.001), st.floats(0.0, 10.0)),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 60.0)),
+        drop_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
+        ways=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    )
+    def test_chunked_draws_equal_the_per_draw_reference(
+        self, seed, alpha_ms, beta, drop_rate, ways
+    ):
+        # Over three chunks and a part of a fourth, each draw equals the
+        # one-at-a-time reference, whether it is read with next() or
+        # through next_dropped()/next_delay_us(), in any mix.
+        cfg = PathConfig(alpha_ms=alpha_ms, beta=beta, drop_rate=drop_rate, seed=seed)
+        n = 3 * _CHUNK + 7
+        streams = PathStreams(cfg)
+        got = []
+        for k in range(n):
+            way = ways[k % len(ways)]
+            dropped = streams.next_dropped() if way & 1 else next(streams.drops)
+            delay = streams.next_delay_us() if way & 2 else next(streams.delays)
+            got.append((dropped, delay))
+        assert got == list(islice(reference_draws(cfg), n))
+
+    def test_a_stream_holds_at_most_one_chunk_of_pending_draws(self):
+        # Nothing is drawn before the first next(); after k draws, a stream
+        # has drawn the whole chunks that cover them, and no more.
+        cfg = PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.01, seed=3)
+        streams = PathStreams(cfg)
+        rngs = (streams._drop_rng, streams._delay_rng)
+        refs = (random.Random("3:drop"), random.Random("3:delay"))
+        assert [r.getstate() for r in rngs] == [r.getstate() for r in refs]
+        drawn = 0
+        for k in range(1, 2 * _CHUNK + 2):
+            next(streams.drops)
+            next(streams.delays)
+            if drawn < k:
+                for ref in refs:
+                    for _ in range(_CHUNK):
+                        ref.random()
+                drawn += _CHUNK
+            assert [r.getstate() for r in rngs] == [r.getstate() for r in refs]
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (
+                PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.01, seed=1),
+                "b08667fbd6fc61d16ab25d839d045edf6ffb2e0a58bec9eada16a0dd2d88de6e",
+            ),
+            (
+                PathConfig(alpha_ms=0.001, beta=50.0, drop_rate=0.3, seed=2**40 + 3),
+                "13c0b86fc565dcdc3be4b10962fcfc26077b682c17a768a654e42cb607c92b65",
+            ),
+        ],
+    )
+    def test_the_first_draws_match_their_pinned_digest(self, cfg, digest):
+        # The digest of the first 10,000 (drop, delay) pairs, taken from
+        # the per-draw streams before they were drawn in chunks.
+        streams = PathStreams(cfg)
+        h = hashlib.sha256()
+        for _ in range(10_000):
+            dropped, delay = next(streams.drops), next(streams.delays)
+            h.update(f"{dropped:d} {delay.hex()}\n".encode())
+        assert h.hexdigest() == digest

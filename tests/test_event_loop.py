@@ -13,7 +13,7 @@ delivers what it fetched, within the hold bound, it never leaves a run
 more reordered than it found it, and in-order arrivals with slow constant
 ACKs give the same metrics in both arms.  A finished
 stream is freed by reference counting alone, and replacements installed
-at the loop's patch points see every call.
+at the loop's patch points see every call and every channel draw.
 """
 
 import gc
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from oracles import EagerTimerSim, RecordingSim, reference_first_copies, reference_report
 from srpicsim import tcp
-from srpicsim.channel import PathConfig, PathStreams
+from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
 from srpicsim.packets import SEQ_MOD, Packet
 from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
@@ -126,17 +126,17 @@ def test_streamed_reports_equal_the_batch_definition(srpic_on, cfg, seed):
 def test_a_finished_stream_is_freed_by_reference_counting(srpic_on):
     # A reference cycle through the receive path would keep every finished
     # stream, with its held packets, alive until the cycle collector runs.
-    cfg = ScenarioConfig(
-        name="unit", duration=0.01, fwd=PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.01)
-    )
+    # The path streams' chunk generators must not hold the streams either.
+    path = PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.01)
+    cfg = ScenarioConfig(name="unit", duration=0.01, fwd=path, rev=path)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         sim = _StreamSim(cfg, 1, 0, srpic_on)
         sim.run()
-        ref = weakref.ref(sim)
+        refs = [weakref.ref(obj) for obj in (sim, sim.fwd, sim.rev)]
         del sim
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         if was_enabled:
             gc.enable()
@@ -145,9 +145,11 @@ def test_a_finished_stream_is_freed_by_reference_counting(srpic_on):
 @pytest.mark.parametrize("srpic_on", [False, True])
 def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     # The benchmark's tracer and audit replace the heapq module that tcp
-    # holds, the sorter and channel methods on their classes, and the
-    # receiver and sender functions by their names in tcp.  Each count
-    # taken through a replacement must match one the run keeps itself.
+    # holds, the sorter methods on their class, and the receiver and
+    # sender functions by their names in tcp.  The loop reads the channel
+    # draws from the drops and delays iterators of sim.fwd and sim.rev,
+    # which this test wraps with counting iterators.  Each count taken
+    # through a replacement must match one the run keeps itself.
     cfg = ScenarioConfig(
         name="unit",
         duration=0.02,
@@ -183,24 +185,24 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
 
         return wrapper
 
-    def path_of(args):
-        return "fwd" if args[0] is sim.fwd else "rev"
+    def counted_drops(side, drops):
+        for dropped in drops:
+            n[side + ".drops"] += 1
+            n[side + ".dropped"] += dropped
+            yield dropped
 
-    def dropped(args, result):
-        n[path_of(args) + ".dropped"] += result
-
-    def draw(args, result):
-        n[path_of(args) + ".delays"] += 1
+    def counted_delays(side, delays):
+        for delay in delays:
+            n[side + ".delays"] += 1
+            yield delay
 
     def emitted(args, out):
         n["emitted"] += len(out)
 
     monkeypatch.setattr(tcp, "heapq", Heapq)
-    for name, fn, on_result in (
-        ("next_dropped", PathStreams.next_dropped, dropped),
-        ("next_delay_us", PathStreams.next_delay_us, draw),
-    ):
-        monkeypatch.setattr(PathStreams, name, counting(name, fn, on_result))
+    for side, streams in (("fwd", sim.fwd), ("rev", sim.rev)):
+        streams.drops = counted_drops(side, streams.drops)
+        streams.delays = counted_delays(side, streams.delays)
     for name in ("ingest", "end_cycle"):
         fn = getattr(SrpicEngine, name)
         monkeypatch.setattr(SrpicEngine, name, counting(name, fn, emitted))
@@ -211,7 +213,8 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     sent = sim.sender.segments_sent
     delivered = n["receiver_on_segment"]
     assert n["fwd.delays"] == sent and n["rev.delays"] == delivered
-    assert n["next_dropped"] == n["next_delay_us"] == sent + delivered
+    assert n["fwd.drops"] == n["fwd.delays"] and n["rev.drops"] == n["rev.delays"]
+    assert n["fwd.drops"] + n["rev.drops"] == sent + delivered
     assert n["push.arr"] == sent - n["fwd.dropped"] > 0
     assert n["push.ack"] == delivered - n["rev.dropped"] > 0
     assert n["push.arr"] + n["push.ack"] == sum(kept.values()) + len(sim._heap)
