@@ -5,6 +5,9 @@ list.  Running it executes every seed twice — sorter off and sorter on —
 with identical channel randomness (paired design) and emits one CSV row
 per stream per seed per arm.  Output is byte-stable: fixed column order,
 fixed row order, floats printed with 6 significant digits.
+
+``_COLUMNS`` states the run CSV once: column order, cell parsers and the
+metric each column prints.  ``parse_csv`` accepts only what a run writes.
 """
 
 from __future__ import annotations
@@ -231,33 +234,49 @@ def override_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioCon
 # Running and CSV emission
 # ---------------------------------------------------------------------------
 
-# Each run CSV column after the four that name the run, in order, with
-# the ``TransferMetrics`` attribute it prints.
-_METRIC_COLUMNS = {
-    "goodput_proxy": "goodput_proxy",
-    "pkts_retrans": "pkts_retrans",
-    "dup_acks_in": "dup_acks_in",
-    "sack_blocks_rcvd": "sack_blocks_rcvd",
-    "reorder_pre_count": "reorder_pre.reordered_count",
-    "reorder_pre_ratio": "reorder_pre.ratio",
-    "reorder_pre_max_extent": "reorder_pre.max_extent",
-    "reorder_post_count": "reorder_post.reordered_count",
-    "reorder_post_ratio": "reorder_post.ratio",
-    "reorder_post_max_extent": "reorder_post.max_extent",
-    "mean_block_size": "mean_block_size",
-    "max_hold_delay_us": "max_hold_delay_us",
-}
-_METRIC_VALUES = attrgetter(*_METRIC_COLUMNS.values())
+def _int(cell: str) -> int:
+    value = int(cell)
+    if str(value) != cell:
+        raise ValueError(f"{cell!r} is not an integer as a run writes it")
+    float(value)  # compare averages counts as floats
+    return value
 
-CSV_COLUMNS = ["scenario", "seed", "stream_id", "srpic", *_METRIC_COLUMNS]
 
-_FLOAT_COLUMNS = {
-    "goodput_proxy",
-    "reorder_pre_ratio",
-    "reorder_post_ratio",
-    "mean_block_size",
-    "max_hold_delay_us",
+def _float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
+
+
+def _arm(cell: str) -> str:
+    if cell not in ("on", "off"):
+        raise ValueError(f"{cell!r} is not on/off")
+    return cell
+
+
+# The run CSV in column order: each cell's parser and the ``TransferMetrics``
+# attribute the column prints (none for the four that name the run).
+_COLUMNS = {
+    "scenario": (str, None),
+    "seed": (_int, None),
+    "stream_id": (_int, None),
+    "srpic": (_arm, None),
+    "goodput_proxy": (_float, "goodput_proxy"),
+    "pkts_retrans": (_int, "pkts_retrans"),
+    "dup_acks_in": (_int, "dup_acks_in"),
+    "sack_blocks_rcvd": (_int, "sack_blocks_rcvd"),
+    "reorder_pre_count": (_int, "reorder_pre.reordered_count"),
+    "reorder_pre_ratio": (_float, "reorder_pre.ratio"),
+    "reorder_pre_max_extent": (_int, "reorder_pre.max_extent"),
+    "reorder_post_count": (_int, "reorder_post.reordered_count"),
+    "reorder_post_ratio": (_float, "reorder_post.ratio"),
+    "reorder_post_max_extent": (_int, "reorder_post.max_extent"),
+    "mean_block_size": (_float, "mean_block_size"),
+    "max_hold_delay_us": (_float, "max_hold_delay_us"),
 }
+CSV_COLUMNS = list(_COLUMNS)
+_METRIC_VALUES = attrgetter(*(attr for _, attr in _COLUMNS.values() if attr))
 
 
 def format_value(value) -> str:
@@ -277,17 +296,9 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     return one row dict per stream per seed per arm."""
     rows: list[dict] = []
     for seed in cfg.seeds:
-        for srpic_on in (False, True):
-            for sid, m in enumerate(run_transfer(cfg, seed=seed, srpic=srpic_on)):
-                rows.append(
-                    {
-                        "scenario": cfg.name,
-                        "seed": seed,
-                        "stream_id": sid,
-                        "srpic": "on" if srpic_on else "off",
-                        **dict(zip(_METRIC_COLUMNS, _METRIC_VALUES(m))),
-                    }
-                )
+        for arm in ("off", "on"):
+            for sid, m in enumerate(run_transfer(cfg, seed=seed, srpic=arm == "on")):
+                rows.append(dict(zip(CSV_COLUMNS, (cfg.name, seed, sid, arm, *_METRIC_VALUES(m)))))
     rows.sort(key=row_key)
     return rows
 
@@ -305,8 +316,8 @@ def rows_to_csv(rows: Iterable[dict], columns: list[str] | None = None) -> str:
 def parse_csv(text: str) -> list[dict]:
     """Read a run CSV back into typed rows.
 
-    A missing column, a value that does not parse and an arm other than
-    ``on``/``off`` are ConfigErrors naming the line and the column.
+    A missing, unknown or repeated column, and a cell that its column's
+    parser rejects, are ConfigErrors naming the line and the column.
     """
     reader = csv.DictReader(io.StringIO(text), restval="")
     try:
@@ -314,25 +325,23 @@ def parse_csv(text: str) -> list[dict]:
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         # The DictReader's own count stops at the last row it returned.
         raise ConfigError(f"line {reader.reader.line_num}: {exc}") from exc
-    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ConfigError(f"line 1: missing column(s) {missing}")
+    header = reader.fieldnames or []
+    for problem, names in (
+        ("missing", [c for c in CSV_COLUMNS if c not in header]),
+        ("unknown", [c for c in header if c not in _COLUMNS]),
+        ("repeated", [c for c, n in Counter(header).items() if n > 1]),
+    ):
+        if names:
+            raise ConfigError(f"line 1: {problem} column(s) {names}")
     rows = []
     for line, raw in records:
         if None in raw:
             raise ConfigError(f"line {line}: more fields than columns")
         row: dict[str, Any] = {}
-        for key, value in raw.items():
+        for key, cell in raw.items():
             try:
-                if key == "srpic" and value not in ("on", "off"):
-                    raise ValueError(f"{value!r} is not on/off")
-                if key in ("scenario", "srpic"):
-                    row[key] = value
-                elif key in _FLOAT_COLUMNS:
-                    row[key] = float(value)
-                else:
-                    row[key] = int(value)
-            except ValueError as exc:
+                row[key] = _COLUMNS[key][0](cell)
+            except (OverflowError, ValueError) as exc:
                 raise ConfigError(f"line {line}, column {key!r}: {exc}") from exc
         rows.append(row)
     return rows
@@ -483,18 +492,6 @@ def compare(rows: list[dict]) -> list[dict]:
             s_mean, s_ci = _mean_ci(srpic_vals)
             d_mean, d_ci = _mean_ci([s - b for s, b in zip(srpic_vals, base_vals)])
             ratio = s_mean / b_mean if b_mean else float("nan")
-            out.append(
-                {
-                    "scenario": scenario,
-                    "metric": metric,
-                    "n_pairs": len(keys),
-                    "baseline_mean": b_mean,
-                    "baseline_ci95": b_ci,
-                    "srpic_mean": s_mean,
-                    "srpic_ci95": s_ci,
-                    "diff_mean": d_mean,
-                    "diff_ci95": d_ci,
-                    "ratio": ratio,
-                }
-            )
+            stats = (scenario, metric, len(keys), b_mean, b_ci, s_mean, s_ci, d_mean, d_ci, ratio)
+            out.append(dict(zip(COMPARE_COLUMNS, stats)))
     return out

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -101,18 +101,24 @@ def arm_rows(**changes):
     return [base | {"srpic": arm} | changes for arm in ("off", "on")]
 
 
+def with_column(name, cell):
+    """The CSV of ``arm_rows()`` with one more column, ``name``, whose
+    cells are all ``cell``."""
+    head, *lines = rows_to_csv(arm_rows()).splitlines()
+    return "\n".join([f"{head},{name}", *(f"{line},{cell}" for line in lines)]) + "\n"
+
+
 def paired_rows(n, rng):
     """Hand-made rows of ``n`` pairs under the scenario name ``n<n>``,
-    with random counters and floats."""
+    with a random value of each metric column's type."""
     rows = []
     for seed in range(1, n + 1):
         for arm in ("off", "on"):
-            row = {c: rng.randrange(1, 500) for c in CSV_COLUMNS}
+            row = {
+                c: rng.uniform(0.5, 2e6) if parse is scenario._float else rng.randrange(1, 500)
+                for c, (parse, _) in scenario._COLUMNS.items()
+            }
             row |= {"scenario": f"n{n}", "seed": seed, "stream_id": 0, "srpic": arm}
-            for c in ("goodput_proxy", "mean_block_size", "max_hold_delay_us"):
-                row[c] = rng.uniform(0.5, 2e6)
-            for c in ("reorder_pre_ratio", "reorder_post_ratio"):
-                row[c] = rng.random()
             rows.append(row)
     return rows
 
@@ -283,6 +289,31 @@ class TestRunScenario:
             [dict.fromkeys(CSV_COLUMNS, 0) | {"goodput_proxy": 1234567.891}]
         )
         assert "1.23457e+06" in text
+
+
+class TestRunCsvSchema:
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem
+    )
+    def test_run_csv_round_trips_with_its_types(self, path):
+        # An int column parsed as a float prints the same bytes, so only
+        # the types show it.
+        rows = run_scenario(replace(load_scenario(str(path)), duration=0.2, seeds=(1,)))
+        text = rows_to_csv(rows)
+        parsed = parse_csv(text)
+        assert rows_to_csv(parsed) == text
+        types = [{c: type(v) for c, v in row.items()} for row in rows]
+        assert [{c: type(v) for c, v in row.items()} for row in parsed] == types
+
+    def test_compared_metrics_are_metric_columns(self):
+        for metric in scenario._COMPARE_METRICS:
+            _, attr = scenario._COLUMNS[metric.removesuffix("_per_goodput")]
+            assert attr, metric
+
+    def test_readme_lists_the_run_csv_columns(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("CSV columns, in order: `", 1)[1].split("`", 1)[0]
+        assert [c.strip() for c in listed.split(",")] == CSV_COLUMNS
 
 
 class TestCompare:
@@ -614,8 +645,17 @@ class TestCli:
             (rows_to_csv(arm_rows(goodput_proxy="abc")), "goodput_proxy"),
             (rows_to_csv(arm_rows(srpic="maybe")), "srpic"),
             (rows_to_csv(arm_rows(), CSV_COLUMNS[:4]), "dup_acks_in"),
+            (with_column("note", 7), "note"),
+            (with_column("pkts_retrans", 7), "pkts_retrans"),
         ],
-        ids=["no-scenario-column", "non-numeric", "unknown-arm", "no-metric-columns"],
+        ids=[
+            "no-scenario-column",
+            "non-numeric",
+            "unknown-arm",
+            "no-metric-columns",
+            "unknown-column",
+            "repeated-column",
+        ],
     )
     def test_compare_malformed_csv_exits_2(self, text, column, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -623,6 +663,30 @@ class TestCli:
         assert main(["compare", str(path)]) == 2
         err = capsys.readouterr().err
         assert "bad.csv: line " in err and column in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("goodput_proxy", "inf"),
+            ("goodput_proxy", "-inf"),
+            ("max_hold_delay_us", "nan"),
+            ("mean_block_size", "1e400"),
+            ("pkts_retrans", "1_0"),
+            ("pkts_retrans", " 5"),
+            ("seed", "+5"),
+            ("stream_id", "05"),
+            pytest.param("dup_acks_in", str(10**400), id="dup_acks_in-10**400"),
+        ],
+    )
+    def test_compare_rejects_cells_no_run_writes(self, column, cell, tmp_path, capsys):
+        # A run writes finite floats and integers as str(int) prints them.
+        # int() also takes "1_0" as 10 and " 5" as 5, and a count past
+        # 1e308 cannot be averaged as a float.
+        path = tmp_path / "bad.csv"
+        path.write_text(rows_to_csv(arm_rows(**{column: cell})), encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.csv: line 2, column {column!r}: " in err and "Traceback" not in err
 
     def test_compare_undecodable_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
