@@ -49,9 +49,10 @@ def _write(text: str, out: str | None) -> None:
 def _apply_seed_count(cfg, seed_count: int | None):
     if seed_count is None:
         return cfg
-    if seed_count < 1:
-        raise ConfigError("--seed-count: must be >= 1")
-    return replace(cfg, seeds=tuple(range(1, seed_count + 1)))
+    try:
+        return replace(cfg, seeds=tuple(range(1, seed_count + 1)))
+    except ConfigError as exc:  # ScenarioConfig's nonempty-seeds rule
+        raise ConfigError(f"--seed-count {seed_count}: {exc}") from exc
 
 
 def cmd_run(args) -> int:

@@ -116,8 +116,6 @@ def _coerce(key: str, declared: str, value):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: {value!r} is not a list of integers")
         return tuple(_coerce(key, "int", v) for v in value)
-    if declared not in _SCALARS:
-        raise ConfigError(f"{key}: is a section, not a single value")
     try:
         coerced = _SCALARS[declared](value)
     except (OverflowError, TypeError, ValueError):
@@ -137,16 +135,9 @@ def _coerce(key: str, declared: str, value):
     return coerced
 
 
-def _replace(key: str, section, changes: dict):
-    try:
-        return replace(section, **changes)
-    except ValueError as exc:  # the section's own range check
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _coerce_mapping(doc, cls, where: str) -> dict[str, Any]:
-    """The keyword arguments for ``cls`` that one mapping of a scenario
-    file sets, each value through ``_coerce``; sections recurse."""
+def _coerce_mapping(doc, cls, where: str, base=None) -> dict[str, Any]:
+    """The keyword arguments for ``cls`` that one scenario mapping sets,
+    each through ``_coerce``; a section recurses from ``base``'s or the default."""
     label = where or "top level"
     if not isinstance(doc, dict):
         raise ConfigError(f"{label}: expected a mapping")
@@ -157,22 +148,26 @@ def _coerce_mapping(doc, cls, where: str) -> dict[str, Any]:
     values = {}
     for key, value in doc.items():
         if cls is ScenarioConfig and key in _SECTIONS:
-            section = _SECTIONS[key]
-            values[key] = _replace(key, section, _coerce_mapping(value, type(section), key))
+            section = _SECTIONS[key] if base is None else getattr(base, key)
+            changes = _coerce_mapping(value, type(section), key)
+            try:
+                values[key] = replace(section, **changes)
+            except ValueError as exc:  # the section's own range check
+                raise ConfigError(f"{key}: {exc}") from exc
         else:
             values[key] = _coerce(f"{where}.{key}" if where else key, declared[key], value)
     return values
 
 
-def scenario_from_mapping(doc: dict[str, Any]) -> ScenarioConfig:
+def scenario_from_mapping(doc: dict[str, Any], base=None) -> ScenarioConfig:
     """Build a validated scenario from a parsed YAML mapping.
 
-    Keys, types and defaults are the fields of ``ScenarioConfig`` and of
-    its section dataclasses; an omitted key takes the field's default.
+    Keys and types are the fields of ``ScenarioConfig`` and its section
+    dataclasses; an omitted key keeps ``base``'s value, else its default.
     """
-    values = _coerce_mapping(doc, ScenarioConfig, "")
+    values = _coerce_mapping(doc, ScenarioConfig, "", base)
     try:
-        return ScenarioConfig(**values)
+        return ScenarioConfig(**values) if base is None else replace(base, **values)
     except TypeError as exc:  # name or duration is missing
         raise ConfigError(f"top level: {exc}") from exc
 
@@ -216,37 +211,32 @@ def override_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioCon
     """Return a validated copy of ``cfg`` with one (possibly dotted) key set.
 
     ``beta`` and ``delta`` are shorthands for ``fwd.beta`` and
-    ``fwd.drop_rate``.  The keys and the type rule are those of
-    ``scenario_from_mapping``.
+    ``fwd.drop_rate``.  The key is read as a one-key scenario mapping laid
+    over ``cfg`` by ``scenario_from_mapping``; its errors name ``param``.
     """
     section, _, leaf = _ALIASES.get(param, param).rpartition(".")
-    owner = _SECTIONS.get(section) if section else cfg
-    declared = _settable(type(owner)) if owner is not None else {}
-    if leaf not in declared:
-        raise ConfigError(f"sweep parameter {param!r} is not a scenario field")
-    coerced = _coerce(param, declared[leaf], value)
-    if not section:
-        return replace(cfg, **{leaf: coerced})
-    return replace(cfg, **{section: _replace(param, getattr(cfg, section), {leaf: coerced})})
+    doc = {section: {leaf: value}} if section else {leaf: value}
+    try:
+        return scenario_from_mapping(doc, cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{param}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Running and CSV emission
 # ---------------------------------------------------------------------------
 
-def _int(cell: str) -> int:
-    value = int(cell)
-    if str(value) != cell:
-        raise ValueError(f"{cell!r} is not an integer as a run writes it")
-    float(value)  # compare averages counts as floats
+def _number(parse, cell: str):
+    """``parse(cell)`` if ``format_value`` writes that value as ``cell``
+    and it is finite; an int too large for the float that compare
+    averages it as fails the finiteness test with an OverflowError."""
+    value = parse(cell)
+    if format_value(value) != cell or not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number as a run writes it")
     return value
 
 
-def _float(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"{cell!r} is not a finite number")
-    return value
+_int, _float = functools.partial(_number, int), functools.partial(_number, float)
 
 
 def _arm(cell: str) -> str:
@@ -437,14 +427,17 @@ def _t_quantile(df: int) -> float:
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
+    """Mean and 95% half-width; OverflowError if either is not finite
+    and no value is nan (a nan is the ratio of a zero goodput)."""
     n = len(values)
     mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    if var == 0.0:
-        return mean, 0.0
-    half = _t_quantile(n - 1) * math.sqrt(var / n)
+    half = 0.0
+    if n > 1:
+        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+        if var != 0.0:
+            half = _t_quantile(n - 1) * math.sqrt(var / n)
+    if not (math.isfinite(mean) and math.isfinite(half)) and not any(map(math.isnan, values)):
+        raise OverflowError
     return mean, half
 
 
@@ -488,9 +481,14 @@ def compare(rows: list[dict]) -> list[dict]:
         for metric in _COMPARE_METRICS:
             base_vals = [_metric_value(arms["off"][k], metric) for k in keys]
             srpic_vals = [_metric_value(arms["on"][k], metric) for k in keys]
-            b_mean, b_ci = _mean_ci(base_vals)
-            s_mean, s_ci = _mean_ci(srpic_vals)
-            d_mean, d_ci = _mean_ci([s - b for s, b in zip(srpic_vals, base_vals)])
+            try:
+                b_mean, b_ci = _mean_ci(base_vals)
+                s_mean, s_ci = _mean_ci(srpic_vals)
+                d_mean, d_ci = _mean_ci([s - b for s, b in zip(srpic_vals, base_vals)])
+            except OverflowError:
+                raise ConfigError(
+                    f"scenario {scenario!r}, metric {metric!r}: mean or interval overflows"
+                ) from None
             ratio = s_mean / b_mean if b_mean else float("nan")
             stats = (scenario, metric, len(keys), b_mean, b_ci, s_mean, s_ci, d_mean, d_ci, ratio)
             out.append(dict(zip(COMPARE_COLUMNS, stats)))

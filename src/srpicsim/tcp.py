@@ -254,15 +254,11 @@ def _on_dupack(state: SenderState, ack: AckRecord, now: float, sent: list) -> No
         and state.dup_ack_count >= state.dupthresh
         and state.retransmit_queue
     ):
-        seg = state.retransmit_queue[0]
-        seg.retransmitted = True
-        state.last_rtx_time = now
-        state.pkts_retrans += 1
+        _retransmit_head(state, now, sent)
         state.ssthresh = max(state.cwnd / 2.0, 2.0)
         state.cwnd = state.ssthresh
         state.in_recovery = True
         state.recover_point = state.next_send_seq
-        sent.append(seg)
 
 
 def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> None:
@@ -320,7 +316,6 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
             # acked; without SACK, pace by the RTT since holes fill one
             # round trip apart and faster "partial" acks are just echoes of
             # data that was never lost.
-            seg = state.retransmit_queue[0]
             if state.sack_aware:
                 queue_iter = iter(state.retransmit_queue)
                 next(queue_iter)
@@ -333,11 +328,8 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
                     state.last_rtx_time is None
                     or now - state.last_rtx_time >= pace
                 )
-            if not seg.retransmitted and evidence:
-                seg.retransmitted = True
-                state.last_rtx_time = now
-                state.pkts_retrans += 1
-                sent.append(seg)
+            if not state.retransmit_queue[0].retransmitted and evidence:
+                _retransmit_head(state, now, sent)
 
     if not state.in_recovery:
         cwnd, ssthresh = state.cwnd, state.ssthresh
@@ -358,18 +350,26 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
 
 def sender_on_timeout(state: SenderState, now: float) -> list[SegmentRecord]:
     """Retransmission timeout: resend the oldest segment, collapse cwnd."""
+    sent: list[SegmentRecord] = []
     if not state.retransmit_queue:
-        return []
-    seg = state.retransmit_queue[0]
-    seg.retransmitted = True
-    state.last_rtx_time = now
-    state.pkts_retrans += 1
+        return sent
+    _retransmit_head(state, now, sent)
     state.ssthresh = max(state.cwnd / 2.0, 2.0)
     state.cwnd = 1.0
     state.in_recovery = False
     state.dup_ack_count = 0
     state.rto_backoff = min(state.rto_backoff * 2, 64)
-    return [seg]
+    return sent
+
+
+def _retransmit_head(state: SenderState, now: float, sent: list) -> None:
+    """Resend the oldest unacknowledged segment: mark it retransmitted,
+    stamp the time, count it and queue it for the wire."""
+    seg = state.retransmit_queue[0]
+    seg.retransmitted = True
+    state.last_rtx_time = now
+    state.pkts_retrans += 1
+    sent.append(seg)
 
 
 def _fill_window(state: SenderState, now: float, sent: list) -> None:

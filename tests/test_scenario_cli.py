@@ -671,6 +671,9 @@ class TestCli:
             ("goodput_proxy", "-inf"),
             ("max_hold_delay_us", "nan"),
             ("mean_block_size", "1e400"),
+            ("goodput_proxy", "2_5"),
+            ("goodput_proxy", " 2.5"),
+            ("goodput_proxy", "1e6"),
             ("pkts_retrans", "1_0"),
             ("pkts_retrans", " 5"),
             ("seed", "+5"),
@@ -679,14 +682,44 @@ class TestCli:
         ],
     )
     def test_compare_rejects_cells_no_run_writes(self, column, cell, tmp_path, capsys):
-        # A run writes finite floats and integers as str(int) prints them.
-        # int() also takes "1_0" as 10 and " 5" as 5, and a count past
-        # 1e308 cannot be averaged as a float.
+        # A run writes finite numbers as format_value prints them.  int()
+        # and float() also take "1_0" as 10, " 5" as 5 and "1e6" for the
+        # "1e+06" a run writes, and a count past 1e308 cannot be averaged
+        # as a float.
         path = tmp_path / "bad.csv"
         path.write_text(rows_to_csv(arm_rows(**{column: cell})), encoding="utf-8")
         assert main(["compare", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"bad.csv: line 2, column {column!r}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cells, metric",
+        [
+            ((1e200, -1e200), "goodput_proxy"),
+            ((1.7e308, 1.7e308), "goodput_proxy"),
+            ((1e-310, 1e-310), "pkts_retrans_per_goodput"),
+        ],
+    )
+    def test_compare_overflowing_statistics_exit_2(self, cells, metric, tmp_path, capsys):
+        # Finite goodput cells whose statistics overflow a float: 1e200
+        # squared raised OverflowError, 1.7e308 summed printed inf, and a
+        # count of 1 over 1e-310 is inf.
+        rows = [
+            row | {"seed": seed}
+            for seed, cell in enumerate(cells, 1)
+            for row in arm_rows(goodput_proxy=cell)
+        ]
+        path = tmp_path / "big.csv"
+        path.write_text(rows_to_csv(rows), encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario 'x', metric {metric!r}: " in err and "overflows" in err
+        assert "Traceback" not in err
+
+    def test_compare_zero_goodput_keeps_its_nan_ratios(self):
+        summary = {e["metric"]: e for e in compare(arm_rows(goodput_proxy=0.0))}
+        assert math.isnan(summary["goodput_proxy"]["ratio"])
+        assert math.isnan(summary["pkts_retrans_per_goodput"]["baseline_mean"])
 
     def test_compare_undecodable_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -710,6 +743,23 @@ class TestCli:
         path.write_text(rows_to_csv(arm_rows()), encoding="utf-8")
         assert main(["compare", str(path)]) == 0
         assert "goodput_proxy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_seed_count_zero_exits_2(self, command, tiny_config, capsys, no_run):
+        args = [command, str(tiny_config), "--seed-count", "0"]
+        if command == "sweep":
+            args += ["--param", "beta", "--values", "0.01"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "--seed-count 0: seeds: " in err and "Traceback" not in err
+
+    def test_sweep_over_a_section_names_it(self, tiny_config, capsys, no_run):
+        with pytest.raises(ConfigError, match="^fwd: "):
+            override_param(tiny_cfg(), "fwd", 1.0)
+        args = ["sweep", str(tiny_config), "--param", "fwd", "--values", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error: fwd: " in err and "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/cfg.yaml"]) == 2

@@ -15,6 +15,7 @@ from srpicsim.metrics import FirstCopyReports
 from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, TcpFlags
 from srpicsim.scenario import _COLUMNS, ScenarioConfig, load_scenario, run_scenario
 from srpicsim.tcp import (
+    INITIAL_CWND,
     MSS,
     AckRecord,
     ReceiverState,
@@ -26,6 +27,7 @@ from srpicsim.tcp import (
     receiver_on_segment,
     run_transfer,
     sender_on_ack,
+    sender_on_timeout,
     sender_start,
 )
 
@@ -183,6 +185,35 @@ class TestSenderStatic:
         acts = sender_on_ack(st, new_ack(2 * MSS), now=2.0)
         assert acts == [] or not any(a.retransmitted for a in acts)
         assert (st.snd_una, st.cwnd, st.dup_ack_count) == before
+
+
+class TestSenderTimeout:
+    def test_resends_the_head_and_collapses_cwnd(self):
+        st = SenderState(mode="static", max_cwnd=64.0)
+        sender_start(st, 0.0)
+        st.cwnd, st.dup_ack_count = 9.0, 2
+        head = st.retransmit_queue[0]
+        (sent,) = sender_on_timeout(st, now=5.0)
+        assert sent is head and head.retransmitted and head.seq == 0
+        assert (st.last_rtx_time, st.pkts_retrans) == (5.0, 1)
+        assert (st.ssthresh, st.cwnd) == (4.5, 1.0)
+        assert st.dup_ack_count == 0 and not st.in_recovery
+        sender_on_timeout(st, now=6.0)
+        assert (st.ssthresh, st.pkts_retrans) == (2.0, 2)  # max(1 / 2, 2)
+
+    def test_backoff_doubles_up_to_64(self):
+        st = SenderState()
+        sender_start(st, 0.0)
+        backoffs = []
+        for i in range(8):
+            sender_on_timeout(st, now=float(i))
+            backoffs.append(st.rto_backoff)
+        assert backoffs == [2, 4, 8, 16, 32, 64, 64, 64]
+
+    def test_empty_queue_sends_nothing(self):
+        st = SenderState()
+        assert sender_on_timeout(st, now=1.0) == []
+        assert (st.pkts_retrans, st.rto_backoff, st.cwnd) == (0, 1, INITIAL_CWND)
 
 
 class TestSenderAdaptive:
