@@ -212,13 +212,16 @@ def override_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioCon
 
     ``beta`` and ``delta`` are shorthands for ``fwd.beta`` and
     ``fwd.drop_rate``.  The key is read as a one-key scenario mapping laid
-    over ``cfg`` by ``scenario_from_mapping``; its errors name ``param``.
+    over ``cfg`` by ``scenario_from_mapping``; its errors name ``param``
+    once, so a message that already names it is left as it is.
     """
     section, _, leaf = _ALIASES.get(param, param).rpartition(".")
     doc = {section: {leaf: value}} if section else {leaf: value}
     try:
         return scenario_from_mapping(doc, cfg)
     except ConfigError as exc:
+        if str(exc).startswith(f"{param}:") or repr(param) in str(exc):
+            raise
         raise ConfigError(f"{param}: {exc}") from exc
 
 
@@ -371,64 +374,45 @@ COMPARE_COLUMNS = [
 ]
 
 
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), by the modified Lentz
-    evaluation of its continued fraction (Numerical Recipes, 6.4), for
-    0 < x < 1."""
-    if x > (a + 1.0) / (a + b + 2.0):  # the fraction converges fast only below this
-        return 1.0 - _betainc(b, a, 1.0 - x)
-    tiny = 1e-300
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 1000):
-        for num in (
-            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
-        ):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
-            h *= d * c
-        if abs(d * c - 1.0) <= 3e-16:  # a few ulps of 1.0
-            break
-    else:
-        raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
-    log_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    return math.exp(log_front) * h / a
-
-
 _CI_TAIL = 0.025  # upper-tail mass of the two-sided 95% interval
+
+
+def _t_tail(t: float, df: int) -> float:
+    """P(T > t) for t >= 0 under Student's t with ``df`` degrees of freedom,
+    from the finite series for P(|T| <= t) in theta = atan(t / sqrt(df))
+    (Abramowitz & Stegun 26.7.3 for odd df, 26.7.4 for even df)."""
+    theta = math.atan(t / math.sqrt(df))
+    odd = df % 2
+    cos2 = math.cos(theta) ** 2
+    term, total = (math.cos(theta) if odd else 1.0), 0.0
+    for j in range(1, df // 2 + 1):  # the df // 2 terms, in powers of cos2
+        total += term
+        term *= cos2 * (2 * j - 1 + odd) / (2 * j + odd)
+    series = math.sin(theta) * total
+    within = 2.0 / math.pi * (theta + series) if odd else series  # P(|T| <= t)
+    return 0.5 * (1.0 - within)
 
 
 @functools.cache
 def _t_quantile(df: int) -> float:
     """The 0.975 quantile of Student's t with ``df`` degrees of freedom:
-    bisection on the upper tail 0.5 * I_{df/(df+t^2)}(df/2, 1/2) down to
-    adjacent floats."""
-    def tail(t):
-        return 0.5 * _betainc(df / 2.0, 0.5, df / (df + t * t))
-
+    bisection on ``_t_tail`` down to adjacent floats."""
     lo, hi = 0.0, 1.0
-    while tail(hi) > _CI_TAIL:
+    while _t_tail(hi, df) > _CI_TAIL:
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return hi
-        if tail(mid) > _CI_TAIL:
+        if _t_tail(mid, df) > _CI_TAIL:
             lo = mid
         else:
             hi = mid
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
-    """Mean and 95% half-width; OverflowError if either is not finite
-    and no value is nan (a nan is the ratio of a zero goodput)."""
+    """Mean and 95% half-width; both nan if a value is (a count over a
+    zero goodput)."""
     n = len(values)
     mean = sum(values) / n
     half = 0.0
@@ -436,8 +420,6 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
         if var != 0.0:
             half = _t_quantile(n - 1) * math.sqrt(var / n)
-    if not (math.isfinite(mean) and math.isfinite(half)) and not any(map(math.isnan, values)):
-        raise OverflowError
     return mean, half
 
 
@@ -481,15 +463,22 @@ def compare(rows: list[dict]) -> list[dict]:
         for metric in _COMPARE_METRICS:
             base_vals = [_metric_value(arms["off"][k], metric) for k in keys]
             srpic_vals = [_metric_value(arms["on"][k], metric) for k in keys]
+            diffs = [s - b for s, b in zip(srpic_vals, base_vals)]
+            # A zero goodput (a nan value) or a zero baseline mean (a nan
+            # ratio) makes a nan, never an infinity, and finite values make
+            # no other nan.  So an infinite value or statistic, or the
+            # OverflowError of a square, is the one sign of overflow.
             try:
                 b_mean, b_ci = _mean_ci(base_vals)
                 s_mean, s_ci = _mean_ci(srpic_vals)
-                d_mean, d_ci = _mean_ci([s - b for s, b in zip(srpic_vals, base_vals)])
+                d_mean, d_ci = _mean_ci(diffs)
+                ratio = s_mean / b_mean if b_mean else float("nan")
+                stats = (b_mean, b_ci, s_mean, s_ci, d_mean, d_ci, ratio)
+                if any(map(math.isinf, (*base_vals, *srpic_vals, *diffs, *stats))):
+                    raise OverflowError
             except OverflowError:
                 raise ConfigError(
-                    f"scenario {scenario!r}, metric {metric!r}: mean or interval overflows"
+                    f"scenario {scenario!r}, metric {metric!r}: a value or statistic overflows"
                 ) from None
-            ratio = s_mean / b_mean if b_mean else float("nan")
-            stats = (scenario, metric, len(keys), b_mean, b_ci, s_mean, s_ci, d_mean, d_ci, ratio)
-            out.append(dict(zip(COMPARE_COLUMNS, stats)))
+            out.append(dict(zip(COMPARE_COLUMNS, (scenario, metric, len(keys), *stats))))
     return out

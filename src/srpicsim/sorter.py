@@ -6,12 +6,20 @@ Each TCP stream gets a manager holding three ordered lists:
 * ``prev_list`` — out-of-order packets below the next expected sequence;
 * ``after_list`` — out-of-order packets above it.
 
-Most packets arrive in sequence and cost one append.  ``SrpicEngine.ingest``
-is the one way in: it flushes a manager (``prev ++ curr ++ after``, then
-reinit) when it holds the engine's ``block_size`` packets, and every
-manager when the global packet count reaches the ring-buffer size, so no
-flow stalls another flow's delivery beyond one ring of service time;
-``end_cycle`` flushes every manager at the end of each coalescing cycle.
+A packet costs one append when it opens a block or arrives at
+``next_exp``; when arrivals stay in order (drops alone, as in
+``table5_analog``) every packet does.  After a block's first packet ahead
+of its turn, only a packet that fills the gap at ``next_exp`` appends, and
+the rest take ``_sorted_insert``: on ``table4_analog`` (seed 1, 1 s) 88%
+of the sorter arm's packets at beta 0.002 and 86% at beta 0.01, though
+60% and 31% of all packets land at the tail of their list.
+
+``SrpicEngine.ingest`` is the one way in: it flushes a manager
+(``prev ++ curr ++ after``, then reinit) when it holds the engine's
+``block_size`` packets, and every manager when the global packet count
+reaches the ring-buffer size, so no flow stalls another flow's delivery
+beyond one ring of service time; ``end_cycle`` flushes every manager at
+the end of each coalescing cycle.
 
 Serial order is ``packets.seq_cmp``'s.  The per-packet paths write its
 tests out inline, and the tests check each inline form against it.

@@ -6,12 +6,16 @@ import pytest
 
 from srpicsim.coalescing import (
     CoalescingParams,
+    ReceivePath,
     ReceiverSaturationError,
+    SimulationError,
     block_size_cbr,
     block_size_closed_form,
     hold_delay_bound,
     simulate_coalescing,
 )
+from srpicsim.packets import FlowKey, Packet
+from srpicsim.sorter import SrpicEngine
 
 from oracles import naive_coalescing_blocks
 
@@ -227,3 +231,20 @@ class TestHoldDelayBound:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             hold_delay_bound(32, 0.0)
+
+
+class TestHoldBoundCheck:
+    def test_hold_beyond_the_block_bound_raises(self):
+        # The path takes its bound, one block of 1 packet at 10 us a
+        # packet, from the engine it is built with.  A block of 100 then
+        # holds the cycle's first packet from its fetch at 20 us until the
+        # ring empties at 40 us, twice the bound.
+        engine = SrpicEngine(1, 512)
+        path = ReceivePath(CoalescingParams(10.0, 1e5), engine)
+        engine.block_size = 100
+        flow = FlowKey(1, 2, 3, 4)
+        for i in range(3):
+            path.arrive(Packet(flow, 100 * i, 100, send_index=i), 0.0)
+        with pytest.raises(SimulationError, match=r"held a packet 20\.000us"):
+            while path.ring:
+                path.service(lambda p, fetched_at: None)

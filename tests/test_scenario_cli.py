@@ -716,6 +716,16 @@ class TestCli:
         assert f"scenario 'x', metric {metric!r}: " in err and "overflows" in err
         assert "Traceback" not in err
 
+    def test_compare_overflowing_ratio_exits_2(self, tmp_path, capsys):
+        # Finite means whose ratio overflows: 1e10 over 1e-300 printed inf.
+        rows = [row | {"goodput_proxy": cell} for row, cell in zip(arm_rows(), (1e-300, 1e10))]
+        path = tmp_path / "ratio.csv"
+        path.write_text(rows_to_csv(rows), encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario 'x', metric 'goodput_proxy': " in err and "overflows" in err
+        assert "Traceback" not in err
+
     def test_compare_zero_goodput_keeps_its_nan_ratios(self):
         summary = {e["metric"]: e for e in compare(arm_rows(goodput_proxy=0.0))}
         assert math.isnan(summary["goodput_proxy"]["ratio"])
@@ -760,6 +770,24 @@ class TestCli:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "error: fwd: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("num_streams", "0"),
+            ("nope", "1"),
+            ("duration", "0"),
+            ("fwd", "1"),
+            ("fwd.drop_rate", "2"),
+        ],
+    )
+    def test_sweep_error_names_its_key_once(self, param, value, tiny_config, capsys, no_run):
+        # The loader's message already named some keys, and the sweep named
+        # them again: "num_streams: num_streams: must be >= 1".
+        args = ["sweep", str(tiny_config), "--param", param, "--values", value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count(param) == 1 and "Traceback" not in err, err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/cfg.yaml"]) == 2
