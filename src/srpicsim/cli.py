@@ -46,40 +46,35 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _apply_seed_count(cfg, seed_count: int | None):
-    if seed_count is None:
-        return cfg
-    try:
-        return replace(cfg, seeds=tuple(range(1, seed_count + 1)))
-    except ConfigError as exc:  # ScenarioConfig's nonempty-seeds rule
-        raise ConfigError(f"--seed-count {seed_count}: {exc}") from exc
-
-
 def cmd_run(args) -> int:
-    cfg = _apply_seed_count(load_scenario(args.config), args.seed_count)
-    _check_out(args.out)
-    rows = run_scenario(cfg)
-    _write(rows_to_csv(rows), args.out)
-    return 0
+    """Run a scenario's points and emit their rows in ``row_key`` order.
 
-
-def cmd_sweep(args) -> int:
-    cfg = _apply_seed_count(load_scenario(args.config), args.seed_count)
-    try:
-        values = [float(v) for v in args.values.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"--values: {exc}") from exc
-    if not values:
-        raise ConfigError("--values: at least one value required")
-    points = {}
-    for value in values:
-        name = f"{cfg.name}[{args.param}={format_value(value)}]"
-        if name in points:
-            raise ConfigError(f"--values: {format_value(value)} is given twice ({name})")
-        points[name] = replace(override_param(cfg, args.param, value), name=name)
+    ``run`` is the sweep over no parameter: its one point is the file's
+    scenario.  ``sweep`` has one point per ``--values`` entry, named
+    ``name[param=value]``; a point named twice is rejected before any runs.
+    """
+    cfg = load_scenario(args.config)
+    if args.seed_count is not None:
+        try:
+            cfg = replace(cfg, seeds=tuple(range(1, args.seed_count + 1)))
+        except ConfigError as exc:  # ScenarioConfig's nonempty-seeds rule
+            raise ConfigError(f"--seed-count {args.seed_count}: {exc}") from exc
+    points = [cfg]
+    if args.param is not None:
+        try:
+            values = [float(v) for v in args.values.split(",") if v != ""]
+        except ValueError as exc:
+            raise ConfigError(f"--values: {exc}") from exc
+        if not values:
+            raise ConfigError("--values: at least one value required")
+        points = []
+        for value in values:
+            name = f"{cfg.name}[{args.param}={format_value(value)}]"
+            if any(point.name == name for point in points):
+                raise ConfigError(f"--values: {format_value(value)} is given twice ({name})")
+            points.append(replace(override_param(cfg, args.param, value), name=name))
     _check_out(args.out)
-    rows = [row for point in points.values() for row in run_scenario(point)]
-    rows.sort(key=row_key)
+    rows = sorted((row for point in points for row in run_scenario(point)), key=row_key)
     _write(rows_to_csv(rows), args.out)
     return 0
 
@@ -103,26 +98,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario file, emit per-run CSV")
-    p_run.add_argument("config", help="scenario YAML file")
-    p_run.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p_run.add_argument(
-        "--seed-count",
-        type=int,
-        default=None,
-        help="replace the config's seed list with seeds 1..N",
+    points = argparse.ArgumentParser(add_help=False)
+    points.add_argument("config", help="scenario YAML file")
+    points.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    points.add_argument(
+        "--seed-count", type=int, default=None, help="replace the config's seed list with seeds 1..N"
     )
-    p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a scenario across parameter values")
-    p_sweep.add_argument("config", help="scenario YAML file")
+    p_run = sub.add_parser("run", parents=[points], help="run one scenario file, emit per-run CSV")
+    p_run.set_defaults(func=cmd_run, param=None)
+
+    p_sweep = sub.add_parser("sweep", parents=[points], help="run a scenario across parameter values")
     p_sweep.add_argument("--param", required=True, help="e.g. beta, delta, fwd.beta")
-    p_sweep.add_argument(
-        "--values", required=True, help="comma separated values, e.g. 0.002,0.01"
-    )
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed-count", type=int, default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--values", required=True, help="comma separated values, e.g. 0.002,0.01")
+    p_sweep.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="summarize a run CSV into paired statistics")
     p_cmp.add_argument("csv", help="CSV produced by 'run' or 'sweep'")

@@ -45,6 +45,8 @@ class CoalescingParams:
             raise ValueError("r_sn_pps must be > 0")
         if self.t_intr_us < 0:
             raise ValueError("t_intr_us must be >= 0")
+        if not math.isfinite(self.t_intr_us + self.quantum_us):
+            raise ValueError("t_intr_us + 1e6 / r_sn_pps (in us) must be finite")
 
     @property
     def quantum_us(self) -> float:

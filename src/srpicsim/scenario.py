@@ -229,17 +229,21 @@ def override_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioCon
 # Running and CSV emission
 # ---------------------------------------------------------------------------
 
-def _number(parse, cell: str):
-    """``parse(cell)`` if ``format_value`` writes that value as ``cell``
-    and it is finite; an int too large for the float that compare
-    averages it as fails the finiteness test with an OverflowError."""
+def _number(parse, cell: str, signed: bool = False):
+    """``parse(cell)`` if ``format_value`` writes that value as ``cell``,
+    it is finite and, unless ``signed``, it has no minus sign (so no
+    ``-0`` either); an int too large for the float that compare averages
+    it as fails the finiteness test with an OverflowError."""
     value = parse(cell)
     if format_value(value) != cell or not math.isfinite(value):
         raise ValueError(f"{cell!r} is not a finite number as a run writes it")
+    if not signed and cell.startswith("-"):
+        raise ValueError(f"{cell!r} has a minus sign, which a run writes only in a seed")
     return value
 
 
 _int, _float = functools.partial(_number, int), functools.partial(_number, float)
+_seed = functools.partial(_number, int, signed=True)  # a file may list negative seeds
 
 
 def _arm(cell: str) -> str:
@@ -252,7 +256,7 @@ def _arm(cell: str) -> str:
 # attribute the column prints (none for the four that name the run).
 _COLUMNS = {
     "scenario": (str, None),
-    "seed": (_int, None),
+    "seed": (_seed, None),
     "stream_id": (_int, None),
     "srpic": (_arm, None),
     "goodput_proxy": (_float, "goodput_proxy"),
@@ -457,9 +461,7 @@ def compare(rows: list[dict]) -> list[dict]:
             raise ConfigError(
                 f"scenario {scenario!r}: baseline and srpic rows are not paired"
             )
-        keys = sorted(arms["off"])
-        if not keys:
-            continue
+        keys = sorted(arms["off"])  # nonempty: a row named the scenario
         for metric in _COMPARE_METRICS:
             base_vals = [_metric_value(arms["off"][k], metric) for k in keys]
             srpic_vals = [_metric_value(arms["on"][k], metric) for k in keys]

@@ -416,6 +416,30 @@ class TestCli:
         assert main(["compare", str(out_csv), "--out", str(out_cmp)]) == 0
         assert "dup_acks_in" in out_cmp.read_text(encoding="utf-8")
 
+    def test_negative_seeds_round_trip_through_compare(self, tmp_path, capsys):
+        # Seeds are the one signed column: a file may list any integers.
+        path = tmp_path / "neg.yaml"
+        path.write_text(SMALL_YAML.replace("seeds: [1, 2]", "seeds: [-3, 0]"), encoding="utf-8")
+        out_csv = tmp_path / "rows.csv"
+        assert main(["run", str(path), "--out", str(out_csv)]) == 0
+        text = out_csv.read_text(encoding="utf-8")
+        rows = parse_csv(text)
+        assert sorted({r["seed"] for r in rows}) == [-3, 0] and rows_to_csv(rows) == text
+        assert main(["compare", str(out_csv)]) == 0
+        assert rows_to_csv(compare(rows), COMPARE_COLUMNS) == capsys.readouterr().out
+
+    def test_run_is_the_sweep_over_no_parameter(self, tiny_config, tmp_path):
+        # Sweeping beta over the file's own value runs the file's scenario.
+        run_csv, sweep_csv = tmp_path / "run.csv", tmp_path / "sweep.csv"
+        assert main(["run", str(tiny_config), "--out", str(run_csv)]) == 0
+        args = ["sweep", str(tiny_config), "--param", "beta", "--values", "0.01"]
+        assert main(args + ["--out", str(sweep_csv)]) == 0
+        run_rows = parse_csv(run_csv.read_text(encoding="utf-8"))
+        sweep_rows = parse_csv(sweep_csv.read_text(encoding="utf-8"))
+        assert {r["scenario"] for r in run_rows} == {"tiny"}
+        assert {r["scenario"] for r in sweep_rows} == {"tiny[beta=0.01]"}
+        assert [r | {"scenario": "tiny"} for r in sweep_rows] == run_rows
+
     def test_seed_count_override(self, tiny_config, tmp_path):
         out_csv = tmp_path / "rows.csv"
         assert main(["run", str(tiny_config), "--out", str(out_csv), "--seed-count", "3"]) == 0
@@ -599,6 +623,8 @@ class TestCli:
             ("duration", 1.0e303, "duration: duration * 1e6"),
             ("fwd.alpha_ms", 1.0e306, "alpha_ms * 1000"),
             ("fwd.beta", 1.0e306, "beta * alpha_ms * 1000"),
+            # No first service: both arms reported zero goodput, exit 0.
+            ("coalescing.r_sn_pps", 1.0e-320, "1e6 / r_sn_pps (in us) must be finite"),
         ],
     )
     def test_value_infinite_in_microseconds_exits_2(
@@ -669,6 +695,12 @@ class TestCli:
         [
             ("goodput_proxy", "inf"),
             ("goodput_proxy", "-inf"),
+            ("goodput_proxy", "-2.5"),
+            ("goodput_proxy", "-1e+200"),
+            ("goodput_proxy", "-0"),
+            ("pkts_retrans", "-5"),
+            ("reorder_pre_ratio", "-0.5"),
+            ("stream_id", "-1"),
             ("max_hold_delay_us", "nan"),
             ("mean_block_size", "1e400"),
             ("goodput_proxy", "2_5"),
@@ -682,10 +714,10 @@ class TestCli:
         ],
     )
     def test_compare_rejects_cells_no_run_writes(self, column, cell, tmp_path, capsys):
-        # A run writes finite numbers as format_value prints them.  int()
-        # and float() also take "1_0" as 10, " 5" as 5 and "1e6" for the
-        # "1e+06" a run writes, and a count past 1e308 cannot be averaged
-        # as a float.
+        # A run writes finite numbers as format_value prints them, with no
+        # sign except in a seed.  int() and float() also take "1_0" as 10,
+        # " 5" as 5 and "1e6" for the "1e+06" a run writes, and a count
+        # past 1e308 cannot be averaged as a float.
         path = tmp_path / "bad.csv"
         path.write_text(rows_to_csv(arm_rows(**{column: cell})), encoding="utf-8")
         assert main(["compare", str(path)]) == 2
@@ -695,14 +727,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "cells, metric",
         [
-            ((1e200, -1e200), "goodput_proxy"),
+            ((0.0, 1e200), "goodput_proxy"),
             ((1.7e308, 1.7e308), "goodput_proxy"),
             ((1e-310, 1e-310), "pkts_retrans_per_goodput"),
         ],
     )
     def test_compare_overflowing_statistics_exit_2(self, cells, metric, tmp_path, capsys):
-        # Finite goodput cells whose statistics overflow a float: 1e200
-        # squared raised OverflowError, 1.7e308 summed printed inf, and a
+        # Finite goodput cells whose statistics overflow a float: a
+        # deviation of 5e199 squared raised OverflowError, 1.7e308 summed printed inf, and a
         # count of 1 over 1e-310 is inf.
         rows = [
             row | {"seed": seed}
