@@ -27,7 +27,7 @@ from .channel import PathConfig
 from .coalescing import CoalescingParams
 from .packets import SEQ_MOD
 from .sorter import DEFAULT_BLOCK_SIZE, DEFAULT_RINGBUFFER_SIZE
-from .tcp import run_transfer
+from .tcp import DRAIN_GRACE_US, run_transfer
 
 
 class ConfigError(ValueError):
@@ -69,6 +69,14 @@ class ScenarioConfig:
             raise ConfigError("duration: must be at least 1e-6 seconds, one simulated microsecond")
         if not math.isfinite(self.duration * 1e6):
             raise ConfigError("duration: duration * 1e6 (the run length in us) must be finite")
+        # A first service at or after the hard stop would deliver nothing.
+        first_us = self.coalescing.t_intr_us + self.coalescing.quantum_us
+        stop_us = self.duration * 1e6 + DRAIN_GRACE_US
+        if first_us >= stop_us:
+            raise ConfigError(
+                f"coalescing: the first service, t_intr_us + 1e6 / r_sn_pps = {first_us:g} us, must"
+                f" come before the hard stop, duration * 1e6 + {DRAIN_GRACE_US:g} = {stop_us:g} us"
+            )
         if self.num_streams < 1:
             raise ConfigError("num_streams: must be >= 1")
         if not self.seeds:

@@ -625,13 +625,16 @@ class TestCli:
             ("fwd.beta", 1.0e306, "beta * alpha_ms * 1000"),
             # No first service: both arms reported zero goodput, exit 0.
             ("coalescing.r_sn_pps", 1.0e-320, "1e6 / r_sn_pps (in us) must be finite"),
+            # A finite first service (1e306 us) after the hard stop: the same.
+            ("coalescing.r_sn_pps", 1.0e-300, "must come before the hard stop"),
         ],
     )
     def test_value_infinite_in_microseconds_exits_2(
         self, key, value, message, tiny_config, tmp_path, capsys, no_run
     ):
         # Finite in the file, but infinite once the run scales it to
-        # microseconds: a run that never ends, or delays that clamp to 0.
+        # microseconds (or, for the first service, past the run's hard
+        # stop): a run that never ends, or delays that clamp to 0.
         path = tmp_path / "big.yaml"
         path.write_text(yaml.safe_dump(with_key(key, value)), encoding="utf-8")
         assert main(["run", str(path)]) == 2
@@ -846,11 +849,30 @@ class TestCli:
 
 
 def test_import_loads_neither_scipy_nor_numpy():
-    code = (
-        "import sys, srpicsim, srpicsim.cli; "
-        "heavy = sorted({'scipy', 'numpy'} & set(sys.modules)); "
-        "assert not heavy, heavy"
-    )
+    # A bare ``import srpicsim`` loads the receive-path layers only; the
+    # TCP loop and the scenario layer load on first use of their names.
+    code = """
+import sys
+before = set(sys.modules)
+import srpicsim
+added = set(sys.modules) - before
+eager = {"srpicsim.tcp", "srpicsim.scenario", "yaml", "csv", "hashlib"} & added
+assert not eager, sorted(eager)
+for name in srpicsim.__all__:
+    module = sys.modules[getattr(srpicsim, name).__module__]
+    assert getattr(srpicsim, name) is getattr(module, name), name
+marker = srpicsim.scenario.load_scenario = object()
+assert srpicsim.load_scenario is marker, "a lazy name was cached"
+try:
+    srpicsim.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("srpicsim.nope resolved")
+import srpicsim.cli
+heavy = sorted({"scipy", "numpy"} & set(sys.modules))
+assert not heavy, heavy
+"""
     env = os.environ | {"PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
