@@ -3,22 +3,25 @@
 A cycle starts when a packet lands in an empty ring buffer.  After the
 hardware interrupt delay the softirq drains the ring at a fixed rate of
 one packet per service quantum; packets arriving during the drain join
-the same cycle.  The cycle ends at the first service completion that
-finds the ring empty.  ``ReceivePath`` is the one implementation: the first
-completion is at ``arrival + t_intr_us + quantum_us``, each later one at the
-previous one ``+ quantum_us``.  A completion comes before an arrival at the
-same instant, so an arrival just as the ring empties opens the next cycle.
+the same cycle.  The cycle ends at the first fetch that finds the ring
+empty.  ``ReceivePath`` is the one implementation: the first fetch is at
+``arrival + t_intr_us + quantum_us``, each later one at the previous one
+``+ quantum_us``.  A fetch comes before an arrival at the same instant, so
+an arrival just as the ring empties opens the next cycle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Sequence
 
 from .packets import Packet
 from .sorter import SrpicEngine
+
+_INF = math.inf
+Deliver = Callable[[Packet, float, float], None]  # (packet, fetched_at, now)
 
 
 class ReceiverSaturationError(ValueError):
@@ -110,69 +113,69 @@ def block_size_cbr(p_rate: float, params: CoalescingParams) -> int:
 
 
 class ReceivePath:
-    """One receive ring, its service clock and an optional block sorter.
+    """One FIFO receive ring, its fetch clock and an optional block sorter.
 
-    ``service`` completes the service due at ``svc_t`` (``inf`` while idle)
-    and, when that empties the ring, flushes the engine and counts the
-    cycle in ``cycles`` and its packets in ``cycle_packets``.  Each packet
-    goes to ``deliver(p, fetched_at)``, and a TCP run ACKs it at the later
-    of its flush and ``fetched_at`` plus the reverse delay: with in-order
-    lossless arrivals and a constant reverse delay above the hold bound,
-    the sorter arms then differ only in holds.  Holds go to
-    ``max_hold_us``, checked against the one-flow block bound.
-    ``deliver`` is ``None`` only without an engine, and comes per call: a
-    stored bound method of the path's owner would make a reference cycle.
+    ``arrive`` fixes a packet's fetch instant, ``cycle_end + quantum_us``
+    while a cycle is open (``cycle_end > now``), else ``now + t_intr_us +
+    quantum_us``; it makes it ``cycle_end``, returns it, and hands the packet
+    on at once, to the engine or to ``deliver``.  The caller runs
+    ``end_cycle`` at ``cycle_end`` (``inf`` while idle) before any later
+    arrival: it flushes the engine and counts the cycle in ``cycles`` and
+    ``cycle_packets``.  A packet fetched after ``hard_stop_us`` is not
+    handed on, but it moves ``cycle_end``, so its cycle is never counted.
+    A delivery is ``deliver(p, fetched_at, now)``, ``now`` the fetch instant
+    of its flush; holds go to ``max_hold_us``, checked against the one-flow
+    block bound.  ``deliver`` is ``None`` only without an engine, and comes
+    per call: a stored bound method of the owner would make a reference cycle.
     """
 
-    def __init__(self, params: CoalescingParams, engine: SrpicEngine | None = None):
+    def __init__(self, params: CoalescingParams, engine: SrpicEngine | None = None, hard_stop_us=_INF):
         self.quantum_us = params.quantum_us
         self.t_intr_us = params.t_intr_us
         self.engine = engine
-        self.ring: deque = deque()
-        self.svc_t = math.inf
+        self.hard_stop_us = hard_stop_us
+        self.cycle_end = _INF
         self.cycles = 0  # completed cycles
         self.cycle_packets = 0  # packets of completed cycles
-        self._served = 0  # packets fetched in the current cycle
+        self._arrived = 0
         self.max_hold_us = 0.0
         if engine is not None:
             self._fetch_time: dict[int, float] = {}
             self._block_bound_us = hold_delay_bound(engine.block_size, params.r_sn_pps)
 
-    def arrive(self, p: Packet, now: float) -> None:
-        if not self.ring:
-            self.svc_t = now + self.t_intr_us + self.quantum_us
-        self.ring.append(p)
-
-    def service(self, deliver: Callable[[Packet, float], None] | None = None) -> None:
-        now = self.svc_t
-        p = self.ring.popleft()
-        self._served += 1
+    def arrive(self, p: Packet, now: float, deliver: Deliver | None = None) -> float:
+        end = self.cycle_end
+        end = now + self.t_intr_us + self.quantum_us if end == _INF else end + self.quantum_us
+        self.cycle_end = end
+        self._arrived += 1
+        if deliver is None or end > self.hard_stop_us:
+            return end
         engine = self.engine  # ingest/end_cycle looked up per call: tests patch them
-        if engine is None:
-            if deliver is not None:
-                deliver(p, now)
-        else:
-            self._fetch_time[id(p)] = now
+        if engine is not None:
+            self._fetch_time[id(p)] = end
             emitted = engine.ingest(p)
-            if not self.ring:
-                emitted = emitted + engine.end_cycle()
-            for held in emitted:
-                fetched_at = self._fetch_time.pop(id(held))
-                hold = now - fetched_at
-                if hold > self._block_bound_us + 1e-6:
-                    raise SimulationError(
-                        f"sorter held a packet {hold:.3f}us, beyond its delay bound"
-                    )
-                if hold > self.max_hold_us:
-                    self.max_hold_us = hold
-                deliver(held, fetched_at)
-        if self.ring:
-            self.svc_t = now + self.quantum_us
+            if emitted:
+                self._release(emitted, end, deliver)
         else:
-            self.cycles += 1
-            self.cycle_packets += self._served
-            self._served = 0
-            self.svc_t = math.inf
+            deliver(p, end, end)
+        return end
+
+    def end_cycle(self, deliver: Deliver | None = None) -> None:
+        if self.engine is not None:
+            self._release(self.engine.end_cycle(), self.cycle_end, deliver)
+        self.cycles += 1
+        self.cycle_packets = self._arrived
+        self.cycle_end = _INF
+
+    def _release(self, emitted: list[Packet], now: float, deliver: Deliver) -> None:
+        for held in emitted:
+            fetched_at = self._fetch_time.pop(id(held))
+            hold = now - fetched_at
+            if hold > self._block_bound_us + 1e-6:
+                raise SimulationError(f"sorter held a packet {hold:.3f}us, beyond its delay bound")
+            if hold > self.max_hold_us:
+                self.max_hold_us = hold
+            deliver(held, fetched_at, now)
 
 
 def simulate_coalescing(
@@ -184,24 +187,21 @@ def simulate_coalescing(
     cycle; the ring is unbounded.  A cycle drains one packet per service
     quantum, so its emptying takes ``block_packets * quantum_us``.
     """
+    n = len(arrival_times)
+    if n and not -_INF < arrival_times[0] <= arrival_times[-1] < _INF or not all(
+        map(le, arrival_times, arrival_times[1:])
+    ):
+        raise ValueError("arrival_times must be finite and nondecreasing")
     path = ReceivePath(params)
-    ring, arrive, service = path.ring, path.arrive, path.service
-    last = math.nextafter(-math.inf, 0.0)  # least finite float: -inf fails below
-    firsts = []  # index of each cycle's first arrival
-    for i, t in enumerate(arrival_times):
-        if not last <= t < math.inf:
-            raise ValueError("arrival_times must be finite and nondecreasing")
-        last = t
-        while path.svc_t <= t:
-            service()
-        if not ring:
-            firsts.append(i)
-        arrive(t, t)  # the ring holds arrival times, not packets
-    while ring:
-        service()
-    return [
-        CycleRecord(b - a) for a, b in zip(firsts, firsts[1:] + [len(arrival_times)])
-    ]
+    arrive, end_cycle = path.arrive, path.end_cycle
+    ends, end = [0], _INF  # packets of the cycles ended so far, after each
+    for t in arrival_times:  # the ring gets arrival times, not packets
+        if end <= t:
+            end_cycle()
+            ends.append(path.cycle_packets)
+        end = arrive(t, t)
+    ends.append(n)
+    return [CycleRecord(b - a) for a, b in zip(ends, ends[1:]) if b > a]  # none if n == 0
 
 
 def hold_delay_bound(block_size: int, r_sn_prime: float) -> float:

@@ -27,7 +27,11 @@ from .channel import PathConfig
 from .coalescing import CoalescingParams
 from .packets import SEQ_MOD
 from .sorter import DEFAULT_BLOCK_SIZE, DEFAULT_RINGBUFFER_SIZE
-from .tcp import DRAIN_GRACE_US, run_transfer
+
+
+# A run stops this long after ``duration``: the drain, in which data
+# already sent is still delivered and acknowledged.
+DRAIN_GRACE_US = 2_000_000.0
 
 
 class ConfigError(ValueError):
@@ -69,13 +73,22 @@ class ScenarioConfig:
             raise ConfigError("duration: must be at least 1e-6 seconds, one simulated microsecond")
         if not math.isfinite(self.duration * 1e6):
             raise ConfigError("duration: duration * 1e6 (the run length in us) must be finite")
-        # A first service at or after the hard stop would deliver nothing.
+        # A first fetch, or a first arrival, at or after the hard stop would
+        # deliver nothing.
+        stop_us = self.hard_stop_us
         first_us = self.coalescing.t_intr_us + self.coalescing.quantum_us
-        stop_us = self.duration * 1e6 + DRAIN_GRACE_US
         if first_us >= stop_us:
             raise ConfigError(
                 f"coalescing: the first service, t_intr_us + 1e6 / r_sn_pps = {first_us:g} us, must"
                 f" come before the hard stop, duration * 1e6 + {DRAIN_GRACE_US:g} = {stop_us:g} us"
+            )
+        # A draw is at least mean - 9 std-devs (see channel.PathConfig), bar a
+        # random() of exactly 0.0 (odds 2**-53), which draws 0.
+        earliest_us = self.fwd.alpha_ms * 1000.0 * (1.0 - 9.0 * self.fwd.beta)
+        if earliest_us >= stop_us:
+            raise ConfigError(
+                f"fwd: the earliest delay draw, alpha_ms * 1000 * (1 - 9 * beta) = {earliest_us:g} us,"
+                f" must come before the hard stop, duration * 1e6 + {DRAIN_GRACE_US:g} = {stop_us:g} us"
             )
         if self.num_streams < 1:
             raise ConfigError("num_streams: must be >= 1")
@@ -92,6 +105,11 @@ class ScenarioConfig:
             raise ConfigError("segment_spacing_us: must be > 0")
         if not 0 <= self.isn < SEQ_MOD:
             raise ConfigError("isn: must be in [0, 2**32)")
+
+    @property
+    def hard_stop_us(self) -> float:
+        """The instant a run stops: ``duration`` plus the drain, in us."""
+        return self.duration * 1e6 + DRAIN_GRACE_US
 
 
 # The section fields of ScenarioConfig and their defaults.  A scenario's
@@ -299,6 +317,8 @@ def row_key(row: dict) -> tuple:
 def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     """Execute all seeds of a scenario, paired sorter-off/sorter-on, and
     return one row dict per stream per seed per arm."""
+    from .tcp import run_transfer  # the TCP loop loads only for a run
+
     rows: list[dict] = []
     for seed in cfg.seeds:
         for arm in ("off", "on"):

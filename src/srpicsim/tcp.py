@@ -15,14 +15,20 @@ a fraction of the minimum RTT is treated as spurious evidence as well.
 One transfer runs as a deterministic event loop: sender window fills ->
 forward path delay/drop -> ``coalescing.ReceivePath`` (ring and optional
 sorter) -> receiver -> reverse path -> ACK processing.  The loop takes the
-earliest of three instants: the next ring service completion, the top of
-a heap that holds only packet and ACK arrivals, and the retransmission
-timeout.  Ties go to ring service first, then to the heap (packet
+earliest of three instants: the end of the open coalescing cycle, the top
+of a heap that holds only packet and ACK arrivals, and the retransmission
+timeout.  Ties go to the cycle end first, then to the heap (packet
 arrivals before ACKs), then to the timeout.  A heap item is
 ``(time, priority, event number, kind, payload)``, and the loop runs a
 popped item's arrival or ACK step by its priority.  The timer is one RFC
 6298-style timer, re-armed whenever the cumulative ACK advances.
 
+The path hands each packet on as it arrives, stamped with its closed-form
+fetch instant, so no event runs per fetch.  The results are those of a
+loop with one event per fetch: the receiver, the reorder walk and the
+reverse draws see the deliveries in the same order; ACKs keep their
+``(time, priority)`` and, like arrivals, their push order, so event
+numbers break ties alike; and the sender never reads receiver state.
 ``metrics.FirstCopyReports`` builds a run's reordering reports as packets
 arrive and are delivered.
 
@@ -62,7 +68,6 @@ DUPTHRESH_MAX = 127
 # been the retransmitted copy returning; the hole was filled by a late
 # original, i.e. reordering.
 SPURIOUS_RTT_FRACTION = 0.8
-DRAIN_GRACE_US = 2_000_000.0
 
 
 @dataclass(slots=True)
@@ -402,7 +407,7 @@ def sender_start(state: SenderState, now: float = 0.0) -> list[SegmentRecord]:
 # Event-driven transfer simulation
 # ---------------------------------------------------------------------------
 
-# Heap priorities break ties at one instant, after ring service.
+# Heap priorities break ties at one instant, after a cycle end.
 _PRIO_ARRIVAL = 1
 _PRIO_ACK = 2
 _INF = float("inf")
@@ -420,8 +425,6 @@ class _StreamSim:
     def __init__(self, cfg: "ScenarioConfig", run_seed: int, stream_id: int, srpic_on: bool):
         self.cfg = cfg
         self.flow = FlowKey(1, 2, 40000 + stream_id, 5001)
-        self.duration_us = cfg.duration * 1e6
-        self.hard_stop_us = self.duration_us + DRAIN_GRACE_US
         self.spacing_us = cfg.segment_spacing_us
 
         self.fwd = PathStreams(
@@ -434,7 +437,7 @@ class _StreamSim:
         self.sender = SenderState(
             mode=cfg.sender_mode,
             max_cwnd=float(cfg.max_cwnd),
-            data_deadline_us=self.duration_us,
+            data_deadline_us=cfg.duration * 1e6,
             sack_aware=cfg.sack_enabled,
             next_send_seq=cfg.isn,
             snd_una=cfg.isn,
@@ -444,7 +447,7 @@ class _StreamSim:
         engine = None
         if srpic_on:
             engine = SrpicEngine(cfg.srpic.block_size, cfg.srpic.ringbuffer_size)
-        self.path = ReceivePath(cfg.coalescing, engine)
+        self.path = ReceivePath(cfg.coalescing, engine, cfg.hard_stop_us)
 
         self.now = 0.0
         self._heap: list[tuple] = []
@@ -493,7 +496,7 @@ class _StreamSim:
 
     # -- receive path -------------------------------------------------------
 
-    def _deliver_one(self, p: Packet, stamp: float) -> None:
+    def _deliver_one(self, p: Packet, stamp: float, now: float) -> None:
         self.reorder.deliver(p)
         ack = receiver_on_segment(self.receiver, p)
         rev = self.rev
@@ -502,7 +505,6 @@ class _StreamSim:
         if dropped:
             return
         t = stamp + delay
-        now = self.now
         if not t > now:
             t = now
         self._evseq += 1
@@ -521,12 +523,12 @@ class _StreamSim:
         self._emit_actions(sender_start(self.sender, 0.0))
         self._arm_rto()
         heap = self._heap
-        hard_stop = self.hard_stop_us
         path, deliver = self.path, self._deliver_one
+        hard_stop, fetch = path.hard_stop_us, path.arrive
         sender, arrive = self.sender, self.reorder.arrive
         transmit = self._transmit
         while True:
-            t = path.svc_t
+            t = path.cycle_end
             rto_t = self._rto_t
             top = heap[0][0] if heap else _INF
             if top < t and top <= rto_t:
@@ -536,7 +538,7 @@ class _StreamSim:
                 self.now = t
                 if prio == _PRIO_ARRIVAL:
                     arrive(payload)
-                    path.arrive(payload, t)
+                    fetch(payload, t, deliver)
                 else:  # _PRIO_ACK
                     before = sender.snd_una
                     for seg in sender_on_ack(sender, payload, t):
@@ -551,18 +553,16 @@ class _StreamSim:
             elif t > hard_stop:  # also ends the run once nothing is pending
                 break
             else:
-                self.now = t
-                path.service(deliver)
+                path.end_cycle(deliver)
         return self._metrics()
 
     def _metrics(self) -> TransferMetrics:
         pre, post = self.reorder.reports()
         bytes_acked = self.sender.bytes_acked
-        duration_s = self.cfg.duration
         cycles = self.path.cycles
         mean_block = self.path.cycle_packets / cycles if cycles else 0.0
         return TransferMetrics(
-            goodput_proxy=bytes_acked / duration_s,
+            goodput_proxy=bytes_acked / self.cfg.duration,
             pkts_retrans=self.sender.pkts_retrans,
             dup_acks_in=self.sender.dup_acks_in,
             sack_blocks_rcvd=self.sender.sack_blocks_rcvd,

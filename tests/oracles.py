@@ -3,24 +3,27 @@
 These deliberately avoid the package's incremental algorithms: the
 reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
-The ``reference_*`` functions, ``ReferenceEngine`` and ``EagerTimerSim``
-are the straightforward earlier forms of code that was since rewritten for
-speed or size.  ``reference_report`` is the whole-trace walk that kept one
-offset per packet, and so holds the run's byte-range walk to an
-independent form.  ``unwrapper`` is the one stated definition of the serial
-step that ``metrics`` writes out inline, and ``add_only_walk`` and
+The ``reference_*`` functions, ``ReferenceEngine``, ``ReferenceRing``,
+``ReferenceLoopSim`` and ``EagerTimerSim`` are the straightforward earlier
+forms of code that was since rewritten for speed or size.
+``reference_report`` is the whole-trace walk that kept one offset per
+packet, and so holds the run's byte-range walk to an independent form.
+``unwrapper`` is the one stated definition of the serial step that
+``metrics`` writes out inline, and ``add_only_walk`` and
 ``add_only_reports`` feed ``metrics._RangeWalk`` through ``add`` alone, the
-walks that the inline in-order steps must reproduce state for state.  ``RecordingSim`` records the packet orders and the
-cycle sizes that a TCP run does not keep, and ``first_copies`` and
-``first_copy_reports`` feed such whole orders through the run's
-``metrics.FirstCopyReports``.  ``sort_cycle`` runs one cycle's fetch order
-through a sorter engine.  ``reference_draws`` draws a path's drops and
-delays one value at a time, without ``channel.PathStreams``.
+walks that the inline in-order steps must reproduce state for state.
+``RecordingSim`` records the packet orders and the cycle sizes that a TCP
+run does not keep, and ``first_copies`` and ``first_copy_reports`` feed
+such whole orders through the run's ``metrics.FirstCopyReports``.
+``sort_cycle`` runs one cycle's fetch order through a sorter engine.
+``reference_draws`` draws a path's drops and delays one value at a time,
+without ``channel.PathStreams``.
 """
 
 import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from dataclasses import replace
 from itertools import islice
 from statistics import NormalDist
@@ -391,7 +394,7 @@ def reference_apply_path(trace, cfg):
 
 def sort_cycle(engine, fetched):
     """One coalescing cycle through the sorter: ``ingest`` on each fetched
-    packet, then ``end_cycle``, as ``ReceivePath.service`` calls them."""
+    packet, then ``end_cycle``, as ``ReceivePath`` calls them."""
     out = [q for p in fetched for q in engine.ingest(p)]
     return out + engine.end_cycle()
 
@@ -420,7 +423,114 @@ class ReferenceEngine(SrpicEngine):
         return out
 
 
-class EagerTimerSim(_StreamSim):
+class ReferenceRing:
+    """The receive path that served its ring one fetch at a time: a deque
+    of arrived packets and the instant ``svc_t`` of the next fetch (``inf``
+    while idle).  ``service`` fetches the head and, when that empties the
+    ring, flushes the engine and counts the cycle.  It hands on the same
+    packets, stamped the same way, as ``coalescing.ReceivePath``."""
+
+    def __init__(self, params, engine=None):
+        self.quantum_us = params.quantum_us
+        self.t_intr_us = params.t_intr_us
+        self.engine = engine
+        self.ring = deque()
+        self.svc_t = float("inf")
+        self.cycles = 0
+        self.cycle_packets = 0
+        self._served = 0
+        self.max_hold_us = 0.0
+        self._fetch_time = {}
+
+    def arrive(self, p, now):
+        if not self.ring:
+            self.svc_t = now + self.t_intr_us + self.quantum_us
+        self.ring.append(p)
+
+    def service(self, deliver):
+        now = self.svc_t
+        p = self.ring.popleft()
+        self._served += 1
+        engine = self.engine
+        if engine is None:
+            deliver(p, now, now)
+        else:
+            self._fetch_time[id(p)] = now
+            emitted = engine.ingest(p)
+            if not self.ring:
+                emitted = emitted + engine.end_cycle()
+            for held in emitted:
+                fetched_at = self._fetch_time.pop(id(held))
+                self.max_hold_us = max(self.max_hold_us, now - fetched_at)
+                deliver(held, fetched_at, now)
+        if self.ring:
+            self.svc_t = now + self.quantum_us
+        else:
+            self.cycles += 1
+            self.cycle_packets += self._served
+            self._served = 0
+            self.svc_t = float("inf")
+
+
+class _ReferenceRingSim(_StreamSim):
+    """TCP stream on a ``ReferenceRing``, which its own loop serves."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.hard_stop_us = self.cfg.hard_stop_us
+        self.path = ReferenceRing(self.cfg.coalescing, self.path.engine)
+
+
+class ReferenceLoopSim(_ReferenceRingSim):
+    """TCP stream run by the loop that served the ring one fetch at a time:
+    it takes the earliest of the next fetch, the heap top and the timeout,
+    with ties in that order.  It records every packet it hands to the
+    receiver, in delivery order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.deliveries = []
+
+    def _deliver_one(self, p, stamp, now):
+        self.deliveries.append(p)
+        super()._deliver_one(p, stamp, now)
+
+    def run(self):
+        self._emit_actions(sender_start(self.sender, 0.0))
+        self._arm_rto()
+        heap, path, hard_stop = self._heap, self.path, self.hard_stop_us
+        while True:
+            t = path.svc_t
+            rto_t = self._rto_t
+            top = heap[0][0] if heap else float("inf")
+            if top < t and top <= rto_t:
+                t, prio, _n, _kind, payload = heapq.heappop(heap)
+                if t > hard_stop:
+                    break
+                self.now = t
+                if prio == 1:  # a packet arrival
+                    self.reorder.arrive(payload)
+                    path.arrive(payload, t)
+                else:
+                    before = self.sender.snd_una
+                    for seg in sender_on_ack(self.sender, payload, t):
+                        self._transmit(seg.seq, seg.length)
+                    if self.sender.snd_una != before:
+                        self._arm_rto()
+            elif rto_t < t:
+                if rto_t > hard_stop:
+                    break
+                self.now = rto_t
+                self._on_rto()
+            elif t > hard_stop:
+                break
+            else:
+                self.now = t
+                path.service(self._deliver_one)
+        return self._metrics()
+
+
+class EagerTimerSim(_ReferenceRingSim):
     """TCP stream whose retransmission timer queues one timeout event per
     arming, carrying the snd_una of that arming.
 
@@ -488,22 +598,21 @@ class EagerTimerSim(_StreamSim):
 
 class RecordingPath(ReceivePath):
     """Receive path that records every packet that arrives, in arrival
-    order, and the size of each cycle as its ring empties."""
+    order, and the size of each cycle as it ends."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.arrivals = []
         self.cycle_sizes = []
 
-    def arrive(self, p, now):
+    def arrive(self, p, now, deliver=None):
         self.arrivals.append(p)
-        super().arrive(p, now)
+        return super().arrive(p, now, deliver)
 
-    def service(self, deliver=None):
+    def end_cycle(self, deliver=None):
         before = self.cycle_packets
-        super().service(deliver)
-        if not self.ring:
-            self.cycle_sizes.append(self.cycle_packets - before)
+        super().end_cycle(deliver)
+        self.cycle_sizes.append(self.cycle_packets - before)
 
 
 class RecordingSim(_StreamSim):
@@ -514,10 +623,10 @@ class RecordingSim(_StreamSim):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.path = RecordingPath(self.cfg.coalescing, self.path.engine)
+        self.path = RecordingPath(self.cfg.coalescing, self.path.engine, self.cfg.hard_stop_us)
         self.arrivals = self.path.arrivals
         self.deliveries = []
 
-    def _deliver_one(self, p, stamp):
+    def _deliver_one(self, p, stamp, now):
         self.deliveries.append(p)
-        super()._deliver_one(p, stamp)
+        super()._deliver_one(p, stamp, now)

@@ -238,13 +238,13 @@ class TestHoldBoundCheck:
         # The path takes its bound, one block of 1 packet at 10 us a
         # packet, from the engine it is built with.  A block of 100 then
         # holds the cycle's first packet from its fetch at 20 us until the
-        # ring empties at 40 us, twice the bound.
+        # cycle ends at the last fetch, 40 us, twice the bound.
         engine = SrpicEngine(1, 512)
         path = ReceivePath(CoalescingParams(10.0, 1e5), engine)
         engine.block_size = 100
         flow = FlowKey(1, 2, 3, 4)
-        for i in range(3):
-            path.arrive(Packet(flow, 100 * i, 100, send_index=i), 0.0)
+        deliver = lambda p, fetched_at, now: None  # noqa: E731
+        fetches = [path.arrive(Packet(flow, 100 * i, 100, send_index=i), 0.0, deliver) for i in range(3)]
+        assert fetches == [20.0, 30.0, 40.0] and path.cycle_end == 40.0
         with pytest.raises(SimulationError, match=r"held a packet 20\.000us"):
-            while path.ring:
-                path.service(lambda p, fetched_at: None)
+            path.end_cycle(deliver)

@@ -1,8 +1,10 @@
 """Cross-layer checks on the TCP event loop.
 
-The loop takes the earliest of three instants (the next ring service, the
-top of the arrival heap and the retransmission timeout) and breaks ties in
-that order.  These tests tie it to independent references: the offline
+The loop takes the earliest of three instants (the end of the open
+coalescing cycle, the top of the arrival heap and the retransmission
+timeout) and breaks ties in that order.  These tests tie it to independent
+references: the loop that served the ring one fetch at a time
+(``oracles.ReferenceLoopSim``), exactly, on random small configs; the offline
 coalescing replay of the loop's own arrival times (on shipped scenarios
 and on random small configs), the exact timeout schedule of a path that
 drops everything, the timer that queued one timeout event per arming
@@ -18,16 +20,24 @@ at the loop's patch points see every call and every channel draw.
 
 import gc
 import heapq
+import math
 import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EagerTimerSim, RecordingSim, reference_first_copies, reference_report
+from oracles import (
+    EagerTimerSim,
+    RecordingSim,
+    ReferenceLoopSim,
+    reference_first_copies,
+    reference_report,
+)
 from srpicsim import tcp
 from srpicsim.channel import PathConfig
 from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
@@ -81,7 +91,7 @@ def _assert_cycles_match_replay(sim):
     done = sim.path.cycle_sizes
     assert (sim.path.cycles, sim.path.cycle_packets) == (len(done), sum(done))
     rest = len(arrivals) - sum(done)
-    assert bool(rest) == bool(sim.path.ring)
+    assert bool(rest) == (sim.path.cycle_end < math.inf)
     replay = simulate_coalescing(arrivals, sim.cfg.coalescing)
     assert [c.block_packets for c in replay] == done + ([rest] if rest else [])
 
@@ -92,7 +102,7 @@ def test_cycle_sizes_match_offline_coalescing(name, srpic_on):
     cfg = load_scenario(str(SCENARIOS / name))
     sim = RecordingSim(cfg, 1, 0, srpic_on)
     sim.run()
-    assert not sim.path.ring
+    assert sim.path.cycle_end == math.inf
     _assert_cycles_match_replay(sim)
 
 
@@ -120,6 +130,48 @@ def test_streamed_reports_equal_the_batch_definition(srpic_on, cfg, seed):
     assert m.reorder_post == reference_report(
         [p for p in sim.deliveries if p.send_index in first]
     )
+
+
+def _run_keeping_pushes(sim):
+    """Run ``sim``; return its metrics and the times of the heap items it
+    pushed, by kind, in push order."""
+    pushes = {"arr": [], "ack": []}
+
+    class Heapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, item):
+            pushes[item[3]].append(item[0])
+            heapq.heappush(heap, item)
+
+    with mock.patch.object(tcp, "heapq", Heapq):
+        return sim.run(), pushes
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_loop_matches_the_loop_that_served_each_fetch(srpic_on, cfg, seed):
+    # The loop runs no event per fetch: each packet's fetch instant is
+    # fixed at its arrival.  The loop that stepped the ring one fetch at a
+    # time must give the same metrics, the same delivery order and the
+    # same packet and ACK times, each in push order.
+    ref = ReferenceLoopSim(cfg, seed, 0, srpic_on)
+    sim = RecordingSim(cfg, seed, 0, srpic_on)
+    expected, expected_pushes = _run_keeping_pushes(ref)
+    got, pushes = _run_keeping_pushes(sim)
+    assert got == expected
+    assert (sim.path.cycles, sim.path.cycle_packets) == (ref.path.cycles, ref.path.cycle_packets)
+    # Long orders are compared by their first difference: a full diff of
+    # thousands of items would take minutes per shrinking step.
+    orders = {
+        "delivery": ([p.send_index for p in sim.deliveries], [p.send_index for p in ref.deliveries]),
+        **{kind + " push": (pushes[kind], expected_pushes[kind]) for kind in pushes},
+    }
+    for name, (seen, want) in orders.items():
+        first = next((i for i, (a, b) in enumerate(zip(seen, want)) if a != b), None)
+        assert first is None and len(seen) == len(want), (name, first, len(seen), len(want))
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
@@ -172,7 +224,7 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
         @staticmethod
         def heappop(heap):
             item = heapq.heappop(heap)
-            kept[item[3], item[0] <= sim.hard_stop_us] += 1
+            kept[item[3], item[0] <= sim.path.hard_stop_us] += 1
             return item
 
     def counting(name, fn, on_result=None):
@@ -208,6 +260,15 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
         monkeypatch.setattr(SrpicEngine, name, counting(name, fn, emitted))
     for name in ("receiver_on_segment", "sender_on_ack"):
         monkeypatch.setattr(tcp, name, counting(name, getattr(tcp, name)))
+    arrive = sim.path.arrive
+
+    def counted_arrive(p, now, deliver):
+        # An arrival whose fetch comes after the hard stop is never fetched.
+        fetch = arrive(p, now, deliver)
+        n["fetched late"] += fetch > sim.path.hard_stop_us
+        return fetch
+
+    sim.path.arrive = counted_arrive
     sim.run()
 
     sent = sim.sender.segments_sent
@@ -219,7 +280,7 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     assert n["push.ack"] == delivered - n["rev.dropped"] > 0
     assert n["push.arr"] + n["push.ack"] == sum(kept.values()) + len(sim._heap)
     assert n["sender_on_ack"] == kept["ack", True] > 0
-    fetched = kept["arr", True] - len(sim.path.ring)
+    fetched = kept["arr", True] - n["fetched late"]
     if srpic_on:
         assert n["ingest"] == fetched
         assert n["end_cycle"] == sim.path.cycles > 0
@@ -300,14 +361,16 @@ def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
     ingest, end_cycle = engine.ingest, engine.end_cycle
     fetched, emitted, fetch_time, holds, cycle_sizes = [], [], {}, [], []
 
+    # A packet is ingested as it arrives, at the fetch instant its arrival
+    # set as the cycle's end; a flush releases packets at that instant too.
     def record(out):
-        holds.extend(sim.now - fetch_time[p.send_index] for p in out)
+        holds.extend(sim.path.cycle_end - fetch_time[p.send_index] for p in out)
         emitted.extend(out)
         return out
 
     def audited_ingest(p):
         fetched.append(p)
-        fetch_time[p.send_index] = sim.now
+        fetch_time[p.send_index] = sim.path.cycle_end
         return record(ingest(p))
 
     def audited_end_cycle():
@@ -349,7 +412,7 @@ def test_an_ack_at_the_timeout_instant_comes_first(srpic_on):
     rto = sim.sender.rto_us()
     sim._evseq += 1
     heapq.heappush(sim._heap, (rto, _PRIO_ACK, sim._evseq, "ack", AckRecord(ack_seq=MSS)))
-    sim.hard_stop_us = 2.5 * rto
+    sim.path.hard_stop_us = 2.5 * rto
     sim.run()
     assert sim.sender.bytes_acked == MSS
     assert sim.sender.pkts_retrans == 1

@@ -627,14 +627,18 @@ class TestCli:
             ("coalescing.r_sn_pps", 1.0e-320, "1e6 / r_sn_pps (in us) must be finite"),
             # A finite first service (1e306 us) after the hard stop: the same.
             ("coalescing.r_sn_pps", 1.0e-300, "must come before the hard stop"),
+            # Every forward delay (at least 9.1e11 us) past the hard stop:
+            # the same, as no packet is fetched.
+            ("fwd.alpha_ms", 1.0e9, "the earliest delay draw"),
         ],
     )
     def test_value_infinite_in_microseconds_exits_2(
         self, key, value, message, tiny_config, tmp_path, capsys, no_run
     ):
         # Finite in the file, but infinite once the run scales it to
-        # microseconds (or, for the first service, past the run's hard
-        # stop): a run that never ends, or delays that clamp to 0.
+        # microseconds (or, for the first service and the forward delay,
+        # past the run's hard stop): a run that never ends, delays that
+        # clamp to 0, or a run that fetches no packet.
         path = tmp_path / "big.yaml"
         path.write_text(yaml.safe_dump(with_key(key, value)), encoding="utf-8")
         assert main(["run", str(path)]) == 2
@@ -872,6 +876,19 @@ else:
 import srpicsim.cli
 heavy = sorted({"scipy", "numpy"} & set(sys.modules))
 assert not heavy, heavy
+"""
+    env = os.environ | {"PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scenario_layer_and_cli_load_no_tcp_loop():
+    # compare reads a CSV and never runs a transfer, so the scenario layer
+    # and the command line load the TCP loop (and hashlib) only in a run.
+    code = """
+import sys
+import srpicsim.cli, srpicsim.scenario
+assert "srpicsim.tcp" not in sys.modules
 """
     env = os.environ | {"PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
