@@ -2,9 +2,10 @@
 
 A scenario names a channel/sender/receive-path configuration plus a seed
 list.  Running it executes every seed twice — sorter off and sorter on —
-with identical channel randomness (paired design) and emits one CSV row
-per stream per seed per arm.  Output is byte-stable: fixed column order,
-fixed row order, floats printed with 6 significant digits.
+with identical channel randomness (paired design), the two arms side by
+side where a second CPU allows, and emits one CSV row per stream per seed
+per arm.  Output is byte-stable: fixed column order, fixed row order,
+floats printed with 6 significant digits.
 
 ``_COLUMNS`` states the run CSV once: column order, cell parsers and the
 metric each column prints.  ``parse_csv`` accepts only what a run writes.
@@ -16,6 +17,8 @@ import csv
 import functools
 import io
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
@@ -24,7 +27,7 @@ from typing import Any, Iterable
 import yaml
 
 from .channel import PathConfig
-from .coalescing import CoalescingParams
+from .coalescing import CoalescingParams, SimulationError
 from .packets import SEQ_MOD
 from .sorter import DEFAULT_BLOCK_SIZE, DEFAULT_RINGBUFFER_SIZE
 
@@ -73,22 +76,26 @@ class ScenarioConfig:
             raise ConfigError("duration: must be at least 1e-6 seconds, one simulated microsecond")
         if not math.isfinite(self.duration * 1e6):
             raise ConfigError("duration: duration * 1e6 (the run length in us) must be finite")
-        # A first fetch, or a first arrival, at or after the hard stop would
-        # deliver nothing.
+        # The first ACK can reach the sender no earlier than the forward
+        # path's earliest delay draw, the first service and the reverse
+        # path's earliest draw; at or after the hard stop, no byte is acked.
+        # A draw is at least mean - 9 std-devs (see channel.PathConfig), bar
+        # a random() of exactly 0.0 (odds 2**-53), and never below 0.
+        terms = {
+            "fwd": max(0.0, self.fwd.alpha_ms * 1000.0 * (1.0 - 9.0 * self.fwd.beta)),
+            "coalescing": self.coalescing.t_intr_us + self.coalescing.quantum_us,
+            "rev": max(0.0, self.rev.alpha_ms * 1000.0 * (1.0 - 9.0 * self.rev.beta)),
+        }
         stop_us = self.hard_stop_us
-        first_us = self.coalescing.t_intr_us + self.coalescing.quantum_us
-        if first_us >= stop_us:
+        first_ack_us = sum(terms.values())
+        if first_ack_us >= stop_us:
+            fwd_us, service_us, rev_us = terms.values()
             raise ConfigError(
-                f"coalescing: the first service, t_intr_us + 1e6 / r_sn_pps = {first_us:g} us, must"
-                f" come before the hard stop, duration * 1e6 + {DRAIN_GRACE_US:g} = {stop_us:g} us"
-            )
-        # A draw is at least mean - 9 std-devs (see channel.PathConfig), bar a
-        # random() of exactly 0.0 (odds 2**-53), which draws 0.
-        earliest_us = self.fwd.alpha_ms * 1000.0 * (1.0 - 9.0 * self.fwd.beta)
-        if earliest_us >= stop_us:
-            raise ConfigError(
-                f"fwd: the earliest delay draw, alpha_ms * 1000 * (1 - 9 * beta) = {earliest_us:g} us,"
-                f" must come before the hard stop, duration * 1e6 + {DRAIN_GRACE_US:g} = {stop_us:g} us"
+                f"{max(terms, key=terms.get)}: the earliest ACK, fwd's earliest delay draw + the first"
+                f" service + rev's earliest delay draw = {fwd_us:g} + {service_us:g} + {rev_us:g} ="
+                f" {first_ack_us:g} us, must come before the hard stop, duration * 1e6 +"
+                f" {DRAIN_GRACE_US:g} = {stop_us:g} us (the first service is t_intr_us + 1e6 /"
+                " r_sn_pps, and the earliest delay draw is alpha_ms * 1000 * (1 - 9 * beta))"
             )
         if self.num_streams < 1:
             raise ConfigError("num_streams: must be >= 1")
@@ -314,16 +321,106 @@ def row_key(row: dict) -> tuple:
     return (row["scenario"], row["seed"], row["stream_id"], row["srpic"])
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _forks() -> bool:
+    """Whether ``run_scenario`` runs each seed's sorter-off arm in a forked
+    child: there is a second CPU, ``os.fork`` exists, and the caller runs
+    one thread, so the child copies no lock that another thread holds."""
+    return _cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _start_child(arm_rows) -> tuple[int, int]:
+    """Fork a child that runs ``arm_rows()`` and writes the pickled pair
+    ``(ok, rows or exception)`` to a pipe; return its pid and the pipe's
+    read end.  An exception that does not pickle and load back travels as
+    a ``RuntimeError`` of its repr.  The child leaves only through
+    ``os._exit``, so it never returns into the caller's stack, runs no
+    ``atexit`` hook and flushes no stdio buffer it inherited."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: leak no descriptor
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            data = pickle.dumps((True, arm_rows()))
+        except BaseException as exc:
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)  # some exceptions pickle but do not load
+            except BaseException:
+                data = pickle.dumps((False, RuntimeError(repr(exc))))
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_rows(pid: int, read_fd: int) -> list[dict]:
+    """Read the child's rows, or raise its error, after reaping it."""
+    import pickle
+
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise SimulationError(f"the sorter-off arm's process ended with no result, exit status {code}")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
 def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     """Execute all seeds of a scenario, paired sorter-off/sorter-on, and
-    return one row dict per stream per seed per arm."""
-    from .tcp import run_transfer  # the TCP loop loads only for a run
+    return one row dict per stream per seed per arm, sorted by ``row_key``.
 
+    The two arms of a seed share no state.  Where ``_forks()`` holds, a
+    forked child runs the sorter-off arm while the caller runs the
+    sorter-on arm, so a replacement installed in the caller sees every
+    call of the sorter arm; otherwise the arms run one after the other.
+    The rows are the same either way, and so is the error: a serial run
+    raises the off arm's first, so the child's error wins over the
+    caller's.  The child is reaped before this returns or raises.
+    """
+    from . import tcp  # the TCP loop loads only for a run
+
+    def arm_rows(seed: int, arm: str) -> list[dict]:
+        metrics = tcp.run_transfer(cfg, seed=seed, srpic=arm == "on")
+        return [dict(zip(CSV_COLUMNS, (cfg.name, seed, sid, arm, *_METRIC_VALUES(m))))
+                for sid, m in enumerate(metrics)]
+
+    forks = _forks()
     rows: list[dict] = []
     for seed in cfg.seeds:
-        for arm in ("off", "on"):
-            for sid, m in enumerate(run_transfer(cfg, seed=seed, srpic=arm == "on")):
-                rows.append(dict(zip(CSV_COLUMNS, (cfg.name, seed, sid, arm, *_METRIC_VALUES(m)))))
+        if not forks:
+            rows += arm_rows(seed, "off") + arm_rows(seed, "on")
+            continue
+        child = _start_child(functools.partial(arm_rows, seed, "off"))
+        try:
+            rows += arm_rows(seed, "on")
+        finally:
+            rows += _child_rows(*child)
     rows.sort(key=row_key)
     return rows
 

@@ -14,7 +14,7 @@ import yaml
 from srpicsim import cli, scenario
 from srpicsim.channel import PathConfig
 from srpicsim.cli import main
-from srpicsim.coalescing import CoalescingParams
+from srpicsim.coalescing import CoalescingParams, SimulationError
 from srpicsim.scenario import (
     COMPARE_COLUMNS,
     CSV_COLUMNS,
@@ -183,6 +183,18 @@ class TestConfigLoading:
         assert load_scenario(str(path)).isn == 2**32 - 1
         assert load_scenario(str(SCENARIO_DIR / "table4_analog.yaml")).isn == 0
 
+    def test_negative_earliest_draw_counts_as_zero(self):
+        # About a sixth of fwd's draws clamp to 0, so packets arrive; every
+        # ACK still lands past the hard stop.  fwd's negative 9-sigma bound
+        # (-8e12 us) must not cancel rev's 1e10 us.
+        with pytest.raises(ConfigError, match="^rev: the earliest ACK"):
+            ScenarioConfig(
+                name="back",
+                duration=0.05,
+                fwd=PathConfig(alpha_ms=1.0e9, beta=1.0),
+                rev=PathConfig(alpha_ms=1.0e7),
+            )
+
     def test_yaml_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("name: [unclosed\nduration: 1\n", encoding="utf-8")
@@ -289,6 +301,145 @@ class TestRunScenario:
             [dict.fromkeys(CSV_COLUMNS, 0) | {"goodput_proxy": 1234567.891}]
         )
         assert "1.23457e+06" in text
+
+
+class _UnloadableError(Exception):
+    """Pickles, but loading calls ``__init__`` with one argument of two."""
+
+    def __init__(self, arm, why):
+        super().__init__(f"{arm} arm: {why}")
+
+
+def _unpicklable_error():
+    exc = ValueError("off arm: no pickle")
+    exc.hook = lambda: None  # a lambda does not pickle
+    return exc
+
+
+class TestArmsInParallel:
+    """``run_scenario`` runs each seed's sorter-off arm in a forked child
+    where ``scenario._forks()`` holds; the caller runs the sorter-on arm."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """Fork on any host, and patch ``tcp.run_transfer`` (which the
+        child inherits) to call ``fault(srpic)`` first."""
+        from srpicsim import tcp
+
+        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
+        assert scenario._forks()
+        run_transfer = tcp.run_transfer
+
+        def patch(fault):
+            def faulty(cfg, *, seed, srpic):
+                fault(srpic)
+                return run_transfer(cfg, seed=seed, srpic=srpic)
+
+            monkeypatch.setattr(tcp, "run_transfer", faulty)
+
+        return patch
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_serial_and_forked_give_the_same_bytes(self, name, monkeypatch):
+        cfg = replace(load_scenario(str(SCENARIO_DIR / f"{name}.yaml")), duration=0.2, seeds=(1, 2))
+        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
+        assert scenario._forks()
+        forked = rows_to_csv(run_scenario(cfg))
+        monkeypatch.setattr(scenario, "_cpus", lambda: 1)
+        assert rows_to_csv(run_scenario(cfg)) == forked
+
+    def test_off_arm_error_reaches_the_caller(self, forked):
+        caller = os.getpid()
+
+        def fault(srpic):
+            if not srpic:
+                raise SimulationError(f"off arm failed in a child: {os.getpid() != caller}")
+
+        forked(fault)
+        with pytest.raises(SimulationError, match="^off arm failed in a child: True$"):
+            run_scenario(tiny_cfg())
+
+    def test_off_arm_error_wins_over_the_callers(self, forked):
+        def fault(srpic):
+            raise (ConfigError("sorter arm") if srpic else SimulationError("off arm"))
+
+        forked(fault)
+        with pytest.raises(SimulationError, match="^off arm$"):
+            run_scenario(tiny_cfg())
+
+    def test_caller_arm_error_still_reaps_the_child(self, forked):
+        def fault(srpic):
+            if srpic:
+                raise SimulationError("sorter arm")
+
+        forked(fault)
+        with pytest.raises(SimulationError, match="^sorter arm$"):
+            run_scenario(tiny_cfg())
+
+    @pytest.mark.parametrize(
+        "make, shown",
+        [
+            (lambda: _UnloadableError("off", "no load"), "_UnloadableError('off arm: no load')"),
+            (_unpicklable_error, "ValueError('off arm: no pickle')"),
+        ],
+        ids=["does-not-load", "does-not-pickle"],
+    )
+    def test_an_error_that_does_not_travel_arrives_as_its_repr(self, make, shown, forked):
+        def fault(srpic):
+            if not srpic:
+                raise make()
+
+        forked(fault)
+        with pytest.raises(RuntimeError) as exc:
+            run_scenario(tiny_cfg())
+        assert type(exc.value) is RuntimeError and str(exc.value) == shown
+
+    def test_child_that_dies_without_a_result_names_its_exit_status(self, forked):
+        caller = os.getpid()
+
+        def fault(srpic):
+            if not srpic and os.getpid() != caller:
+                os._exit(3)
+
+        forked(fault)
+        with pytest.raises(SimulationError, match="exit status 3$"):
+            run_scenario(tiny_cfg())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+    def test_failed_fork_leaks_no_descriptor(self, forked, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no process to be had")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_scenario(tiny_cfg())
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_serial_conditions(self, monkeypatch):
+        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
+        assert scenario._forks()
+        monkeypatch.setattr(scenario.threading, "active_count", lambda: 2)
+        assert not scenario._forks()
+        monkeypatch.undo()
+        monkeypatch.setattr(scenario, "_cpus", lambda: 1)
+        assert not scenario._forks()
+        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert not scenario._forks()
+
+    def test_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert scenario._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scenario._cpus() == 1
 
 
 class TestRunCsvSchema:
@@ -630,6 +781,9 @@ class TestCli:
             # Every forward delay (at least 9.1e11 us) past the hard stop:
             # the same, as no packet is fetched.
             ("fwd.alpha_ms", 1.0e9, "the earliest delay draw"),
+            # Every reverse delay (at least 1e10 us) past the hard stop: no
+            # ACK comes back, so both arms reported zero goodput, exit 0.
+            ("rev.alpha_ms", 1.0e7, "the earliest ACK"),
         ],
     )
     def test_value_infinite_in_microseconds_exits_2(
@@ -884,11 +1038,14 @@ assert not heavy, heavy
 
 def test_scenario_layer_and_cli_load_no_tcp_loop():
     # compare reads a CSV and never runs a transfer, so the scenario layer
-    # and the command line load the TCP loop (and hashlib) only in a run.
-    code = """
+    # and the command line load the TCP loop (and hashlib) only in a run,
+    # and pickle, which carries a forked arm's rows, too.
+    code = f"""
 import sys
 import srpicsim.cli, srpicsim.scenario
-assert "srpicsim.tcp" not in sys.modules
+srpicsim.scenario.load_scenario({str(SCENARIO_DIR / "table4_analog.yaml")!r})
+loaded = {{"srpicsim.tcp", "pickle"}} & set(sys.modules)
+assert not loaded, sorted(loaded)
 """
     env = os.environ | {"PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
