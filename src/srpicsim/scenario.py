@@ -336,13 +336,29 @@ def _forks() -> bool:
     return _cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _start_child(arm_rows) -> tuple[int, int]:
+def _other_cpus() -> set[int]:
+    """The CPUs this process may run on, bar the one it runs on now; empty
+    where either cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            now = int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39, processor
+        return os.sched_getaffinity(0) - {now}
+    except (AttributeError, OSError, IndexError, ValueError):
+        return set()
+
+
+def _start_child(arm_rows, cpus: set[int]) -> tuple[int, int]:
     """Fork a child that runs ``arm_rows()`` and writes the pickled pair
     ``(ok, rows or exception)`` to a pipe; return its pid and the pipe's
     read end.  An exception that does not pickle and load back travels as
     a ``RuntimeError`` of its repr.  The child leaves only through
     ``os._exit``, so it never returns into the caller's stack, runs no
-    ``atexit`` hook and flushes no stdio buffer it inherited."""
+    ``atexit`` hook and flushes no stdio buffer it inherited.
+
+    A non-empty ``cpus`` confines the child to those CPUs.  Linux may
+    start a forked child on its parent's CPU and leave the two sharing
+    it for much of an arm, which made a paired run take anywhere from
+    the longer arm's time to both arms' time."""
     import pickle
 
     read_fd, write_fd = os.pipe()
@@ -358,6 +374,11 @@ def _start_child(arm_rows) -> tuple[int, int]:
     status = 1
     try:
         os.close(read_fd)
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # placement only: run wherever the child is
+                pass
         try:
             data = pickle.dumps((True, arm_rows()))
         except BaseException as exc:
@@ -416,7 +437,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
         if not forks:
             rows += arm_rows(seed, "off") + arm_rows(seed, "on")
             continue
-        child = _start_child(functools.partial(arm_rows, seed, "off"))
+        child = _start_child(functools.partial(arm_rows, seed, "off"), _other_cpus())
         try:
             rows += arm_rows(seed, "on")
         finally:

@@ -422,6 +422,38 @@ class TestArmsInParallel:
             run_scenario(tiny_cfg())
         assert sorted(os.listdir("/proc/self/fd")) == before
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_off_arm_runs_on_the_cpus_the_caller_does_not(self, forked, monkeypatch):
+        cpu = min(os.sched_getaffinity(0))
+        monkeypatch.setattr(scenario, "_other_cpus", lambda: {cpu})
+
+        def fault(srpic):
+            if not srpic:
+                raise SimulationError(f"off arm on {sorted(os.sched_getaffinity(0))}")
+
+        forked(fault)
+        with pytest.raises(SimulationError, match=rf"^off arm on \[{cpu}\]$"):
+            run_scenario(tiny_cfg())
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_a_cpu_the_child_cannot_take_leaves_it_where_it_is(self, forked, monkeypatch):
+        serial = rows_to_csv(run_scenario(tiny_cfg()))
+        monkeypatch.setattr(scenario, "_other_cpus", lambda: {4095})  # no such CPU
+        assert rows_to_csv(run_scenario(tiny_cfg())) == serial
+
+    @pytest.mark.skipif(
+        not (os.path.isfile("/proc/self/stat") and hasattr(os, "sched_getaffinity")),
+        reason="reads the current CPU from /proc",
+    )
+    def test_other_cpus_leave_out_the_one_the_caller_runs_on(self):
+        allowed = os.sched_getaffinity(0)
+        others = scenario._other_cpus()
+        assert others < allowed and len(others) == len(allowed) - 1
+
+    def test_other_cpus_are_none_without_affinity_calls(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert scenario._other_cpus() == set()
+
     def test_serial_conditions(self, monkeypatch):
         monkeypatch.setattr(scenario, "_cpus", lambda: 2)
         assert scenario._forks()
