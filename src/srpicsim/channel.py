@@ -53,6 +53,12 @@ class PathConfig:
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
 
+    @property
+    def earliest_us(self) -> float:
+        """The earliest delay draw, in us: 9 std-devs below the mean, bar a
+        random() of exactly 0.0 (odds 2**-53), and never below 0."""
+        return max(0.0, self.alpha_ms * 1000.0 * (1.0 - 9.0 * self.beta))
+
 
 def _drop_chunks(rng: random.Random, rate: float):
     """Endless lists of ``_CHUNK`` drop decisions ``rng.random() < rate``."""

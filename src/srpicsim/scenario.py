@@ -2,10 +2,10 @@
 
 A scenario names a channel/sender/receive-path configuration plus a seed
 list.  Running it executes every seed twice — sorter off and sorter on —
-with identical channel randomness (paired design), the two arms side by
-side where a second CPU allows, and emits one CSV row per stream per seed
-per arm.  Output is byte-stable: fixed column order, fixed row order,
-floats printed with 6 significant digits.
+with identical channel randomness (paired design), the off arms in one
+forked child beside the on arms where another CPU allows, and emits one
+CSV row per stream per seed per arm.  Output is byte-stable: fixed column
+order, fixed row order, floats printed with 6 significant digits.
 
 ``_COLUMNS`` states the run CSV once: column order, cell parsers and the
 metric each column prints.  ``parse_csv`` accepts only what a run writes.
@@ -79,12 +79,10 @@ class ScenarioConfig:
         # The first ACK can reach the sender no earlier than the forward
         # path's earliest delay draw, the first service and the reverse
         # path's earliest draw; at or after the hard stop, no byte is acked.
-        # A draw is at least mean - 9 std-devs (see channel.PathConfig), bar
-        # a random() of exactly 0.0 (odds 2**-53), and never below 0.
         terms = {
-            "fwd": max(0.0, self.fwd.alpha_ms * 1000.0 * (1.0 - 9.0 * self.fwd.beta)),
+            "fwd": self.fwd.earliest_us,
             "coalescing": self.coalescing.t_intr_us + self.coalescing.quantum_us,
-            "rev": max(0.0, self.rev.alpha_ms * 1000.0 * (1.0 - 9.0 * self.rev.beta)),
+            "rev": self.rev.earliest_us,
         }
         stop_us = self.hard_stop_us
         first_ack_us = sum(terms.values())
@@ -321,24 +319,13 @@ def row_key(row: dict) -> tuple:
     return (row["scenario"], row["seed"], row["stream_id"], row["srpic"])
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _forks() -> bool:
-    """Whether ``run_scenario`` runs each seed's sorter-off arm in a forked
-    child: there is a second CPU, ``os.fork`` exists, and the caller runs
-    one thread, so the child copies no lock that another thread holds."""
-    return _cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
-
-
-def _other_cpus() -> set[int]:
-    """The CPUs this process may run on, bar the one it runs on now; empty
-    where either cannot be read."""
+def _child_cpus() -> set[int]:
+    """The CPUs a forked child may run the sorter-off arms on: those this
+    process may use, bar the one it runs on now.  Empty, so the arms run
+    serially, where ``os.fork`` is missing, another thread runs (the child
+    would copy any lock it holds), or either set cannot be read."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return set()
     try:
         with open("/proc/self/stat", "rb") as fh:
             now = int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39, processor
@@ -355,10 +342,10 @@ def _start_child(arm_rows, cpus: set[int]) -> tuple[int, int]:
     ``os._exit``, so it never returns into the caller's stack, runs no
     ``atexit`` hook and flushes no stdio buffer it inherited.
 
-    A non-empty ``cpus`` confines the child to those CPUs.  Linux may
-    start a forked child on its parent's CPU and leave the two sharing
-    it for much of an arm, which made a paired run take anywhere from
-    the longer arm's time to both arms' time."""
+    The child confines itself to ``cpus``.  Linux may start a forked
+    child on its parent's CPU and leave the two sharing it for much of an
+    arm, which made a paired run take anywhere from the longer arm's time
+    to both arms' time."""
     import pickle
 
     read_fd, write_fd = os.pipe()
@@ -374,11 +361,10 @@ def _start_child(arm_rows, cpus: set[int]) -> tuple[int, int]:
     status = 1
     try:
         os.close(read_fd)
-        if cpus:
-            try:
-                os.sched_setaffinity(0, cpus)
-            except OSError:  # placement only: run wherever the child is
-                pass
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # placement only: run wherever the child is
+            pass
         try:
             data = pickle.dumps((True, arm_rows()))
         except BaseException as exc:
@@ -416,30 +402,29 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     """Execute all seeds of a scenario, paired sorter-off/sorter-on, and
     return one row dict per stream per seed per arm, sorted by ``row_key``.
 
-    The two arms of a seed share no state.  Where ``_forks()`` holds, a
-    forked child runs the sorter-off arm while the caller runs the
-    sorter-on arm, so a replacement installed in the caller sees every
-    call of the sorter arm; otherwise the arms run one after the other.
-    The rows are the same either way, and so is the error: a serial run
-    raises the off arm's first, so the child's error wins over the
-    caller's.  The child is reaped before this returns or raises.
+    The two arms share no state.  Where ``_child_cpus()`` is nonempty, one
+    forked child pinned to those CPUs runs the sorter-off arm of every
+    seed while the caller runs the sorter-on arms, so a replacement
+    installed in the caller sees every call of the sorter arm; otherwise
+    every off arm runs, then every on arm.  The rows are the same either
+    way, and so is the error: the off arm's wins, as it comes first in a
+    serial run.  The child is reaped before this returns or raises.
     """
     from . import tcp  # the TCP loop loads only for a run
 
-    def arm_rows(seed: int, arm: str) -> list[dict]:
-        metrics = tcp.run_transfer(cfg, seed=seed, srpic=arm == "on")
+    def arm_rows(arm: str) -> list[dict]:
         return [dict(zip(CSV_COLUMNS, (cfg.name, seed, sid, arm, *_METRIC_VALUES(m))))
-                for sid, m in enumerate(metrics)]
+                for seed in cfg.seeds
+                for sid, m in enumerate(tcp.run_transfer(cfg, seed=seed, srpic=arm == "on"))]
 
-    forks = _forks()
-    rows: list[dict] = []
-    for seed in cfg.seeds:
-        if not forks:
-            rows += arm_rows(seed, "off") + arm_rows(seed, "on")
-            continue
-        child = _start_child(functools.partial(arm_rows, seed, "off"), _other_cpus())
+    cpus = _child_cpus()
+    if not cpus:
+        rows = arm_rows("off") + arm_rows("on")
+    else:
+        rows = []
+        child = _start_child(functools.partial(arm_rows, "off"), cpus)
         try:
-            rows += arm_rows(seed, "on")
+            rows += arm_rows("on")
         finally:
             rows += _child_rows(*child)
     rows.sort(key=row_key)

@@ -317,8 +317,9 @@ def _unpicklable_error():
 
 
 class TestArmsInParallel:
-    """``run_scenario`` runs each seed's sorter-off arm in a forked child
-    where ``scenario._forks()`` holds; the caller runs the sorter-on arm."""
+    """``run_scenario`` runs the sorter-off arm of every seed in one forked
+    child where ``scenario._child_cpus()`` is nonempty; the caller runs the
+    sorter-on arms."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -327,37 +328,57 @@ class TestArmsInParallel:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.fixture
-    def forked(self, monkeypatch):
-        """Fork on any host, and patch ``tcp.run_transfer`` (which the
-        child inherits) to call ``fault(srpic)`` first."""
+    def faults(self, monkeypatch):
+        """Patch ``tcp.run_transfer`` (which a child inherits) to call
+        ``fault(seed, srpic)`` first."""
         from srpicsim import tcp
 
-        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
-        assert scenario._forks()
         run_transfer = tcp.run_transfer
 
         def patch(fault):
             def faulty(cfg, *, seed, srpic):
-                fault(srpic)
+                fault(seed, srpic)
                 return run_transfer(cfg, seed=seed, srpic=srpic)
 
             monkeypatch.setattr(tcp, "run_transfer", faulty)
 
         return patch
 
+    @pytest.fixture
+    def forked(self, monkeypatch, faults):
+        """Fork on any host with CPU affinity calls, pinning the child to
+        the lowest CPU this process may use; return ``faults``."""
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity calls")
+        monkeypatch.setattr(scenario, "_child_cpus", lambda: {min(os.sched_getaffinity(0))})
+        return faults
+
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
-    def test_serial_and_forked_give_the_same_bytes(self, name, monkeypatch):
+    def test_serial_and_forked_give_the_same_bytes(self, name, forked, monkeypatch):
         cfg = replace(load_scenario(str(SCENARIO_DIR / f"{name}.yaml")), duration=0.2, seeds=(1, 2))
-        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
-        assert scenario._forks()
-        forked = rows_to_csv(run_scenario(cfg))
-        monkeypatch.setattr(scenario, "_cpus", lambda: 1)
-        assert rows_to_csv(run_scenario(cfg)) == forked
+        forked_csv = rows_to_csv(run_scenario(cfg))
+        monkeypatch.setattr(scenario, "_child_cpus", set)
+        assert rows_to_csv(run_scenario(cfg)) == forked_csv
+
+    def test_a_run_forks_once_whatever_its_seed_count(self, forked, monkeypatch):
+        cfg = replace(tiny_cfg(), seeds=(1, 2, 3))
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        forked_csv = rows_to_csv(run_scenario(cfg))
+        assert forks == [os.getpid()]
+        monkeypatch.setattr(scenario, "_child_cpus", set)
+        assert rows_to_csv(run_scenario(cfg)) == forked_csv
+        assert len(forks) == 1
 
     def test_off_arm_error_reaches_the_caller(self, forked):
         caller = os.getpid()
 
-        def fault(srpic):
+        def fault(seed, srpic):
             if not srpic:
                 raise SimulationError(f"off arm failed in a child: {os.getpid() != caller}")
 
@@ -366,15 +387,31 @@ class TestArmsInParallel:
             run_scenario(tiny_cfg())
 
     def test_off_arm_error_wins_over_the_callers(self, forked):
-        def fault(srpic):
+        def fault(seed, srpic):
             raise (ConfigError("sorter arm") if srpic else SimulationError("off arm"))
 
         forked(fault)
         with pytest.raises(SimulationError, match="^off arm$"):
             run_scenario(tiny_cfg())
 
+    @pytest.mark.parametrize("forks", [False, True], ids=["serial", "forked"])
+    def test_off_arm_error_wins_across_seeds(self, forks, faults, request, monkeypatch):
+        """The on arm fails at seed 1 and the off arm only at seed 2."""
+        if forks:
+            request.getfixturevalue("forked")
+        else:
+            monkeypatch.setattr(scenario, "_child_cpus", set)
+
+        def fault(seed, srpic):
+            if (seed, srpic) in ((1, True), (2, False)):
+                raise SimulationError(f"{'on' if srpic else 'off'} arm at seed {seed}")
+
+        faults(fault)
+        with pytest.raises(SimulationError, match="^off arm at seed 2$"):
+            run_scenario(tiny_cfg())
+
     def test_caller_arm_error_still_reaps_the_child(self, forked):
-        def fault(srpic):
+        def fault(seed, srpic):
             if srpic:
                 raise SimulationError("sorter arm")
 
@@ -391,7 +428,7 @@ class TestArmsInParallel:
         ids=["does-not-load", "does-not-pickle"],
     )
     def test_an_error_that_does_not_travel_arrives_as_its_repr(self, make, shown, forked):
-        def fault(srpic):
+        def fault(seed, srpic):
             if not srpic:
                 raise make()
 
@@ -403,7 +440,7 @@ class TestArmsInParallel:
     def test_child_that_dies_without_a_result_names_its_exit_status(self, forked):
         caller = os.getpid()
 
-        def fault(srpic):
+        def fault(seed, srpic):
             if not srpic and os.getpid() != caller:
                 os._exit(3)
 
@@ -422,12 +459,10 @@ class TestArmsInParallel:
             run_scenario(tiny_cfg())
         assert sorted(os.listdir("/proc/self/fd")) == before
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
-    def test_off_arm_runs_on_the_cpus_the_caller_does_not(self, forked, monkeypatch):
+    def test_off_arm_runs_on_the_cpus_the_caller_does_not(self, forked):
         cpu = min(os.sched_getaffinity(0))
-        monkeypatch.setattr(scenario, "_other_cpus", lambda: {cpu})
 
-        def fault(srpic):
+        def fault(seed, srpic):
             if not srpic:
                 raise SimulationError(f"off arm on {sorted(os.sched_getaffinity(0))}")
 
@@ -435,43 +470,37 @@ class TestArmsInParallel:
         with pytest.raises(SimulationError, match=rf"^off arm on \[{cpu}\]$"):
             run_scenario(tiny_cfg())
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
     def test_a_cpu_the_child_cannot_take_leaves_it_where_it_is(self, forked, monkeypatch):
         serial = rows_to_csv(run_scenario(tiny_cfg()))
-        monkeypatch.setattr(scenario, "_other_cpus", lambda: {4095})  # no such CPU
+        monkeypatch.setattr(scenario, "_child_cpus", lambda: {4095})  # no such CPU
         assert rows_to_csv(run_scenario(tiny_cfg())) == serial
 
     @pytest.mark.skipif(
         not (os.path.isfile("/proc/self/stat") and hasattr(os, "sched_getaffinity")),
         reason="reads the current CPU from /proc",
     )
-    def test_other_cpus_leave_out_the_one_the_caller_runs_on(self):
+    def test_child_cpus_leave_out_the_one_the_caller_runs_on(self):
         allowed = os.sched_getaffinity(0)
-        others = scenario._other_cpus()
+        others = scenario._child_cpus()
         assert others < allowed and len(others) == len(allowed) - 1
 
-    def test_other_cpus_are_none_without_affinity_calls(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert scenario._other_cpus() == set()
-
     def test_serial_conditions(self, monkeypatch):
-        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
-        assert scenario._forks()
-        monkeypatch.setattr(scenario.threading, "active_count", lambda: 2)
-        assert not scenario._forks()
-        monkeypatch.undo()
-        monkeypatch.setattr(scenario, "_cpus", lambda: 1)
-        assert not scenario._forks()
-        monkeypatch.setattr(scenario, "_cpus", lambda: 2)
-        monkeypatch.delattr(os, "fork")
-        assert not scenario._forks()
-
-    def test_cpus_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert scenario._cpus() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert scenario._cpus() == 1
+        with monkeypatch.context() as m:
+            m.setattr(scenario.threading, "active_count", lambda: 2)
+            assert scenario._child_cpus() == set()
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert scenario._child_cpus() == set()
+        with monkeypatch.context() as m:
+            m.delattr(os, "sched_getaffinity", raising=False)
+            assert scenario._child_cpus() == set()
+        if hasattr(os, "sched_setaffinity"):  # as under taskset -c 0
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(allowed)})
+            try:
+                assert scenario._child_cpus() == set()
+            finally:
+                os.sched_setaffinity(0, allowed)
 
 
 class TestRunCsvSchema:
