@@ -21,7 +21,7 @@ from .packets import Packet
 from .sorter import SrpicEngine
 
 _INF = math.inf
-Deliver = Callable[[Packet, float, float], None]  # (packet, fetched_at, now)
+Deliver = Callable[[Packet, float, float, object], None]  # (packet, fetched_at, now, tag)
 
 
 class ReceiverSaturationError(ValueError):
@@ -123,10 +123,12 @@ class ReceivePath:
     arrival: it flushes the engine and counts the cycle in ``cycles`` and
     ``cycle_packets``.  A packet fetched after ``hard_stop_us`` is not
     handed on, but it moves ``cycle_end``, so its cycle is never counted.
-    A delivery is ``deliver(p, fetched_at, now)``, ``now`` the fetch instant
-    of its flush; holds go to ``max_hold_us``, checked against the one-flow
-    block bound.  ``deliver`` is ``None`` only without an engine, and comes
-    per call: a stored bound method of the owner would make a reference cycle.
+    A delivery is ``deliver(p, fetched_at, now, tag)``, ``now`` the fetch
+    instant of its flush, ``tag`` the one the packet arrived with; holds go
+    to ``max_hold_us``, checked against the one-flow block bound.  The path
+    keeps ``(fetched_at, tag)`` for each packet its engine holds, and no
+    more.  ``deliver`` is ``None`` only without an engine, and comes per
+    call: a stored bound method of the owner would make a reference cycle.
     """
 
     def __init__(self, params: CoalescingParams, engine: SrpicEngine | None = None, hard_stop_us=_INF):
@@ -140,10 +142,10 @@ class ReceivePath:
         self._arrived = 0
         self.max_hold_us = 0.0
         if engine is not None:
-            self._fetch_time: dict[int, float] = {}
+            self._held: dict[int, tuple[float, object]] = {}  # id -> (fetched_at, tag)
             self._block_bound_us = hold_delay_bound(engine.block_size, params.r_sn_pps)
 
-    def arrive(self, p: Packet, now: float, deliver: Deliver | None = None) -> float:
+    def arrive(self, p: Packet, now: float, deliver: Deliver | None = None, tag: object = None) -> float:
         end = self.cycle_end
         end = now + self.t_intr_us + self.quantum_us if end == _INF else end + self.quantum_us
         self.cycle_end = end
@@ -152,12 +154,12 @@ class ReceivePath:
             return end
         engine = self.engine  # ingest/end_cycle looked up per call: tests patch them
         if engine is not None:
-            self._fetch_time[id(p)] = end
+            self._held[id(p)] = end, tag
             emitted = engine.ingest(p)
             if emitted:
                 self._release(emitted, end, deliver)
         else:
-            deliver(p, end, end)
+            deliver(p, end, end, tag)
         return end
 
     def end_cycle(self, deliver: Deliver | None = None) -> None:
@@ -169,13 +171,13 @@ class ReceivePath:
 
     def _release(self, emitted: list[Packet], now: float, deliver: Deliver) -> None:
         for held in emitted:
-            fetched_at = self._fetch_time.pop(id(held))
+            fetched_at, tag = self._held.pop(id(held))
             hold = now - fetched_at
             if hold > self._block_bound_us + 1e-6:
                 raise SimulationError(f"sorter held a packet {hold:.3f}us, beyond its delay bound")
             if hold > self.max_hold_us:
                 self.max_hold_us = hold
-            deliver(held, fetched_at, now)
+            deliver(held, fetched_at, now, tag)
 
 
 def simulate_coalescing(

@@ -35,10 +35,8 @@ run alike.  A whole-trace report, ``reorder_report`` or its block split
 run carries retransmitted copies, so ``FirstCopyReports`` walks the first
 copy of each payload range in arrival and in delivery order as the run
 goes, and keeps no packet and nothing per packet.  The arrival walk's
-ranges mark a later copy: it shares a byte with one of them.  Each first
-copy's arrival offset waits in a dict keyed by ``id`` until the delivery
-walk takes it: a packet is held, and so alive, from its arrival until its
-delivery, so no two packets in the dict share an ``id``.
+ranges mark a later copy: it shares a byte with one of them.  The caller
+carries each first copy's arrival offset to its delivery.
 """
 
 from __future__ import annotations
@@ -224,24 +222,24 @@ class _RangeWalk:
 
 class FirstCopyReports:
     """A run's reports on the first copies, fed as packets arrive and are
-    delivered: ``arrive(p)`` in arrival order, ``deliver(p)`` in delivery
-    order, each packet delivered at most once and after its arrival.
+    delivered: ``s = arrive(p)`` in arrival order, ``deliver(p, s)`` in
+    delivery order, each packet delivered at most once, after its arrival
+    and with what its ``arrive`` returned.
 
     Both walks are ``_RangeWalk``s: merged byte ranges of the first copies
     so far, each with its packet count.  A later first copy shares no byte
     with them, and a range is contiguous, so each range lies all below or
     all above it, and its extent is the sum of the counts above it.  Arrivals
     are unwrapped in their own order, and a first copy is delivered at the
-    offset it arrived with, kept in ``_held`` by ``id`` until then.
+    offset it arrived with.
     """
 
-    __slots__ = ("pre", "post", "_seq", "_off", "_held")
+    __slots__ = ("pre", "post", "_seq", "_off")
 
     def __init__(self):
         self.pre = _RangeWalk()
         self.post = _RangeWalk()
         self._seq = self._off = 0  # the last arrival's sequence and offset
-        self._held: dict[int, int] = {}  # id -> offset, first copies not yet delivered
 
     def arrive(self, p: Packet) -> int | None:
         """Take the next arrival; returns its offset if it is a first copy.
@@ -262,11 +260,9 @@ class FirstCopyReports:
             pre.counts[-1] += 1
         elif not pre.add(s, e):
             return None
-        self._held[id(p)] = s
         return s
 
-    def deliver(self, p: Packet) -> None:
-        s = self._held.pop(id(p), None)
+    def deliver(self, p: Packet, s: int | None) -> None:
         if s is not None:
             post = self.post
             ends = post.ends

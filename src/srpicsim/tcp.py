@@ -30,7 +30,7 @@ reverse draws see the deliveries in the same order; ACKs keep their
 ``(time, priority)`` and, like arrivals, their push order, so event
 numbers break ties alike; and the sender never reads receiver state.
 ``metrics.FirstCopyReports`` builds a run's reordering reports as packets
-arrive and are delivered.
+arrive and are delivered; the path hands each back with its arrival offset.
 
 The per-segment paths compare sequence numbers with serial tests written
 out inline; ``packets.seq_cmp`` is their definition, and the tests check
@@ -496,8 +496,8 @@ class _StreamSim:
 
     # -- receive path -------------------------------------------------------
 
-    def _deliver_one(self, p: Packet, stamp: float, now: float) -> None:
-        self.reorder.deliver(p)
+    def _deliver_one(self, p: Packet, stamp: float, now: float, s: int | None) -> None:
+        self.reorder.deliver(p, s)
         ack = receiver_on_segment(self.receiver, p)
         rev = self.rev
         dropped = next(rev.drops)
@@ -537,8 +537,7 @@ class _StreamSim:
                     break
                 self.now = t
                 if prio == _PRIO_ARRIVAL:
-                    arrive(payload)
-                    fetch(payload, t, deliver)
+                    fetch(payload, t, deliver, arrive(payload))
                 else:  # _PRIO_ACK
                     before = sender.snd_una
                     for seg in sender_on_ack(sender, payload, t):

@@ -303,10 +303,13 @@ def first_copy_reports(arrivals, deliveries):
     fewer.
     """
     acc = FirstCopyReports()
+    offsets = {}  # id -> offset, first copies not yet delivered
     for p in arrivals:
-        acc.arrive(p)
+        s = acc.arrive(p)
+        if s is not None:
+            offsets[id(p)] = s
     for p in deliveries:
-        acc.deliver(p)
+        acc.deliver(p, offsets.pop(id(p), None))
     return acc.reports()
 
 
@@ -428,7 +431,8 @@ class ReferenceRing:
     of arrived packets and the instant ``svc_t`` of the next fetch (``inf``
     while idle).  ``service`` fetches the head and, when that empties the
     ring, flushes the engine and counts the cycle.  It hands on the same
-    packets, stamped the same way, as ``coalescing.ReceivePath``."""
+    packets, stamped and tagged the same way, as
+    ``coalescing.ReceivePath``."""
 
     def __init__(self, params, engine=None):
         self.quantum_us = params.quantum_us
@@ -440,29 +444,29 @@ class ReferenceRing:
         self.cycle_packets = 0
         self._served = 0
         self.max_hold_us = 0.0
-        self._fetch_time = {}
+        self._held = {}  # id -> (fetched_at, tag)
 
-    def arrive(self, p, now):
+    def arrive(self, p, now, tag=None):
         if not self.ring:
             self.svc_t = now + self.t_intr_us + self.quantum_us
-        self.ring.append(p)
+        self.ring.append((p, tag))
 
     def service(self, deliver):
         now = self.svc_t
-        p = self.ring.popleft()
+        p, tag = self.ring.popleft()
         self._served += 1
         engine = self.engine
         if engine is None:
-            deliver(p, now, now)
+            deliver(p, now, now, tag)
         else:
-            self._fetch_time[id(p)] = now
+            self._held[id(p)] = now, tag
             emitted = engine.ingest(p)
             if not self.ring:
                 emitted = emitted + engine.end_cycle()
             for held in emitted:
-                fetched_at = self._fetch_time.pop(id(held))
+                fetched_at, tag = self._held.pop(id(held))
                 self.max_hold_us = max(self.max_hold_us, now - fetched_at)
-                deliver(held, fetched_at, now)
+                deliver(held, fetched_at, now, tag)
         if self.ring:
             self.svc_t = now + self.quantum_us
         else:
@@ -491,9 +495,9 @@ class ReferenceLoopSim(_ReferenceRingSim):
         super().__init__(*args)
         self.deliveries = []
 
-    def _deliver_one(self, p, stamp, now):
+    def _deliver_one(self, p, stamp, now, s):
         self.deliveries.append(p)
-        super()._deliver_one(p, stamp, now)
+        super()._deliver_one(p, stamp, now, s)
 
     def run(self):
         self._emit_actions(sender_start(self.sender, 0.0))
@@ -509,8 +513,7 @@ class ReferenceLoopSim(_ReferenceRingSim):
                     break
                 self.now = t
                 if prio == 1:  # a packet arrival
-                    self.reorder.arrive(payload)
-                    path.arrive(payload, t)
+                    path.arrive(payload, t, self.reorder.arrive(payload))
                 else:
                     before = self.sender.snd_una
                     for seg in sender_on_ack(self.sender, payload, t):
@@ -545,8 +548,7 @@ class EagerTimerSim(_ReferenceRingSim):
     _deadline = float("inf")
 
     def _on_arrival(self, p):
-        self.reorder.arrive(p)
-        self.path.arrive(p, self.now)
+        self.path.arrive(p, self.now, self.reorder.arrive(p))
 
     def _on_ack(self, ack):
         before = self.sender.snd_una
@@ -605,9 +607,9 @@ class RecordingPath(ReceivePath):
         self.arrivals = []
         self.cycle_sizes = []
 
-    def arrive(self, p, now, deliver=None):
+    def arrive(self, p, now, deliver=None, tag=None):
         self.arrivals.append(p)
-        return super().arrive(p, now, deliver)
+        return super().arrive(p, now, deliver, tag)
 
     def end_cycle(self, deliver=None):
         before = self.cycle_packets
@@ -627,6 +629,6 @@ class RecordingSim(_StreamSim):
         self.arrivals = self.path.arrivals
         self.deliveries = []
 
-    def _deliver_one(self, p, stamp, now):
+    def _deliver_one(self, p, stamp, now, s):
         self.deliveries.append(p)
-        super()._deliver_one(p, stamp, now)
+        super()._deliver_one(p, stamp, now, s)

@@ -243,7 +243,7 @@ class TestHoldBoundCheck:
         path = ReceivePath(CoalescingParams(10.0, 1e5), engine)
         engine.block_size = 100
         flow = FlowKey(1, 2, 3, 4)
-        deliver = lambda p, fetched_at, now: None  # noqa: E731
+        deliver = lambda p, fetched_at, now, tag: None  # noqa: E731
         fetches = [path.arrive(Packet(flow, 100 * i, 100, send_index=i), 0.0, deliver) for i in range(3)]
         assert fetches == [20.0, 30.0, 40.0] and path.cycle_end == 40.0
         with pytest.raises(SimulationError, match=r"held a packet 20\.000us"):

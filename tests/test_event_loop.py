@@ -13,9 +13,11 @@ timeout instant, the outcome of a run whose ACKs re-arm the timer several
 times at one instant, and the sorter seen from outside: each cycle
 delivers what it fetched, within the hold bound, it never leaves a run
 more reordered than it found it, and in-order arrivals with slow constant
-ACKs give the same metrics in both arms.  A finished
-stream is freed by reference counting alone, and replacements installed
-at the loop's patch points see every call and every channel draw.
+ACKs give the same metrics in both arms.  Each packet comes back from the
+receive path once, with the tag it arrived with, and the path keeps only
+the packets the sorter holds.  A finished stream is freed by reference
+counting alone, and replacements installed at the loop's patch points see
+every call and every channel draw.
 """
 
 import gc
@@ -175,6 +177,57 @@ def test_loop_matches_the_loop_that_served_each_fetch(srpic_on, cfg, seed):
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16), data=st.data())
+def test_a_tag_comes_back_with_its_packet(srpic_on, cfg, seed, data):
+    # Each arrival's tag goes in paired with a token of its own; each
+    # delivery must bring back its packet's token, once, and the run's own
+    # tag with it.  The path keeps a packet only while the engine holds it.
+    # The hard stop is one fetch instant of the same run without a stop, so
+    # the rest of that fetch's cycle, if it has any, is held when it comes.
+    fetches = []
+    sim = _StreamSim(cfg, seed, 0, srpic_on)
+    arrive = sim.path.arrive
+
+    def recorded_arrive(*args):
+        fetches.append(arrive(*args))
+        return fetches[-1]
+
+    sim.path.arrive = recorded_arrive
+    sim.run()
+    sim = _StreamSim(cfg, seed, 0, srpic_on)
+    path, engine = sim.path, sim.path.engine
+    if fetches:
+        path.hard_stop_us = data.draw(st.sampled_from(fetches))
+    arrive, end_cycle, deliver_one = path.arrive, path.end_cycle, sim._deliver_one
+    arrived, delivered = [], set()
+
+    def tagged_arrive(p, now, deliver, tag):
+        arrived.append(p)
+        return arrive(p, now, deliver, (len(arrived) - 1, tag))
+
+    def checked_deliver(p, stamp, now, tag):
+        token, s = tag
+        assert arrived[token] is p and token not in delivered
+        delivered.add(token)
+        deliver_one(p, stamp, now, s)
+
+    def checked_end_cycle(deliver):
+        end_cycle(deliver)
+        assert not getattr(path, "_held", None)
+
+    path.arrive, path.end_cycle, sim._deliver_one = tagged_arrive, checked_end_cycle, checked_deliver
+    sim.run()
+    if engine is None:
+        assert not hasattr(path, "_held")
+        return
+    managers = engine.managers.values()
+    held = {id(p) for m in managers for p in m.prev_list + m.curr_list + m.after_list}
+    assert set(path._held) == held
+    assert len(held) == sum(m.packet_cnt for m in managers) <= cfg.srpic.ringbuffer_size
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
 def test_a_finished_stream_is_freed_by_reference_counting(srpic_on):
     # A reference cycle through the receive path would keep every finished
     # stream, with its held packets, alive until the cycle collector runs.
@@ -262,9 +315,9 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
         monkeypatch.setattr(tcp, name, counting(name, getattr(tcp, name)))
     arrive = sim.path.arrive
 
-    def counted_arrive(p, now, deliver):
+    def counted_arrive(p, now, deliver, tag):
         # An arrival whose fetch comes after the hard stop is never fetched.
-        fetch = arrive(p, now, deliver)
+        fetch = arrive(p, now, deliver, tag)
         n["fetched late"] += fetch > sim.path.hard_stop_us
         return fetch
 

@@ -411,8 +411,9 @@ class TestInlineWalkSteps:
         pre, post, returned = add_only_reports(trace, delivered)
         acc = FirstCopyReports()
         assert [acc.arrive(p) for p in trace] == returned
+        offsets = {id(p): s for p, s in zip(trace, returned)}
         for p in delivered:
-            acc.deliver(p)
+            acc.deliver(p, offsets[id(p)])
         assert walk_state(acc.pre) == walk_state(pre)
         assert walk_state(acc.post) == walk_state(post)
         # Merged: no two kept ranges touch.
@@ -467,12 +468,13 @@ class TestInOrderCallCount:
 
     def test_arrive_and_deliver(self):
         acc = FirstCopyReports()
+        offsets = []
 
         def feed():
             for p in self.TRACE:
-                acc.arrive(p)
-            for p in self.TRACE:
-                acc.deliver(p)
+                offsets.append(acc.arrive(p))
+            for p, s in zip(self.TRACE, offsets):
+                acc.deliver(p, s)
 
         calls = _python_calls(feed)
         assert calls["_RangeWalk.add"] == 2  # the first arrival and delivery

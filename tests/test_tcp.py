@@ -533,14 +533,14 @@ class TestTrustedReports:
         block = data.draw(st.integers(1, 8))
         hold_last = data.draw(st.booleans())
         acc = FirstCopyReports()
-        delivered = []
+        offsets, delivered = {}, []
         for i in range(0, len(trace), block):
             for p in trace[i : i + block]:
-                acc.arrive(p)
+                offsets[id(p)] = acc.arrive(p)
             if hold_last and i + block >= len(trace):
                 break
             for p in _sorted_blocks(ranges[i : i + block], trace[i : i + block], block):
-                acc.deliver(p)
+                acc.deliver(p, offsets[id(p)])
                 delivered.append(p)
         assert acc.reports() == first_copy_reports(trace, delivered)
 
@@ -549,10 +549,10 @@ class TestTrustedReports:
         # it counted, it would be reordered behind [10, 20).
         a, b, c, copy_a = make_trace([0, 10, 20, 0], [10, 10, 10, 10])
         acc = FirstCopyReports()
-        for p in (b, a, copy_a, c):
-            acc.arrive(p)
+        offsets = {id(p): acc.arrive(p) for p in (b, a, copy_a, c)}
+        assert offsets[id(copy_a)] is None
         for p in (a, b, copy_a, c):
-            acc.deliver(p)
+            acc.deliver(p, offsets[id(p)])
         assert acc.reports() == (reference_report([b, a, c]), reference_report([a, b, c]))
         assert acc.reports()[1].reordered_count == 0
 
@@ -561,10 +561,9 @@ class TestTrustedReports:
         # counts it.
         a, b, c = make_trace([10, 0, 20], [10, 10, 10])
         acc = FirstCopyReports()
-        for p in (a, b, c):
-            acc.arrive(p)
+        offsets = {id(p): acc.arrive(p) for p in (a, b, c)}
         for p in (b, c):
-            acc.deliver(p)
+            acc.deliver(p, offsets[id(p)])
         pre, post = acc.reports()
         assert pre == reference_report([a, b, c]) and pre.reordered_count == 1
         assert post == reference_report([b, c]) and post.total_packets == 2
@@ -626,10 +625,9 @@ class TestHoleHeavyWalks:
         post_trace = [p for p in delivered if id(p) in kept_ids]
 
         acc = FirstCopyReports()
-        for p in trace:
-            acc.arrive(p)
+        offsets = {id(p): acc.arrive(p) for p in trace}
         for p in delivered:
-            acc.deliver(p)
+            acc.deliver(p, offsets[id(p)])
         assert acc.reports() == (reference_report(kept), reference_report(post_trace))
         assert acc.reports()[0].max_extent == pre_extent
         assert sum(acc.pre.counts) == sum(acc.post.counts) == len(kept)
