@@ -6,28 +6,29 @@ Each TCP stream gets a manager holding three ordered lists:
 * ``prev_list`` — out-of-order packets below the next expected sequence;
 * ``after_list`` — out-of-order packets above it.
 
-A packet costs one append when it opens a block or arrives at
-``next_exp``; when arrivals stay in order (drops alone, as in
+``SrpicEngine.ingest`` is the one way in, and it routes each packet in
+one frame.  A packet costs one append when it opens a block or arrives
+at ``next_exp``; when arrivals stay in order (drops alone, as in
 ``table5_analog``) every packet does.  After a block's first packet ahead
 of its turn, only a packet that fills the gap at ``next_exp`` appends, and
 the rest take ``_sorted_insert``: on ``table4_analog`` (seed 1, 1 s) 88%
 of the sorter arm's packets at beta 0.002 and 86% at beta 0.01, though
 60% and 31% of all packets land at the tail of their list.
 
-``SrpicEngine.ingest`` is the one way in: it flushes a manager
-(``prev ++ curr ++ after``, then reinit) when it holds the engine's
-``block_size`` packets, and every manager when the global packet count
-reaches the ring-buffer size, so no flow stalls another flow's delivery
-beyond one ring of service time; ``end_cycle`` flushes every manager at
-the end of each coalescing cycle.
+``ingest`` flushes a manager (``prev ++ curr ++ after``, then reinit) when
+it holds the engine's ``block_size`` packets, and every manager when the
+global packet count reaches the ring-buffer size, so no flow stalls
+another flow's delivery beyond one ring of service time; ``end_cycle``
+flushes every manager at the end of each coalescing cycle.
 
-Serial order is ``packets.seq_cmp``'s.  The per-packet paths write its
-tests out inline, and the tests check each inline form against it.
+Serial order is ``packets.seq_cmp``'s, and suitability is
+``packets.is_suitable``'s.  The per-packet paths write both out inline,
+and the tests check each inline form against its definition.
 """
 
 from __future__ import annotations
 
-from .packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable
+from .packets import _DISQUALIFYING_BITS, SEQ_HALF, SEQ_MOD, FlowKey, Packet
 
 DEFAULT_BLOCK_SIZE = 32
 DEFAULT_RINGBUFFER_SIZE = 512
@@ -48,7 +49,8 @@ def _sorted_insert(lst: list[Packet], p: Packet) -> None:
 
 
 class SrpicManager:
-    """Sorter state for one flow; its engine holds the block size.
+    """Sorter state for one flow; its engine routes packets into the lists
+    and holds the block size.
 
     ``next_exp`` is meaningful only while ``packet_cnt`` > 0; the first
     packet of a block always seeds ``curr_list`` and defines it.
@@ -62,24 +64,6 @@ class SrpicManager:
         self.prev_list: list[Packet] = []
         self.curr_list: list[Packet] = []
         self.after_list: list[Packet] = []
-
-    def add(self, p: Packet) -> None:
-        """Route one suitable packet into the three lists (no flush check)."""
-        seq = p.seq
-        if self.packet_cnt == 0:
-            self.curr_list.append(p)
-            self.next_exp = (seq + p.payload_len) % SEQ_MOD  # payload_end(p)
-            self.packet_cnt = 1
-            return
-        next_exp = self.next_exp
-        if seq == next_exp:
-            self.curr_list.append(p)
-            self.next_exp = (seq + p.payload_len) % SEQ_MOD
-        elif (seq - next_exp) % SEQ_MOD > SEQ_HALF:  # seq_cmp(seq, next_exp) < 0
-            _sorted_insert(self.prev_list, p)
-        else:
-            _sorted_insert(self.after_list, p)
-        self.packet_cnt += 1
 
     def flush(self) -> list[Packet]:
         """Deliver held packets in prev, curr, after order and reinitialize."""
@@ -121,13 +105,24 @@ class SrpicEngine:
         manager reaching ``block_size`` flushes inline; the global counter
         reaching ``ringbuffer_size`` flushes every manager.
         """
-        if not is_suitable(p):
+        # not is_suitable(p), written out inline.
+        if p.is_fragment or p.has_disallowed_options or p.flags._value_ & _DISQUALIFYING_BITS:
             return [p]
         m = self.managers.get(p.flow)
         if m is None:
             m = self.managers[p.flow] = SrpicManager()
-        m.add(p)
-        out = m.flush() if m.packet_cnt >= self.block_size else []
+        # A block's first packet seeds curr_list and next_exp; after it, a
+        # packet at next_exp appends and the rest go to prev or after.
+        seq, n = p.seq, m.packet_cnt
+        if not n or seq == m.next_exp:
+            m.curr_list.append(p)
+            m.next_exp = (seq + p.payload_len) % SEQ_MOD  # payload_end(p)
+        elif (seq - m.next_exp) % SEQ_MOD > SEQ_HALF:  # seq_cmp(seq, next_exp) < 0
+            _sorted_insert(m.prev_list, p)
+        else:
+            _sorted_insert(m.after_list, p)
+        m.packet_cnt = n = n + 1
+        out = m.flush() if n >= self.block_size else []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
             out += self.flush_all()

@@ -16,12 +16,17 @@ One transfer runs as a deterministic event loop: sender window fills ->
 forward path delay/drop -> ``coalescing.ReceivePath`` (ring and optional
 sorter) -> receiver -> reverse path -> ACK processing.  The loop takes the
 earliest of three instants: the end of the open coalescing cycle, the top
-of a heap that holds only packet and ACK arrivals, and the retransmission
-timeout.  Ties go to the cycle end first, then to the heap (packet
-arrivals before ACKs), then to the timeout.  A heap item is
-``(time, priority, event number, kind, payload)``, and the loop runs a
-popped item's arrival or ACK step by its priority.  The timer is one RFC
-6298-style timer, re-armed whenever the cumulative ACK advances.
+of the queued packet and ACK arrivals, and the retransmission timeout.
+Ties go to the cycle end first, then to the queue (packet arrivals before
+ACKs), then to the timeout.  A queued item is ``(time, priority, event
+number, kind, payload)``, and the loop runs a popped item's arrival or ACK
+step by its priority.  An item greater than the last one in the FIFO
+``_run`` is appended to it, any other goes onto the heap ``_heap``, and
+the queue's top is the smaller of their heads.  ``_run`` stays strictly
+increasing and event numbers make every item distinct, so items pop in
+exactly a single heap's order.  Without jitter almost every push takes
+the FIFO.  The timer is one RFC 6298-style timer, re-armed whenever the
+cumulative ACK advances.
 
 The path hands each packet on as it arrives, stamped with its closed-form
 fetch instant, so no event runs per fetch.  The results are those of a
@@ -34,12 +39,15 @@ arrive and are delivered; the path hands each back with its arrival offset.
 
 The per-segment paths compare sequence numbers with serial tests written
 out inline; ``packets.seq_cmp`` is their definition, and the tests check
-each inline form against it.  The loop pushes heap items through the
-module's ``heapq`` name and calls the receiver and the sender through
-their module names, looked up per call.  It takes each channel draw with
-``next`` on the ``drops`` and ``delays`` iterators of the stream's
-``fwd`` and ``rev`` path streams, also looked up per draw.  So a
-replacement installed at any of these sees every call or draw.
+each inline form against it.  The loop pushes and pops heap items
+through the module's ``heapq`` name, which therefore sees only the items
+pushed out of order; it appends to and pops from ``_run`` through the
+methods of the deque it finds there when it starts.  It calls the
+receiver and the sender through their module names, looked up per call.
+It takes each channel draw with ``next`` on the ``drops`` and ``delays``
+iterators of the stream's ``fwd`` and ``rev`` path streams, also looked
+up per draw.  So a replacement installed at any of these sees every call
+or draw.
 """
 
 from __future__ import annotations
@@ -407,10 +415,11 @@ def sender_start(state: SenderState, now: float = 0.0) -> list[SegmentRecord]:
 # Event-driven transfer simulation
 # ---------------------------------------------------------------------------
 
-# Heap priorities break ties at one instant, after a cycle end.
+# Queue priorities break ties at one instant, after a cycle end.
 _PRIO_ARRIVAL = 1
 _PRIO_ACK = 2
 _INF = float("inf")
+_NONE = (_INF,)  # the top of an empty queue
 _ACK = TcpFlags.ACK  # the flags of every data segment
 
 
@@ -451,6 +460,7 @@ class _StreamSim:
 
         self.now = 0.0
         self._heap: list[tuple] = []
+        self._run: deque[tuple] = deque()  # strictly increasing items
         self._evseq = 0
         self._rto_t = _INF  # next timeout instant; inf while disarmed
         self._rto_snapshot = 0  # snd_una when the timer was armed for _rto_t
@@ -479,7 +489,12 @@ class _StreamSim:
         t = st + delay
         p = Packet(self.flow, seq, length, _ACK, False, False, idx, st, t)
         self._evseq += 1
-        heapq.heappush(self._heap, (t, _PRIO_ARRIVAL, self._evseq, "arr", p))
+        item = (t, _PRIO_ARRIVAL, self._evseq, "arr", p)
+        run = self._run
+        if not run or item > run[-1]:  # in order: _run stays sorted
+            run.append(item)
+        else:
+            heapq.heappush(self._heap, item)
 
     def _arm_rto(self) -> None:
         # One timer: re-arming supersedes the previous instant.
@@ -508,7 +523,12 @@ class _StreamSim:
         if not t > now:
             t = now
         self._evseq += 1
-        heapq.heappush(self._heap, (t, _PRIO_ACK, self._evseq, "ack", ack))
+        item = (t, _PRIO_ACK, self._evseq, "ack", ack)
+        run = self._run
+        if not run or item > run[-1]:  # in order: _run stays sorted
+            run.append(item)
+        else:
+            heapq.heappush(self._heap, item)
 
     # -- sender events -------------------------------------------------------
 
@@ -522,7 +542,8 @@ class _StreamSim:
     def run(self) -> TransferMetrics:
         self._emit_actions(sender_start(self.sender, 0.0))
         self._arm_rto()
-        heap = self._heap
+        heap, run = self._heap, self._run
+        popleft = run.popleft
         path, deliver = self.path, self._deliver_one
         hard_stop, fetch = path.hard_stop_us, path.arrive
         sender, arrive = self.sender, self.reorder.arrive
@@ -530,9 +551,24 @@ class _StreamSim:
         while True:
             t = path.cycle_end
             rto_t = self._rto_t
-            top = heap[0][0] if heap else _INF
+            # The queue's top: the smaller of the heads of _run and _heap.
+            if heap:
+                item = heap[0]
+                from_heap = not run or item < run[0]
+                if not from_heap:
+                    item = run[0]
+            elif run:
+                item = run[0]
+                from_heap = False
+            else:
+                item = _NONE
+            top = item[0]
             if top < t and top <= rto_t:
-                t, prio, _n, _kind, payload = heapq.heappop(heap)
+                if from_heap:
+                    heapq.heappop(heap)
+                else:
+                    popleft()
+                t, prio, _n, _kind, payload = item
                 if t > hard_stop:
                     break
                 self.now = t

@@ -38,7 +38,15 @@ from srpicsim.metrics import (
     classify_block_reordering,
     reorder_report,
 )
-from srpicsim.packets import SEQ_HALF, SEQ_MOD, FlowKey, Packet, is_suitable, seq_cmp
+from srpicsim.packets import (
+    SEQ_HALF,
+    SEQ_MOD,
+    FlowKey,
+    Packet,
+    is_suitable,
+    payload_end,
+    seq_cmp,
+)
 from srpicsim.sorter import SrpicEngine, SrpicManager
 from srpicsim.tcp import _StreamSim, sender_on_ack, sender_on_timeout, sender_start
 
@@ -404,14 +412,22 @@ def sort_cycle(engine, fetched):
 
 class ReferenceEngine(SrpicEngine):
     """Sorter engine with the plain ``ingest``/``flush_all`` pair: every
-    packet looks its manager up through ``dict.setdefault`` and flushes it
-    when it holds a block, and every manager is flushed, empty or not."""
+    packet looks its manager up through ``dict.setdefault``, is routed by
+    ``seq_cmp`` against the block's next expected sequence and inserted by
+    ``reference_sorted_insert``, and flushes its manager when it holds a
+    block; every manager is flushed, empty or not."""
 
     def ingest(self, p):
         if not is_suitable(p):
             return [p]
         m = self.managers.setdefault(p.flow, SrpicManager())
-        m.add(p)
+        c = seq_cmp(p.seq, m.next_exp) if m.packet_cnt else 0
+        if c == 0:
+            m.curr_list.append(p)
+            m.next_exp = payload_end(p)
+        else:
+            reference_sorted_insert(m.prev_list if c < 0 else m.after_list, p)
+        m.packet_cnt += 1
         out = m.flush() if m.packet_cnt >= self.block_size else []
         self.global_packet_cnt += 1
         if self.global_packet_cnt >= self.ringbuffer_size:
@@ -489,7 +505,9 @@ class ReferenceLoopSim(_ReferenceRingSim):
     """TCP stream run by the loop that served the ring one fetch at a time:
     it takes the earliest of the next fetch, the heap top and the timeout,
     with ties in that order.  It records every packet it hands to the
-    receiver, in delivery order."""
+    receiver, in delivery order.  It runs on one heap alone: at the top of
+    each iteration it moves the items its pushes left in ``_run`` into
+    ``_heap``."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -502,8 +520,10 @@ class ReferenceLoopSim(_ReferenceRingSim):
     def run(self):
         self._emit_actions(sender_start(self.sender, 0.0))
         self._arm_rto()
-        heap, path, hard_stop = self._heap, self.path, self.hard_stop_us
+        heap, run, path, hard_stop = self._heap, self._run, self.path, self.hard_stop_us
         while True:
+            while run:
+                heapq.heappush(heap, run.popleft())
             t = path.svc_t
             rto_t = self._rto_t
             top = heap[0][0] if heap else float("inf")
@@ -542,7 +562,8 @@ class EagerTimerSim(_ReferenceRingSim):
     timeout is ignored while the latest deadline is more than 1e-9 away.
     The loop below is the two-source loop (ring service, then the heap)
     that this timer ran under, dispatching on each item's kind through a
-    table of handlers.
+    table of handlers, on one heap alone: at the top of each iteration
+    it moves the items its pushes left in ``_run`` into ``_heap``.
     """
 
     _deadline = float("inf")
@@ -580,9 +601,11 @@ class EagerTimerSim(_ReferenceRingSim):
             "ack": self._on_ack,
             "rto": self._on_timeout_event,
         }
-        heap = self._heap
+        heap, run = self._heap, self._run
         path = self.path
         while True:
+            while run:
+                heapq.heappush(heap, run.popleft())
             t = path.svc_t
             if heap and heap[0][0] < t:
                 t, _prio, _n, kind, payload = heapq.heappop(heap)

@@ -20,7 +20,7 @@ from srpicsim.coalescing import (
 )
 from srpicsim.metrics import reorder_report
 from srpicsim.scenario import load_scenario, override_param, rows_to_csv, run_scenario
-from srpicsim.sorter import SrpicEngine, SrpicManager
+from srpicsim.sorter import SrpicEngine
 from srpicsim.tcp import run_transfer
 
 from oracles import (
@@ -63,10 +63,11 @@ def test_criterion_1_golden_sorting_walk():
         ([1], [2, 3, 4], [6, 7], 5),
         ([1], [2, 3, 4, 5], [6, 7], 6),
     ]
-    m = SrpicManager()
+    held = SrpicEngine(block_size=8)  # a block above the trace length: no flush
     seen = [([], [], [], 0)]
     for p in make_trace([2, 3, 1, 4, 6, 7, 5]):
-        m.add(p)
+        held.ingest(p)
+        m = held.managers[p.flow]
         seen.append(
             (
                 [q.seq for q in m.prev_list],

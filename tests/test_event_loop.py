@@ -24,13 +24,13 @@ import gc
 import heapq
 import math
 import weakref
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -49,6 +49,11 @@ from srpicsim.sorter import SrpicEngine
 from srpicsim.tcp import MSS, _PRIO_ACK, AckRecord, _StreamSim, run_transfer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# Every property here runs whole transfers, so each shrink step reruns
+# one; a failure is reported as first found, in seconds rather than
+# minutes.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 DROPS = st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.just(1.0))
 PATHS = st.builds(
@@ -109,7 +114,7 @@ def test_cycle_sizes_match_offline_coalescing(name, srpic_on):
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16))
 def test_cycle_sizes_match_offline_coalescing_on_small_configs(srpic_on, cfg, seed):
     sim = RecordingSim(cfg, seed, 0, srpic_on)
@@ -118,7 +123,7 @@ def test_cycle_sizes_match_offline_coalescing_on_small_configs(srpic_on, cfg, se
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16))
 def test_streamed_reports_equal_the_batch_definition(srpic_on, cfg, seed):
     # The first copies come from the reference scan over sequence numbers
@@ -135,8 +140,9 @@ def test_streamed_reports_equal_the_batch_definition(srpic_on, cfg, seed):
 
 
 def _run_keeping_pushes(sim):
-    """Run ``sim``; return its metrics and the times of the heap items it
-    pushed, by kind, in push order."""
+    """Run ``sim``; return its metrics and the times of the items it
+    queued, by kind, in push order, whether each went to the heap or to
+    the in-order FIFO ``_run``."""
     pushes = {"arr": [], "ack": []}
 
     class Heapq:
@@ -147,18 +153,25 @@ def _run_keeping_pushes(sim):
             pushes[item[3]].append(item[0])
             heapq.heappush(heap, item)
 
+    class Run(deque):
+        def append(self, item):
+            pushes[item[3]].append(item[0])
+            super().append(item)
+
+    sim._run = Run()
     with mock.patch.object(tcp, "heapq", Heapq):
         return sim.run(), pushes
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16))
 def test_loop_matches_the_loop_that_served_each_fetch(srpic_on, cfg, seed):
     # The loop runs no event per fetch: each packet's fetch instant is
-    # fixed at its arrival.  The loop that stepped the ring one fetch at a
-    # time must give the same metrics, the same delivery order and the
-    # same packet and ACK times, each in push order.
+    # fixed at its arrival, and items pushed in order skip the heap.  The
+    # loop that stepped the ring one fetch at a time, on one heap alone,
+    # must give the same metrics, the same delivery order and the same
+    # packet and ACK times, each in push order.
     ref = ReferenceLoopSim(cfg, seed, 0, srpic_on)
     sim = RecordingSim(cfg, seed, 0, srpic_on)
     expected, expected_pushes = _run_keeping_pushes(ref)
@@ -166,7 +179,7 @@ def test_loop_matches_the_loop_that_served_each_fetch(srpic_on, cfg, seed):
     assert got == expected
     assert (sim.path.cycles, sim.path.cycle_packets) == (ref.path.cycles, ref.path.cycle_packets)
     # Long orders are compared by their first difference: a full diff of
-    # thousands of items would take minutes per shrinking step.
+    # thousands of items is slow to build and to read.
     orders = {
         "delivery": ([p.send_index for p in sim.deliveries], [p.send_index for p in ref.deliveries]),
         **{kind + " push": (pushes[kind], expected_pushes[kind]) for kind in pushes},
@@ -176,8 +189,82 @@ def test_loop_matches_the_loop_that_served_each_fetch(srpic_on, cfg, seed):
         assert first is None and len(seen) == len(want), (name, first, len(seen), len(want))
 
 
+# No jitter and no loss either way, with equal delays: on these runs every
+# item is pushed after the one before it.
+IN_TIME = PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=0.0)
+QUEUE_CONFIGS = {
+    "small": lambda: ScenarioConfig(
+        name="unit",
+        duration=0.03,
+        fwd=IN_TIME,
+        rev=IN_TIME,
+        srpic=SrpicSettings(block_size=8, ringbuffer_size=16),
+        coalescing=CoalescingParams(t_intr_us=120.0, r_sn_pps=3e5),
+        segment_spacing_us=4.0,
+    ),
+    "table5_analog": lambda: replace(
+        load_scenario(str(SCENARIOS / "table5_analog.yaml")), duration=0.05
+    ),
+}
+
+
 @pytest.mark.parametrize("srpic_on", [False, True])
-@settings(max_examples=100, deadline=None, derandomize=True)
+@pytest.mark.parametrize("name", list(QUEUE_CONFIGS))
+def test_pushes_in_time_order_never_reach_the_heap(name, srpic_on):
+    # The fast path: with beta 0 both ways, every push takes the FIFO and
+    # the heap stays empty for the whole run.
+    sim = _StreamSim(QUEUE_CONFIGS[name](), 1, 0, srpic_on)
+    heap_pushes = []
+
+    class Heapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, item):
+            heap_pushes.append(item)
+            heapq.heappush(heap, item)
+
+    with mock.patch.object(tcp, "heapq", Heapq):
+        sim.run()
+    assert heap_pushes == [] and sim._heap == []
+    assert sim._evseq > sim.sender.segments_sent > 0
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+@settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_the_fifo_stays_strictly_increasing(srpic_on, cfg, seed):
+    """After every push, ``_run`` is strictly increasing, so the loop
+    pops its items in the order one heap holding every item would.  The
+    configs draw jitter, which sends pushes to the heap, and zero delays,
+    which queue arrivals and ACKs at one instant.
+
+    Proof that the pop order is the heap's.  The pending items are those
+    of ``_heap`` and ``_run`` together.  An item enters ``_run`` only when
+    it is greater than ``_run[-1]``, and the loop removes ``_run[0]`` only,
+    so ``_run`` stays strictly increasing (this test checks it after every
+    append; a heap push leaves it as it was) and ``_run[0]`` is its least
+    item.  ``_heap[0]`` is the least
+    item of the heap, so the smaller of the two is the least pending item,
+    the one a single heap would pop.  Every item carries its own event
+    number, so no two items are equal: the least is unique, and tuple
+    comparison never reaches an item's kind or payload.  So both loops pop
+    the same item, run the same step and push the same items after it,
+    and by induction over the pops they pop every item in the same order.
+    """
+    sim = _StreamSim(cfg, seed, 0, srpic_on)
+
+    class Run(deque):
+        def append(self, item):
+            super().append(item)
+            assert all(a < b for a, b in zip(self, list(self)[1:]))
+
+    sim._run = Run()
+    sim.run()
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+@settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16), data=st.data())
 def test_a_tag_comes_back_with_its_packet(srpic_on, cfg, seed, data):
     # Each arrival's tag goes in paired with a token of its own; each
@@ -251,7 +338,9 @@ def test_a_finished_stream_is_freed_by_reference_counting(srpic_on):
 def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     # The benchmark's tracer and audit replace the heapq module that tcp
     # holds, the sorter methods on their class, and the receiver and
-    # sender functions by their names in tcp.  The loop reads the channel
+    # sender functions by their names in tcp.  Items pushed in order go to
+    # the stream's _run deque instead of the heap; a counting deque
+    # stands in for it.  The loop reads the channel
     # draws from the drops and delays iterators of sim.fwd and sim.rev,
     # which this test wraps with counting iterators.  Each count taken
     # through a replacement must match one the run keeps itself.
@@ -266,19 +355,33 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     n = Counter()
     kept = Counter()  # (kind, handled) -> popped items
 
+    def pushed(item, to):
+        assert type(item) is tuple and len(item) == 5
+        assert (item[3], type(item[4])) in {("arr", Packet), ("ack", AckRecord)}
+        n["push." + item[3]] += 1
+        n[to] += 1
+
+    def popped(item):
+        kept[item[3], item[0] <= sim.path.hard_stop_us] += 1
+        return item
+
     class Heapq:
         @staticmethod
         def heappush(heap, item):
-            assert type(item) is tuple and len(item) == 5
-            assert (item[3], type(item[4])) in {("arr", Packet), ("ack", AckRecord)}
-            n["push." + item[3]] += 1
+            pushed(item, "heap")
             heapq.heappush(heap, item)
 
         @staticmethod
         def heappop(heap):
-            item = heapq.heappop(heap)
-            kept[item[3], item[0] <= sim.path.hard_stop_us] += 1
-            return item
+            return popped(heapq.heappop(heap))
+
+    class Run(deque):
+        def append(self, item):
+            pushed(item, "fifo")
+            super().append(item)
+
+        def popleft(self):
+            return popped(super().popleft())
 
     def counting(name, fn, on_result=None):
         def wrapper(*args):
@@ -305,6 +408,7 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
         n["emitted"] += len(out)
 
     monkeypatch.setattr(tcp, "heapq", Heapq)
+    sim._run = Run()
     for side, streams in (("fwd", sim.fwd), ("rev", sim.rev)):
         streams.drops = counted_drops(side, streams.drops)
         streams.delays = counted_delays(side, streams.delays)
@@ -331,7 +435,8 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     assert n["fwd.drops"] + n["rev.drops"] == sent + delivered
     assert n["push.arr"] == sent - n["fwd.dropped"] > 0
     assert n["push.ack"] == delivered - n["rev.dropped"] > 0
-    assert n["push.arr"] + n["push.ack"] == sum(kept.values()) + len(sim._heap)
+    assert n["push.arr"] + n["push.ack"] == sum(kept.values()) + len(sim._heap) + len(sim._run)
+    assert n["heap"] > 0 and n["fifo"] > 0
     assert n["sender_on_ack"] == kept["ack", True] > 0
     fetched = kept["arr", True] - n["fetched late"]
     if srpic_on:
@@ -385,7 +490,7 @@ def test_rearms_at_one_instant_keep_the_first_expiry():
     assert (m.pkts_retrans, m.segments_sent, m.bytes_acked) == (1, 23, 31856)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(
     beta=st.floats(0.0, 0.01),
     drop_rate=st.floats(0.0, 0.05),
@@ -441,7 +546,7 @@ def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
     assert all(0.0 <= h <= bound + 1e-6 for h in holds)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16), srpic_on=st.booleans())
 def test_loop_matches_one_timeout_event_per_arming(cfg, seed, srpic_on):
     expected = EagerTimerSim(cfg, seed, 0, srpic_on).run()
@@ -472,7 +577,7 @@ def test_an_ack_at_the_timeout_instant_comes_first(srpic_on):
     assert sim.sender.last_rtx_time == 2 * rto
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16))
 def test_the_sorter_never_adds_reordering_to_a_run(cfg, seed):
     """Criterion 2 per run: with the sorter on, every stream's reordered
@@ -509,7 +614,7 @@ SLOW_ACKS = st.builds(
 )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(fwd=IN_ORDER, rev=SLOW_ACKS), seed=st.integers(0, 2**16))
 def test_in_order_arrivals_give_the_same_metrics_in_both_arms(cfg, seed):
     bound_us = hold_delay_bound(cfg.srpic.block_size, cfg.coalescing.r_sn_pps)

@@ -17,7 +17,7 @@ from srpicsim.packets import (
     payload_end,
     seq_cmp,
 )
-from srpicsim.sorter import SrpicEngine, SrpicManager, _sorted_insert
+from srpicsim.sorter import SrpicEngine, _sorted_insert
 from srpicsim.tcp import AckRecord, SenderState, sender_on_ack
 
 FLOW = FlowKey(1, 2, 1000, 2000)
@@ -95,20 +95,39 @@ class TestIsSuitable:
         ):
             assert not is_suitable(pkt(flags=flag | TcpFlags.ACK))
 
-    def test_every_flag_and_pair_matches_the_flag_rule(self):
-        # Every subset of the eight flags, so every flag and every pair:
-        # is_suitable tests an integer mask, the rule is the enum's ``&``.
+    @staticmethod
+    def every_kind_of_packet():
+        # Every subset of the eight flags, so every flag and every pair,
+        # with and without fragment and options.
         subsets = [TcpFlags.NONE]
         for f in TcpFlags:
             subsets += [s | f for s in subsets]
         assert len(set(subsets)) == 2 ** len(TcpFlags)
         for flags in subsets:
             for frag, opts in itertools.product((False, True), repeat=2):
-                p = pkt(flags=flags, is_fragment=frag, has_disallowed_options=opts)
-                expected = (
-                    not (p.flags & DISQUALIFYING_FLAGS) and not frag and not opts
-                )
-                assert is_suitable(p) == expected, (flags, frag, opts)
+                yield pkt(flags=flags, is_fragment=frag, has_disallowed_options=opts)
+
+    def test_every_flag_and_pair_matches_the_flag_rule(self):
+        # is_suitable tests an integer mask, the rule is the enum's ``&``.
+        for p in self.every_kind_of_packet():
+            expected = (
+                not (p.flags & DISQUALIFYING_FLAGS)
+                and not p.is_fragment
+                and not p.has_disallowed_options
+            )
+            assert is_suitable(p) == expected, p
+
+    def test_ingest_bypasses_exactly_the_unsuitable(self):
+        # SrpicEngine.ingest writes is_suitable out inline: a packet comes
+        # straight back exactly when is_suitable rejects it, and a suitable
+        # one is held and counted.
+        for p in self.every_kind_of_packet():
+            engine = SrpicEngine(block_size=2)
+            out = engine.ingest(p)
+            if is_suitable(p):
+                assert out == [] and engine.global_packet_cnt == 1, p
+            else:
+                assert out == [p] and not engine.managers, p
 
 
 class TestPacketFields:
@@ -196,13 +215,14 @@ class TestInlineSerialTests:
 
     @settings(max_examples=300, derandomize=True)
     @given(first=SERIAL, seq=SERIAL, length=st.integers(1, 3))
-    def test_manager_add_picks_lists_by_seq_cmp(self, first, seq, length):
-        m = SrpicManager()
-        m.add(pkt(seq=first, payload_len=length))
+    def test_ingest_picks_lists_by_seq_cmp(self, first, seq, length):
+        engine = SrpicEngine(block_size=3)
+        assert engine.ingest(pkt(seq=first, payload_len=length)) == []
+        m = engine.managers[FLOW]
         next_exp = payload_end(pkt(seq=first, payload_len=length))
         assert m.next_exp == next_exp
         p = pkt(seq=seq, payload_len=length)
-        m.add(p)
+        assert engine.ingest(p) == []
         c = seq_cmp(seq, next_exp)
         lists = {-1: m.prev_list, 0: m.curr_list, 1: m.after_list}
         assert lists[c][-1] is p

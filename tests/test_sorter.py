@@ -16,18 +16,31 @@ def seqs(packets):
     return [p.seq for p in packets]
 
 
+def state(m):
+    return seqs(m.prev_list), seqs(m.curr_list), seqs(m.after_list), m.next_exp
+
+
+def held(packets):
+    """The manager of ``FLOW`` after ``packets`` went through an engine
+    whose block is larger than the trace, so nothing flushed."""
+    eng = SrpicEngine(block_size=len(packets) + 1)
+    for p in packets:
+        assert eng.ingest(p) == []
+    return eng.managers[FLOW]
+
+
 class TestManagerGolden:
     """Step-by-step list states for the arrival order 2,3,1,4,6,7,5."""
 
     def states(self):
-        m = SrpicManager()
-        observed = [(seqs(m.prev_list), seqs(m.curr_list), seqs(m.after_list), m.next_exp)]
+        # A block larger than the trace: ingest routes every packet and
+        # flushes nothing.
+        eng = SrpicEngine(block_size=8)
+        observed = [state(SrpicManager())]
         for p in make_trace([2, 3, 1, 4, 6, 7, 5]):
-            m.add(p)
-            observed.append(
-                (seqs(m.prev_list), seqs(m.curr_list), seqs(m.after_list), m.next_exp)
-            )
-        return m, observed
+            assert eng.ingest(p) == []
+            observed.append(state(eng.managers[FLOW]))
+        return eng.managers[FLOW], observed
 
     def test_all_eight_states(self):
         _, observed = self.states()
@@ -67,26 +80,20 @@ class TestManagerBasics:
         assert SrpicManager().flush() == []
 
     def test_flush_in_order_block_is_identity(self):
-        m = SrpicManager()
-        for p in make_trace([10, 11, 12]):
-            m.add(p)
+        m = held(make_trace([10, 11, 12]))
         assert seqs(m.flush()) == [10, 11, 12]
 
     def test_zero_payload_does_not_advance_next_exp(self):
-        m = SrpicManager()
-        m.add(make_trace([5], lens=[1])[0])
+        m = held(make_trace([5], lens=[1]))
         assert m.next_exp == 6
-        m.add(Packet(flow=FLOW, seq=6, payload_len=0))
+        m = held(make_trace([5], lens=[1]) + [Packet(flow=FLOW, seq=6, payload_len=0)])
         assert m.next_exp == 6
         assert seqs(m.curr_list) == [5, 6]
 
     def test_duplicate_seq_keeps_arrival_order(self):
-        m = SrpicManager()
         first = Packet(flow=FLOW, seq=1, payload_len=1, send_index=1)
         second = Packet(flow=FLOW, seq=1, payload_len=1, send_index=2)
-        m.add(make_trace([5])[0])  # seeds curr, next_exp 6
-        m.add(first)
-        m.add(second)
+        m = held([make_trace([5])[0], first, second])  # 5 seeds curr, next_exp 6
         assert [p.send_index for p in m.prev_list] == [1, 2]
 
 
