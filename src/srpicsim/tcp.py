@@ -4,7 +4,8 @@ The sender is Reno-flavored AIMD: slow start, congestion avoidance,
 dupthresh-triggered fast retransmit with a simplified halving recovery,
 and a timeout backstop.  The receiver generates one cumulative ACK per
 data segment (no delayed ACKs), duplicate ACKs for out-of-order data,
-and up to three SACK blocks, most recently changed first.
+and up to three SACK blocks, most recently changed first.  Every data
+segment carries one MSS, so a sender's record keeps no length.
 
 ``dupthresh`` is either static (always 3) or adaptive: when a hole fills
 through a late original rather than a retransmission, the threshold is
@@ -18,15 +19,18 @@ sorter) -> receiver -> reverse path -> ACK processing.  The loop takes the
 earliest of three instants: the end of the open coalescing cycle, the top
 of the queued packet and ACK arrivals, and the retransmission timeout.
 Ties go to the cycle end first, then to the queue (packet arrivals before
-ACKs), then to the timeout.  A queued item is ``(time, priority, event
-number, kind, payload)``, and the loop runs a popped item's arrival or ACK
-step by its priority.  An item greater than the last one in the FIFO
-``_run`` is appended to it, any other goes onto the heap ``_heap``, and
-the queue's top is the smaller of their heads.  ``_run`` stays strictly
-increasing and event numbers make every item distinct, so items pop in
-exactly a single heap's order.  Without jitter almost every push takes
-the FIFO.  The timer is one RFC 6298-style timer, re-armed whenever the
-cumulative ACK advances.
+ACKs), then to the timeout.  One stop rule ends a run: a run ends once
+every pending instant is past the hard stop, so nothing past it is ever
+popped or run.  A queued item is ``(time, priority, event number, kind,
+payload)``, and the loop runs a popped item's arrival or ACK step by its
+priority.  An item greater than the last one in the FIFO ``_run`` is
+appended to it, any other goes onto the heap ``_heap``.  The queue's top
+is ``_run[0]`` (none while ``_run`` is empty), or ``_heap[0]`` when that
+is smaller, and the loop pops it from the side it came from.  ``_run``
+stays strictly increasing and event numbers make every item distinct, so
+items pop in exactly a single heap's order.  Without jitter almost every
+push takes the FIFO.  The timer is one RFC 6298-style timer, re-armed
+whenever the cumulative ACK advances.
 
 The path hands each packet on as it arrives, stamped with its closed-form
 fetch instant, so no event runs per fetch.  The results are those of a
@@ -81,7 +85,6 @@ SPURIOUS_RTT_FRACTION = 0.8
 @dataclass(slots=True)
 class SegmentRecord:
     seq: int
-    length: int
     sacked: bool = False
     retransmitted: bool = False
 
@@ -248,7 +251,7 @@ def _mark_sacked(state: SenderState, blocks) -> None:
         if seg.sacked:
             continue
         seq = seg.seq
-        end = (seq + seg.length) % SEQ_MOD
+        end = (seq + MSS) % SEQ_MOD
         for bstart, bend in blocks:
             if (seq - bstart) % SEQ_MOD <= SEQ_HALF and (
                 end == bend or (end - bend) % SEQ_MOD > SEQ_HALF
@@ -283,8 +286,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
     acked_segments = 0
     ack_seq = ack.ack_seq
     while q:
-        head = q[0]
-        if (ack_seq - head.seq - head.length) % SEQ_MOD >= SEQ_HALF:
+        if (ack_seq - q[0].seq - MSS) % SEQ_MOD >= SEQ_HALF:
             break
         q.popleft()
         acked_segments += 1
@@ -398,7 +400,7 @@ def _fill_window(state: SenderState, now: float, sent: list) -> None:
         return
     nxt = state.next_send_seq
     for _ in range(window - n):
-        seg = SegmentRecord(nxt % SEQ_MOD, MSS)
+        seg = SegmentRecord(nxt % SEQ_MOD)
         q.append(seg)
         sent.append(seg)
         nxt += MSS
@@ -471,9 +473,9 @@ class _StreamSim:
 
     def _emit_actions(self, sent: list[SegmentRecord]) -> None:
         for seg in sent:
-            self._transmit(seg.seq, seg.length)
+            self._transmit(seg.seq)
 
-    def _transmit(self, seq: int, length: int) -> None:
+    def _transmit(self, seq: int) -> None:
         now = self.now
         st = self._last_send_time + self.spacing_us
         if not st > now:
@@ -487,7 +489,7 @@ class _StreamSim:
         if dropped:
             return
         t = st + delay
-        p = Packet(self.flow, seq, length, _ACK, False, False, idx, st, t)
+        p = Packet(self.flow, seq, MSS, _ACK, False, False, idx, st, t)
         self._evseq += 1
         item = (t, _PRIO_ARRIVAL, self._evseq, "arr", p)
         run = self._run
@@ -552,41 +554,30 @@ class _StreamSim:
             t = path.cycle_end
             rto_t = self._rto_t
             # The queue's top: the smaller of the heads of _run and _heap.
-            if heap:
+            item = run[0] if run else _NONE
+            if heap and heap[0] < item:
                 item = heap[0]
-                from_heap = not run or item < run[0]
-                if not from_heap:
-                    item = run[0]
-            elif run:
-                item = run[0]
-                from_heap = False
-            else:
-                item = _NONE
             top = item[0]
+            if top > hard_stop and t > hard_stop and rto_t > hard_stop:
+                break
             if top < t and top <= rto_t:
-                if from_heap:
+                if heap and heap[0] is item:
                     heapq.heappop(heap)
                 else:
                     popleft()
                 t, prio, _n, _kind, payload = item
-                if t > hard_stop:
-                    break
                 self.now = t
                 if prio == _PRIO_ARRIVAL:
                     fetch(payload, t, deliver, arrive(payload))
                 else:  # _PRIO_ACK
                     before = sender.snd_una
                     for seg in sender_on_ack(sender, payload, t):
-                        transmit(seg.seq, seg.length)
+                        transmit(seg.seq)
                     if sender.snd_una != before:
                         self._arm_rto()
             elif rto_t < t:
-                if rto_t > hard_stop:
-                    break
                 self.now = rto_t
                 self._on_rto()
-            elif t > hard_stop:  # also ends the run once nothing is pending
-                break
             else:
                 path.end_cycle(deliver)
         return self._metrics()

@@ -17,7 +17,8 @@ run does not keep, and ``first_copies`` and ``first_copy_reports`` feed
 such whole orders through the run's ``metrics.FirstCopyReports``.
 ``sort_cycle`` runs one cycle's fetch order through a sorter engine.
 ``reference_draws`` draws a path's drops and delays one value at a time,
-without ``channel.PathStreams``.
+without ``channel.PathStreams``.  ``reordered_ratio_model`` is the closed
+form of the share of packets a jittered path reorders.
 """
 
 import heapq
@@ -48,7 +49,7 @@ from srpicsim.packets import (
     seq_cmp,
 )
 from srpicsim.sorter import SrpicEngine, SrpicManager
-from srpicsim.tcp import _StreamSim, sender_on_ack, sender_on_timeout, sender_start
+from srpicsim.tcp import MSS, _StreamSim, sender_on_ack, sender_on_timeout, sender_start
 
 FLOW = FlowKey(1, 2, 1000, 2000)
 
@@ -322,11 +323,12 @@ def first_copy_reports(arrivals, deliveries):
 
 
 def reference_mark_sacked(state, blocks):
-    """Mark every queued segment that one SACK block covers, via seq_cmp."""
+    """Mark every queued segment, one MSS long, that one SACK block covers,
+    via seq_cmp."""
     for bstart, bend in blocks:
         for seg in state.retransmit_queue:
             if seq_cmp(seg.seq, bstart) >= 0 and seq_cmp(
-                (seg.seq + seg.length) % SEQ_MOD, bend
+                (seg.seq + MSS) % SEQ_MOD, bend
             ) <= 0:
                 seg.sacked = True
 
@@ -389,6 +391,36 @@ def reference_draws(cfg):
             d = mean + std * standard.inv_cdf(u) if u != 0.0 else 0.0
             delay = d if d > 0.0 else 0.0
         yield dropped, delay
+
+
+def reordered_ratio_model(alpha_ms, beta, spacing_us, points=4001):
+    """The expected share of packets reordered, by RFC 4737's next-expected
+    walk, when packets sent ``spacing_us`` apart take i.i.d. delays drawn
+    from ``N(alpha, (beta * alpha)**2)``, ``alpha`` in ms.
+
+    A packet is reordered exactly when a later-sent packet arrives first.
+    Given its own delay offset ``d``, the ``k``-th packet after it does so
+    with probability ``Phi((d - k g) / sigma)``, independently over ``k``;
+    so the share is ``1 - integral phi_sigma(d) prod_k (1 - Phi((d - k g)
+    / sigma)) dd``.  The integral takes the trapezoid rule on ``points``
+    points over +-8 sigma, and the product stops at ``k g > 16 sigma``,
+    where every factor left is 1 to within ``Phi(-8)``.  The clamp of
+    negative delays at zero is ignored: at ``beta <= 0.1`` it lies 10 sigma
+    below the mean.
+    """
+    sigma = beta * alpha_ms * 1000.0
+    noise = NormalDist(0.0, sigma)
+    width = 8.0 * sigma
+    step = 2.0 * width / (points - 1)
+    later = range(1, int(2.0 * width / spacing_us) + 2)
+    total = 0.0
+    for i in range(points):
+        d = -width + i * step
+        in_order = noise.pdf(d)
+        for k in later:
+            in_order *= 1.0 - noise.cdf(d - k * spacing_us)
+        total += in_order / 2.0 if i in (0, points - 1) else in_order
+    return 1.0 - step * total
 
 
 def reference_apply_path(trace, cfg):
@@ -537,7 +569,7 @@ class ReferenceLoopSim(_ReferenceRingSim):
                 else:
                     before = self.sender.snd_una
                     for seg in sender_on_ack(self.sender, payload, t):
-                        self._transmit(seg.seq, seg.length)
+                        self._transmit(seg.seq)
                     if self.sender.snd_una != before:
                         self._arm_rto()
             elif rto_t < t:
@@ -574,7 +606,7 @@ class EagerTimerSim(_ReferenceRingSim):
     def _on_ack(self, ack):
         before = self.sender.snd_una
         for seg in sender_on_ack(self.sender, ack, self.now):
-            self._transmit(seg.seq, seg.length)
+            self._transmit(seg.seq)
         if self.sender.snd_una != before:
             self._arm_rto()
 

@@ -12,7 +12,7 @@ from srpicsim.channel import _CHUNK, PathConfig, PathStreams, apply_path
 from srpicsim.metrics import reorder_report
 from srpicsim.packets import FlowKey, Packet, TcpFlags
 
-from oracles import reference_apply_path, reference_draws
+from oracles import reference_apply_path, reference_draws, reordered_ratio_model
 
 FLOW = FlowKey(9, 8, 7, 6)
 
@@ -162,6 +162,46 @@ class TestApplyPathOracle:
         assert out == reference_apply_path(trace, cfg)
         assert [p.send_index for p in out] == list(range(20))
         assert all(p.arrival_time == 1007.0 for p in out)
+
+
+class TestReorderModel:
+    """``apply_path`` against the closed-form share of packets reordered by
+    i.i.d. normal delays (``oracles.reordered_ratio_model``), on a grid of
+    jitter ``beta`` and send spacing ``g`` at a mean delay of 2.5 ms.
+
+    The bound: the simulated ratio lies within four standard errors of the
+    model.  The standard error is that of batch means over the trace: 20 batches of 5,000 consecutive send slots, each
+    with its own reordered share, give the standard deviation of those
+    shares over sqrt(20).  A packet's reordering depends only on packets
+    within 16 sigma / g send slots of it (at most 100 on this grid), so
+    the batches are nearly independent.
+    """
+
+    PACKETS = 100_000
+    BATCHES = 20
+
+    @pytest.mark.parametrize(
+        "beta, spacing_us",
+        [(0.002, 4.0), (0.002, 12.0), (0.01, 4.0), (0.01, 50.0), (0.05, 80.0)],
+    )
+    def test_reordered_ratio_matches_the_model(self, beta, spacing_us):
+        n = self.PACKETS
+        out = apply_path(
+            cbr_trace(n, spacing_us), PathConfig(alpha_ms=2.5, beta=beta, drop_rate=0.0, seed=7)
+        )
+        report = reorder_report(out)
+        # Each packet's flag by the next-expected walk, filed by send slot.
+        flags = [False] * n
+        top = -1
+        for p in out:
+            flags[p.send_index] = p.seq < top
+            top = max(top, p.seq + p.payload_len)
+        assert sum(flags) == report.reordered_count
+        size = n // self.BATCHES
+        shares = [sum(flags[i : i + size]) / size for i in range(0, n, size)]
+        stderr = statistics.stdev(shares) / math.sqrt(self.BATCHES)
+        model = reordered_ratio_model(2.5, beta, spacing_us)
+        assert abs(report.ratio - model) <= 4.0 * stderr, (report.ratio, model, stderr)
 
 
 class TestPathConfig:

@@ -2,14 +2,15 @@
 
 The loop takes the earliest of three instants (the end of the open
 coalescing cycle, the top of the arrival heap and the retransmission
-timeout) and breaks ties in that order.  These tests tie it to independent
-references: the loop that served the ring one fetch at a time
-(``oracles.ReferenceLoopSim``), exactly, on random small configs; the offline
-coalescing replay of the loop's own arrival times (on shipped scenarios
-and on random small configs), the exact timeout schedule of a path that
-drops everything, the timer that queued one timeout event per arming
-(``oracles.EagerTimerSim``) on random small configs, an ACK at exactly the
-timeout instant, the outcome of a run whose ACKs re-arm the timer several
+timeout), breaks ties in that order, and ends a run once every pending
+instant is past the hard stop, which a property checks.  These tests tie
+it to independent references: the loop that served the ring one fetch at
+a time (``oracles.ReferenceLoopSim``), exactly, on random small configs;
+the offline coalescing replay of the loop's own arrival times (on shipped
+scenarios and on random small configs), the exact timeout schedule of a
+path that drops everything, the timer that queued one timeout event per
+arming (``oracles.EagerTimerSim``) on random small configs, an ACK at
+exactly the timeout instant, the outcome of a run whose ACKs re-arm the timer several
 times at one instant, and the sorter seen from outside: each cycle
 delivers what it fetched, within the hold bound, it never leaves a run
 more reordered than it found it, and in-order arrivals with slow constant
@@ -30,7 +31,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -449,26 +450,54 @@ def test_replacements_at_the_patch_points_see_every_call(monkeypatch, srpic_on):
     assert delivered > 0
 
 
+TOTAL_LOSS = ScenarioConfig(
+    name="unit",
+    duration=0.2,
+    fwd=PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=1.0),
+    rev=PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=0.0),
+    coalescing=CoalescingParams(t_intr_us=120.0, r_sn_pps=3e5),
+    max_cwnd=64,
+    segment_spacing_us=4.0,
+)
+
+
 @pytest.mark.parametrize("srpic_on", [False, True])
 def test_total_loss_timeout_schedule(srpic_on):
     # Nothing gets through: the initial window of 10 goes out at t=0 and
     # the timer fires at 0.2 s, 0.6 s and 1.4 s, doubling its backoff each
     # time; the next expiry (3.0 s) lies past the 2.2 s hard stop.
-    cfg = ScenarioConfig(
-        name="unit",
-        duration=0.2,
-        fwd=PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=1.0),
-        rev=PathConfig(alpha_ms=2.5, beta=0.0, drop_rate=0.0),
-        coalescing=CoalescingParams(t_intr_us=120.0, r_sn_pps=3e5),
-        max_cwnd=64,
-        segment_spacing_us=4.0,
-    )
-    sim = _StreamSim(cfg, 1, 0, srpic_on)
+    sim = _StreamSim(TOTAL_LOSS, 1, 0, srpic_on)
     sim.run()
     assert sim.sender.pkts_retrans == 3
     assert sim.sender.segments_sent == 13
     assert sim.sender.rto_backoff == 8
     assert sim.now == 1.4e6
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+def test_a_run_stops_once_every_pending_instant_is_past_the_hard_stop(srpic_on):
+    # The stop rule: nothing past the hard stop runs, and nothing at or
+    # before it is left pending.  TOTAL_LOSS and the configs that draw
+    # total loss end with their timer still armed, so some runs must stop
+    # with a finite instant pending past the hard stop: there the rule's
+    # break ends the run, not a queue and a timer that ran dry.
+    finite_pending = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(cfg=small_configs(), seed=st.integers(0, 2**16))
+    @example(cfg=TOTAL_LOSS, seed=1)
+    def check(cfg, seed):
+        sim = _StreamSim(cfg, seed, 0, srpic_on)
+        sim.run()
+        hard_stop = cfg.hard_stop_us
+        top = min([q[0] for q in (sim._heap, sim._run) if q], default=(math.inf,))[0]
+        pending = (top, sim.path.cycle_end, sim._rto_t)
+        assert sim.now <= hard_stop
+        assert all(t > hard_stop for t in pending), (pending, hard_stop)
+        finite_pending.append(min(pending) < math.inf)
+
+    check()
+    assert any(finite_pending)
 
 
 def test_rearms_at_one_instant_keep_the_first_expiry():

@@ -426,11 +426,7 @@ class TestRewrittenHelpers:
         )
         n = data.draw(st.integers(min_value=0, max_value=12))
         queue = [
-            SegmentRecord(
-                seq=(base + i * MSS) % SEQ_MOD,
-                length=MSS,
-                sacked=data.draw(st.booleans()),
-            )
+            SegmentRecord(seq=(base + i * MSS) % SEQ_MOD, sacked=data.draw(st.booleans()))
             for i in range(n)
         ]
         # Block edges near the queue's segment edges, some exactly 2**31 away.
@@ -463,7 +459,7 @@ class TestRewrittenHelpers:
     )
     def test_mark_sacked_serial_distance_edges(self, seq, block):
         state = SenderState()
-        state.retransmit_queue.append(SegmentRecord(seq=seq, length=MSS))
+        state.retransmit_queue.append(SegmentRecord(seq=seq))
         expected = copy.deepcopy(state)
         _mark_sacked(state, (block,))
         reference_mark_sacked(expected, (block,))
@@ -680,7 +676,6 @@ class TestPositionalRecords:
     def test_record_field_order(self):
         assert [f.name for f in fields(SegmentRecord)] == [
             "seq",
-            "length",
             "sacked",
             "retransmitted",
         ]
