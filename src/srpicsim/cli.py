@@ -17,7 +17,6 @@ from .scenario import (
     load_scenario,
     override_param,
     parse_csv,
-    row_key,
     rows_to_csv,
     run_scenario,
 )
@@ -47,7 +46,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    """Run a scenario's points and emit their rows in ``row_key`` order.
+    """Run a scenario's points in one ``run_scenario`` call, so a command
+    forks at most once, and emit their rows in ``row_key`` order.
 
     ``run`` is the sweep over no parameter: its one point is the file's
     scenario.  ``sweep`` has one point per ``--values`` entry, named
@@ -74,8 +74,7 @@ def cmd_run(args) -> int:
                 raise ConfigError(f"--values: {format_value(value)} is given twice ({name})")
             points.append(replace(override_param(cfg, args.param, value), name=name))
     _check_out(args.out)
-    rows = sorted((row for point in points for row in run_scenario(point)), key=row_key)
-    _write(rows_to_csv(rows), args.out)
+    _write(rows_to_csv(run_scenario(*points)), args.out)
     return 0
 
 

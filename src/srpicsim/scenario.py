@@ -398,22 +398,25 @@ def _child_rows(pid: int, read_fd: int) -> list[dict]:
     return value
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[dict]:
-    """Execute all seeds of a scenario, paired sorter-off/sorter-on, and
+def run_scenario(*cfgs: ScenarioConfig) -> list[dict]:
+    """Execute all seeds of each scenario, paired sorter-off/sorter-on, and
     return one row dict per stream per seed per arm, sorted by ``row_key``.
 
     The two arms share no state.  Where ``_child_cpus()`` is nonempty, one
     forked child pinned to those CPUs runs the sorter-off arm of every
-    seed while the caller runs the sorter-on arms, so a replacement
-    installed in the caller sees every call of the sorter arm; otherwise
-    every off arm runs, then every on arm.  The rows are the same either
-    way, and so is the error: the off arm's wins, as it comes first in a
-    serial run.  The child is reaped before this returns or raises.
+    seed of every scenario while the caller runs the sorter-on arms, so a
+    replacement installed in the caller sees every call of the sorter arm;
+    otherwise every off arm of every scenario runs, then every on arm.
+    So one call forks at most once, however many scenarios it runs.  The
+    rows are the same either way, and so is the error: the off arm's
+    wins, as it comes first in a serial run.  The child is reaped before
+    this returns or raises.
     """
     from . import tcp  # the TCP loop loads only for a run
 
     def arm_rows(arm: str) -> list[dict]:
         return [dict(zip(CSV_COLUMNS, (cfg.name, seed, sid, arm, *_METRIC_VALUES(m))))
+                for cfg in cfgs
                 for seed in cfg.seeds
                 for sid, m in enumerate(tcp.run_transfer(cfg, seed=seed, srpic=arm == "on"))]
 

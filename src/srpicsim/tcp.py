@@ -41,17 +41,20 @@ numbers break ties alike; and the sender never reads receiver state.
 ``metrics.FirstCopyReports`` builds a run's reordering reports as packets
 arrive and are delivered; the path hands each back with its arrival offset.
 
-The per-segment paths compare sequence numbers with serial tests written
-out inline; ``packets.seq_cmp`` is their definition, and the tests check
-each inline form against it.  The loop pushes and pops heap items
-through the module's ``heapq`` name, which therefore sees only the items
-pushed out of order; it appends to and pops from ``_run`` through the
-methods of the deque it finds there when it starts.  It calls the
-receiver and the sender through their module names, looked up per call.
-It takes each channel draw with ``next`` on the ``drops`` and ``delays``
-iterators of the stream's ``fwd`` and ``rev`` path streams, also looked
-up per draw.  So a replacement installed at any of these sees every call
-or draw.
+The wire is 32-bit and serial: a data packet's ``seq`` wraps at 2**32,
+and the sorter and the receiver's intake order it by ``packets.seq_cmp``.
+The endpoints count unwrapped bytes from ``isn``, ACKs and SACK edges
+too, and ``_transmit`` is the one wrap point; nothing reads an ACK's
+wire form.
+
+The loop pushes and pops heap items through the module's ``heapq`` name,
+which therefore sees only the items pushed out of order; it appends to
+and pops from ``_run`` through the methods of the deque it finds there
+when it starts.  It calls the receiver and the sender through their
+module names, looked up per call.  It takes each channel draw with
+``next`` on the ``drops`` and ``delays`` iterators of the stream's
+``fwd`` and ``rev`` path streams, also looked up per draw.  So a
+replacement installed at any of these sees every call or draw.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ class SenderState:
     # count toward dupthresh.
     sack_aware: bool = False
 
+    # next_send_seq, snd_una and recover_point count unwrapped bytes from
+    # isn, as every SegmentRecord.seq and AckRecord does; only the wire wraps.
     next_send_seq: int = 0
     snd_una: int = 0
     cwnd: float = INITIAL_CWND
@@ -118,7 +123,7 @@ class SenderState:
     dup_acks_in: int = 0
     sack_blocks_rcvd: int = 0
     segments_sent: int = 0
-    bytes_acked: int = 0  # unwrapped: grows past 2**32
+    bytes_acked: int = 0
 
     def __post_init__(self):
         self.cwnd = min(self.cwnd, self.max_cwnd)
@@ -200,10 +205,10 @@ def receiver_on_segment(state: ReceiverState, seg: Packet) -> AckRecord:
     blocks: tuple[tuple[int, int], ...] = ()
     if ooo and state.sack_enabled:
         recent = sorted(ooo, key=lambda r: -r[2])[:3]
-        blocks = tuple((s % SEQ_MOD, e % SEQ_MOD) for s, e, _ in recent)
+        blocks = tuple((s, e) for s, e, _ in recent)
     if not advanced:
         state.dup_acks_sent += 1
-    return AckRecord(nxt % SEQ_MOD, blocks, not advanced, seg.send_time)
+    return AckRecord(nxt, blocks, not advanced, seg.send_time)
 
 
 def _ooo_insert(ooo: list[list], start: int, end: int, touch: int) -> None:
@@ -231,31 +236,26 @@ def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[Segmen
         state.sack_blocks_rcvd += len(ack.sack_blocks)
         _mark_sacked(state, ack.sack_blocks)
 
-    # seq_cmp(ack_seq, snd_una), written out inline: after, equal, before.
     ack_seq, una = ack.ack_seq, state.snd_una
-    if ack_seq != una:
-        if (ack_seq - una) % SEQ_MOD <= SEQ_HALF:
-            _on_advance(state, ack, now, sent)
-        # acks below snd_una are stale copies overtaken by newer ones: ignored
-    elif ack.is_duplicate:
+    if ack_seq > una:
+        _on_advance(state, ack, now, sent)
+    elif ack_seq == una and ack.is_duplicate:
         _on_dupack(state, ack, now, sent)
+    # acks below snd_una are stale copies overtaken by newer ones: ignored
 
     _fill_window(state, now, sent)
     return sent
 
 
 def _mark_sacked(state: SenderState, blocks) -> None:
-    # A segment is sacked when one block covers it: seq_cmp(seq, start) >= 0
-    # and seq_cmp(end, block end) <= 0, written out inline.
+    # A segment is sacked when one block covers it.
     for seg in state.retransmit_queue:
         if seg.sacked:
             continue
         seq = seg.seq
-        end = (seq + MSS) % SEQ_MOD
+        end = seq + MSS
         for bstart, bend in blocks:
-            if (seq - bstart) % SEQ_MOD <= SEQ_HALF and (
-                end == bend or (end - bend) % SEQ_MOD > SEQ_HALF
-            ):
+            if bstart <= seq and end <= bend:
                 seg.sacked = True
                 break
 
@@ -282,15 +282,12 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
     head_was_retransmitted = q[0].retransmitted if q else False
     was_dupacks = state.dup_ack_count
 
-    # Pop the acked segments: seq_cmp(end, ack_seq) <= 0, written out inline.
     acked_segments = 0
     ack_seq = ack.ack_seq
-    while q:
-        if (ack_seq - q[0].seq - MSS) % SEQ_MOD >= SEQ_HALF:
-            break
+    while q and q[0].seq + MSS <= ack_seq:
         q.popleft()
         acked_segments += 1
-    state.bytes_acked += (ack_seq - state.snd_una) % SEQ_MOD
+    state.bytes_acked += ack_seq - state.snd_una
     state.snd_una = ack_seq
     state.rto_backoff = 1
 
@@ -319,9 +316,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
     state.dup_ack_count = 0
 
     if state.in_recovery:
-        # seq_cmp(snd_una, recover_point) >= 0, written out inline; snd_una
-        # is ack_seq by now.
-        if (ack_seq - state.recover_point) % SEQ_MOD <= SEQ_HALF:
+        if ack_seq >= state.recover_point:  # snd_una is ack_seq by now
             state.in_recovery = False
             state.cwnd = state.ssthresh
         elif state.retransmit_queue:
@@ -400,7 +395,7 @@ def _fill_window(state: SenderState, now: float, sent: list) -> None:
         return
     nxt = state.next_send_seq
     for _ in range(window - n):
-        seg = SegmentRecord(nxt % SEQ_MOD)
+        seg = SegmentRecord(nxt)
         q.append(seg)
         sent.append(seg)
         nxt += MSS
@@ -489,7 +484,7 @@ class _StreamSim:
         if dropped:
             return
         t = st + delay
-        p = Packet(self.flow, seq, MSS, _ACK, False, False, idx, st, t)
+        p = Packet(self.flow, seq % SEQ_MOD, MSS, _ACK, False, False, idx, st, t)
         self._evseq += 1
         item = (t, _PRIO_ARRIVAL, self._evseq, "arr", p)
         run = self._run

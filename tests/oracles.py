@@ -17,11 +17,13 @@ run does not keep, and ``first_copies`` and ``first_copy_reports`` feed
 such whole orders through the run's ``metrics.FirstCopyReports``.
 ``sort_cycle`` runs one cycle's fetch order through a sorter engine.
 ``reference_draws`` draws a path's drops and delays one value at a time,
-without ``channel.PathStreams``.  ``reordered_ratio_model`` is the closed
-form of the share of packets a jittered path reorders.
+without ``channel.PathStreams``.  ``reordered_ratio_model`` and
+``mean_extent_model`` are the closed forms of the share of packets a
+jittered path reorders and of their mean reorder extent.
 """
 
 import heapq
+import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
@@ -323,13 +325,11 @@ def first_copy_reports(arrivals, deliveries):
 
 
 def reference_mark_sacked(state, blocks):
-    """Mark every queued segment, one MSS long, that one SACK block covers,
-    via seq_cmp."""
+    """Mark every queued segment, one MSS long, that one SACK block covers.
+    The sender's sequence numbers and SACK edges are unwrapped integers."""
     for bstart, bend in blocks:
         for seg in state.retransmit_queue:
-            if seq_cmp(seg.seq, bstart) >= 0 and seq_cmp(
-                (seg.seq + MSS) % SEQ_MOD, bend
-            ) <= 0:
+            if bstart <= seg.seq and seg.seq + MSS <= bend:
                 seg.sacked = True
 
 
@@ -421,6 +421,26 @@ def reordered_ratio_model(alpha_ms, beta, spacing_us, points=4001):
             in_order *= 1.0 - noise.cdf(d - k * spacing_us)
         total += in_order / 2.0 if i in (0, points - 1) else in_order
     return 1.0 - step * total
+
+
+def mean_extent_model(alpha_ms, beta, spacing_us):
+    """The expected reorder extent of a packet, reordered or not, under
+    ``reordered_ratio_model``'s channel: ``sum_k Phi(-k g / (sigma
+    sqrt 2))`` over ``k >= 1``.
+
+    A packet's extent is its count of later-sent packets that arrive
+    first.  The ``k``-th packet after it does so when its delay falls
+    more than ``k g`` below the packet's own, and the difference of two
+    i.i.d. delays is ``N(0, 2 sigma**2)``.  The sum stops at ``k g > 16
+    sigma sqrt 2``, where a term is below ``Phi(-16)``.
+    """
+    spread = beta * alpha_ms * 1000.0 * math.sqrt(2.0)
+    std = NormalDist()
+    total, k = 0.0, 1
+    while k * spacing_us <= 16.0 * spread:
+        total += std.cdf(-k * spacing_us / spread)
+        k += 1
+    return total
 
 
 def reference_apply_path(trace, cfg):

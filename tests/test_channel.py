@@ -4,6 +4,7 @@ import random
 import statistics
 from itertools import count, islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,12 @@ from srpicsim.channel import _CHUNK, PathConfig, PathStreams, apply_path
 from srpicsim.metrics import reorder_report
 from srpicsim.packets import FlowKey, Packet, TcpFlags
 
-from oracles import reference_apply_path, reference_draws, reordered_ratio_model
+from oracles import (
+    mean_extent_model,
+    reference_apply_path,
+    reference_draws,
+    reordered_ratio_model,
+)
 
 FLOW = FlowKey(9, 8, 7, 6)
 
@@ -166,15 +172,17 @@ class TestApplyPathOracle:
 
 class TestReorderModel:
     """``apply_path`` against the closed-form share of packets reordered by
-    i.i.d. normal delays (``oracles.reordered_ratio_model``), on a grid of
+    i.i.d. normal delays (``oracles.reordered_ratio_model``) and their
+    mean reorder extent (``oracles.mean_extent_model``), on a grid of
     jitter ``beta`` and send spacing ``g`` at a mean delay of 2.5 ms.
 
-    The bound: the simulated ratio lies within four standard errors of the
-    model.  The standard error is that of batch means over the trace: 20 batches of 5,000 consecutive send slots, each
-    with its own reordered share, give the standard deviation of those
-    shares over sqrt(20).  A packet's reordering depends only on packets
-    within 16 sigma / g send slots of it (at most 100 on this grid), so
-    the batches are nearly independent.
+    The bound: the simulated value lies within four standard errors of
+    the model.  The standard error is that of batch means over the trace:
+    20 batches of 5,000 consecutive send slots, each with its own share
+    or mean, give the standard deviation of those values over sqrt(20).
+    A packet's reordering depends only on packets within 16 sigma / g
+    send slots of it (at most 100 on this grid), so the batches are
+    nearly independent.
     """
 
     PACKETS = 100_000
@@ -202,6 +210,29 @@ class TestReorderModel:
         stderr = statistics.stdev(shares) / math.sqrt(self.BATCHES)
         model = reordered_ratio_model(2.5, beta, spacing_us)
         assert abs(report.ratio - model) <= 4.0 * stderr, (report.ratio, model, stderr)
+
+    @pytest.mark.parametrize("beta, spacing_us", [(0.002, 4.0), (0.01, 4.0), (0.05, 80.0)])
+    def test_mean_extent_matches_the_model(self, beta, spacing_us):
+        n = self.PACKETS
+        out = apply_path(
+            cbr_trace(n, spacing_us), PathConfig(alpha_ms=2.5, beta=beta, drop_rate=0.0, seed=7)
+        )
+        report = reorder_report(out)
+        # Each packet's extent, filed by send slot: the later-sent packets
+        # that arrive before it.  With every packet at most ``shift``
+        # places from its send slot, one 2 * shift or more slots later
+        # arrives after it.
+        pos = np.empty(n, dtype=np.int64)
+        pos[[p.send_index for p in out]] = np.arange(n)
+        shift = int(np.abs(pos - np.arange(n)).max())
+        extents = np.zeros(n, dtype=np.int64)
+        for k in range(1, 2 * shift):
+            extents[:-k] += pos[k:] < pos[:-k]
+        assert extents.max() == report.max_extent
+        means = extents.reshape(self.BATCHES, -1).mean(axis=1)
+        stderr = means.std(ddof=1) / math.sqrt(self.BATCHES)
+        model = mean_extent_model(2.5, beta, spacing_us)
+        assert abs(extents.mean() - model) <= 4.0 * stderr, (extents.mean(), model, stderr)
 
 
 class TestPathConfig:

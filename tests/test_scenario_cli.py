@@ -62,8 +62,8 @@ def no_run(monkeypatch):
     """Fail instead of running: a bad value that loads (say, an infinite
     duration) must not hang the suite."""
 
-    def refuse(cfg):
-        raise AssertionError(f"a bad scenario loaded and was run: {cfg}")
+    def refuse(*cfgs):
+        raise AssertionError(f"a bad scenario loaded and was run: {cfgs}")
 
     monkeypatch.setattr(cli, "run_scenario", refuse)
 
@@ -374,6 +374,42 @@ class TestArmsInParallel:
         monkeypatch.setattr(scenario, "_child_cpus", set)
         assert rows_to_csv(run_scenario(cfg)) == forked_csv
         assert len(forks) == 1
+
+    def test_a_sweep_forks_once(self, forked, monkeypatch, tiny_config, tmp_path):
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        argv = ["sweep", str(tiny_config), "--param", "beta", "--values", "0.002,0.01"]
+        assert main(argv + ["--out", str(tmp_path / "forked.csv")]) == 0
+        assert forks == [os.getpid()]
+        monkeypatch.setattr(scenario, "_child_cpus", set)
+        assert main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+        assert len(forks) == 1
+        forked_csv = (tmp_path / "forked.csv").read_text(encoding="utf-8")
+        assert (tmp_path / "serial.csv").read_text(encoding="utf-8") == forked_csv
+        assert forked_csv.count("tiny[beta=") == 8  # 2 points x 2 seeds x 2 arms
+
+    @pytest.mark.parametrize("forks", [False, True], ids=["serial", "forked"])
+    def test_off_arm_error_wins_across_points(self, forks, faults, request, monkeypatch):
+        """The on arm fails at point 1 and the off arm only at point 2;
+        each point has its own seed, which the fault reads."""
+        if forks:
+            request.getfixturevalue("forked")
+        else:
+            monkeypatch.setattr(scenario, "_child_cpus", set)
+
+        def fault(seed, srpic):
+            if (seed, srpic) in ((1, True), (2, False)):
+                raise SimulationError(f"{'on' if srpic else 'off'} arm at point {seed}")
+
+        faults(fault)
+        points = [replace(tiny_cfg(), name=f"p{seed}", seeds=(seed,)) for seed in (1, 2)]
+        with pytest.raises(SimulationError, match="^off arm at point 2$"):
+            run_scenario(*points)
 
     def test_off_arm_error_reaches_the_caller(self, forked):
         caller = os.getpid()
