@@ -232,6 +232,8 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
     except (OSError, ValueError) as exc:  # not UTF-8, or a value YAML cannot build
         raise ConfigError(f"{path}: {exc}") from exc
+    except RecursionError:  # PyYAML composes nested nodes recursively
+        raise ConfigError(f"{path}: nesting too deep") from None
     try:
         return scenario_from_mapping(doc)
     except ConfigError as exc:

@@ -5,7 +5,8 @@ dupthresh-triggered fast retransmit with a simplified halving recovery,
 and a timeout backstop.  The receiver generates one cumulative ACK per
 data segment (no delayed ACKs), duplicate ACKs for out-of-order data,
 and up to three SACK blocks, most recently changed first.  Every data
-segment carries one MSS, so a sender's record keeps no length.
+segment carries one MSS, and the sender keeps no record per segment: its
+flight is the range between two edges (see ``SenderState``).
 
 ``dupthresh`` is either static (always 3) or adaptive: when a hole fills
 through a late original rather than a retransmission, the threshold is
@@ -85,15 +86,31 @@ DUPTHRESH_MAX = 127
 SPURIOUS_RTT_FRACTION = 0.8
 
 
-@dataclass(slots=True)
-class SegmentRecord:
-    seq: int
-    sacked: bool = False
-    retransmitted: bool = False
-
-
 @dataclass
 class SenderState:
+    """One sender's congestion and recovery state.
+
+    The flight is ``range(snd_una, next_send_seq, MSS)``, and two integers
+    stand for the per-segment flags a queue of records would keep:
+    ``rtx_seq``, the last head resent, and ``high_sacked``, the highest
+    segment a SACK block has covered.  They give the queue's results
+    exactly, on every input a run makes:
+
+    - Every segment is one MSS, and ACKs and SACK edges are unwrapped and
+      land on ``isn + k * MSS``, none past ``next_send_seq``.  So an
+      advance acks ``(ack_seq - snd_una) // MSS`` segments, a window fill
+      sends ``range(next_send_seq, snd_una + window * MSS, MSS)``, and the
+      flight is empty exactly when ``next_send_seq == snd_una``.
+    - Only the head is ever resent (``_retransmit_head``), and the queue
+      grows only at its tail and shrinks only at its head.  So the head
+      was resent exactly when ``rtx_seq == snd_una``.
+    - The one reader of the SACK flags asks whether a segment above the
+      head is SACKed.  A flag would last until its segment is acked, and a
+      block covering a segment arrives after that segment was sent.  So
+      the answer is ``high_sacked >= snd_una + MSS``, where ``high_sacked``
+      is the largest ``bend - MSS`` over every block received.
+    """
+
     mode: str = "static"  # "static" | "adaptive"
     max_cwnd: float = 64.0
     data_deadline_us: float = float("inf")
@@ -102,15 +119,16 @@ class SenderState:
     # count toward dupthresh.
     sack_aware: bool = False
 
-    # next_send_seq, snd_una and recover_point count unwrapped bytes from
-    # isn, as every SegmentRecord.seq and AckRecord does; only the wire wraps.
+    # The flight's edges, recover_point, rtx_seq and high_sacked count
+    # unwrapped bytes from isn, as every AckRecord does; only the wire wraps.
     next_send_seq: int = 0
     snd_una: int = 0
+    rtx_seq: int = -1  # the last head resent; -1 before any
+    high_sacked: int = -1  # the highest segment a SACK block covered; -1 before any
     cwnd: float = INITIAL_CWND
     ssthresh: float = 1e12
     dupthresh: int = DUPTHRESH_MIN
     dup_ack_count: int = 0
-    retransmit_queue: deque[SegmentRecord] = field(default_factory=deque)
     rtt_estimate: float = 0.0  # smoothed, microseconds
     min_rtt: float | None = None
     in_recovery: bool = False
@@ -224,17 +242,18 @@ def _ooo_insert(ooo: list[list], start: int, end: int, touch: int) -> None:
     ooo[i:j] = [[start, end, touch]]
 
 
-def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[SegmentRecord]:
-    """Apply one ACK; returns the segments it puts on the wire, in order.
-
-    The records are the sender's own queue entries.  One with
-    ``retransmitted`` set is a retransmission (at most one per ACK, and it
-    comes first); the rest are new segments.
-    """
-    sent: list[SegmentRecord] = []
-    if ack.sack_blocks:
-        state.sack_blocks_rcvd += len(ack.sack_blocks)
-        _mark_sacked(state, ack.sack_blocks)
+def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[int]:
+    """Apply one ACK; returns the sequence numbers it puts on the wire, in
+    order.  One below the ``next_send_seq`` from before the call is a
+    retransmission of the head (at most one per ACK, and it comes first);
+    the rest are new segments."""
+    sent: list[int] = []
+    blocks = ack.sack_blocks
+    if blocks:
+        state.sack_blocks_rcvd += len(blocks)
+        for _bstart, bend in blocks:
+            if bend - MSS > state.high_sacked:
+                state.high_sacked = bend - MSS
 
     ack_seq, una = ack.ack_seq, state.snd_una
     if ack_seq > una:
@@ -247,19 +266,6 @@ def sender_on_ack(state: SenderState, ack: AckRecord, now: float) -> list[Segmen
     return sent
 
 
-def _mark_sacked(state: SenderState, blocks) -> None:
-    # A segment is sacked when one block covers it.
-    for seg in state.retransmit_queue:
-        if seg.sacked:
-            continue
-        seq = seg.seq
-        end = seq + MSS
-        for bstart, bend in blocks:
-            if bstart <= seq and end <= bend:
-                seg.sacked = True
-                break
-
-
 def _on_dupack(state: SenderState, ack: AckRecord, now: float, sent: list) -> None:
     state.dup_acks_in += 1
     if state.sack_aware and not ack.sack_blocks:
@@ -268,7 +274,7 @@ def _on_dupack(state: SenderState, ack: AckRecord, now: float, sent: list) -> No
     if (
         not state.in_recovery
         and state.dup_ack_count >= state.dupthresh
-        and state.retransmit_queue
+        and state.next_send_seq != state.snd_una
     ):
         _retransmit_head(state, now, sent)
         state.ssthresh = max(state.cwnd / 2.0, 2.0)
@@ -278,16 +284,12 @@ def _on_dupack(state: SenderState, ack: AckRecord, now: float, sent: list) -> No
 
 
 def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> None:
-    q = state.retransmit_queue
-    head_was_retransmitted = q[0].retransmitted if q else False
+    ack_seq, una = ack.ack_seq, state.snd_una
+    head_was_retransmitted = state.rtx_seq == una
     was_dupacks = state.dup_ack_count
 
-    acked_segments = 0
-    ack_seq = ack.ack_seq
-    while q and q[0].seq + MSS <= ack_seq:
-        q.popleft()
-        acked_segments += 1
-    state.bytes_acked += ack_seq - state.snd_una
+    acked_segments = (ack_seq - una) // MSS
+    state.bytes_acked += ack_seq - una
     state.snd_una = ack_seq
     state.rto_backoff = 1
 
@@ -319,7 +321,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
         if ack_seq >= state.recover_point:  # snd_una is ack_seq by now
             state.in_recovery = False
             state.cwnd = state.ssthresh
-        elif state.retransmit_queue:
+        elif state.next_send_seq != ack_seq:
             # Partial ack: retransmit the next hole rather than waiting for
             # the timeout, but only with evidence that it is actually lost.
             # With SACK that means data above the hole was selectively
@@ -327,9 +329,7 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
             # round trip apart and faster "partial" acks are just echoes of
             # data that was never lost.
             if state.sack_aware:
-                queue_iter = iter(state.retransmit_queue)
-                next(queue_iter)
-                evidence = any(s.sacked for s in queue_iter)
+                evidence = state.high_sacked >= ack_seq + MSS
             else:
                 pace = 0.5 * (
                     state.min_rtt if state.min_rtt is not None else MIN_RTO_US
@@ -338,19 +338,22 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
                     state.last_rtx_time is None
                     or now - state.last_rtx_time >= pace
                 )
-            if not state.retransmit_queue[0].retransmitted and evidence:
+            if state.rtx_seq != ack_seq and evidence:
                 _retransmit_head(state, now, sent)
 
     if not state.in_recovery:
-        cwnd, ssthresh = state.cwnd, state.ssthresh
+        # cwnd only grows here, so once it reaches the cap the rest of the
+        # acked segments leave it there: an ACK costs at most max_cwnd
+        # steps, however far it moves snd_una.
+        cwnd, ssthresh, cap = state.cwnd, state.ssthresh, state.max_cwnd
         for _ in range(acked_segments):
+            if cwnd >= cap:
+                break
             if cwnd < ssthresh:
                 cwnd += 1.0
             else:
                 cwnd += 1.0 / cwnd
-        if cwnd > state.max_cwnd:
-            cwnd = state.max_cwnd
-        state.cwnd = cwnd
+        state.cwnd = cwnd if cwnd < cap else cap
 
     if state.mode == "adaptive" and state.dupthresh > DUPTHRESH_MIN:
         if now - state.last_adapt_time >= state.rto_us():
@@ -358,10 +361,10 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
             state.last_adapt_time = now
 
 
-def sender_on_timeout(state: SenderState, now: float) -> list[SegmentRecord]:
+def sender_on_timeout(state: SenderState, now: float) -> list[int]:
     """Retransmission timeout: resend the oldest segment, collapse cwnd."""
-    sent: list[SegmentRecord] = []
-    if not state.retransmit_queue:
+    sent: list[int] = []
+    if state.next_send_seq == state.snd_una:
         return sent
     _retransmit_head(state, now, sent)
     state.ssthresh = max(state.cwnd / 2.0, 2.0)
@@ -373,37 +376,30 @@ def sender_on_timeout(state: SenderState, now: float) -> list[SegmentRecord]:
 
 
 def _retransmit_head(state: SenderState, now: float, sent: list) -> None:
-    """Resend the oldest unacknowledged segment: mark it retransmitted,
-    stamp the time, count it and queue it for the wire."""
-    seg = state.retransmit_queue[0]
-    seg.retransmitted = True
+    """Resend the oldest unacknowledged segment: note it as resent, stamp
+    the time, count it and queue it for the wire."""
+    state.rtx_seq = state.snd_una
     state.last_rtx_time = now
     state.pkts_retrans += 1
-    sent.append(seg)
+    sent.append(state.snd_una)
 
 
 def _fill_window(state: SenderState, now: float, sent: list) -> None:
     if not now < state.data_deadline_us:
         return
-    q = state.retransmit_queue
     window = int(state.cwnd)
     cap = int(state.max_cwnd)
     if cap < window:
         window = cap
-    n = len(q)
-    if n >= window:
-        return
+    end = state.snd_una + window * MSS
     nxt = state.next_send_seq
-    for _ in range(window - n):
-        seg = SegmentRecord(nxt)
-        q.append(seg)
-        sent.append(seg)
-        nxt += MSS
-    state.next_send_seq = nxt
+    if nxt < end:
+        sent.extend(range(nxt, end, MSS))
+        state.next_send_seq = end
 
 
-def sender_start(state: SenderState, now: float = 0.0) -> list[SegmentRecord]:
-    sent: list[SegmentRecord] = []
+def sender_start(state: SenderState, now: float = 0.0) -> list[int]:
+    sent: list[int] = []
     _fill_window(state, now, sent)
     return sent
 
@@ -466,9 +462,9 @@ class _StreamSim:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _emit_actions(self, sent: list[SegmentRecord]) -> None:
-        for seg in sent:
-            self._transmit(seg.seq)
+    def _emit_actions(self, sent: list[int]) -> None:
+        for seq in sent:
+            self._transmit(seq)
 
     def _transmit(self, seq: int) -> None:
         now = self.now
@@ -495,7 +491,7 @@ class _StreamSim:
 
     def _arm_rto(self) -> None:
         # One timer: re-arming supersedes the previous instant.
-        if not self.sender.retransmit_queue:
+        if self.sender.next_send_seq == self.sender.snd_una:  # nothing in flight
             self._rto_t = _INF
             return
         deadline = self.now + self.sender.rto_us()
@@ -566,8 +562,8 @@ class _StreamSim:
                     fetch(payload, t, deliver, arrive(payload))
                 else:  # _PRIO_ACK
                     before = sender.snd_una
-                    for seg in sender_on_ack(sender, payload, t):
-                        transmit(seg.seq)
+                    for seq in sender_on_ack(sender, payload, t):
+                        transmit(seq)
                     if sender.snd_una != before:
                         self._arm_rto()
             elif rto_t < t:

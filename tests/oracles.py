@@ -5,7 +5,9 @@ reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
 The ``reference_*`` functions, ``ReferenceEngine``, ``ReferenceRing``,
 ``ReferenceLoopSim`` and ``EagerTimerSim`` are the straightforward earlier
-forms of code that was since rewritten for speed or size.
+forms of code that was since rewritten for speed or size;
+``ShadowQueue`` rebuilds the sender's earlier queue of segment records
+beside a run.
 ``reference_report`` is the whole-trace walk that kept one offset per
 packet, and so holds the run's byte-range walk to an independent form.
 ``unwrapper`` is the one stated definition of the serial step that
@@ -324,13 +326,67 @@ def first_copy_reports(arrivals, deliveries):
     return acc.reports()
 
 
-def reference_mark_sacked(state, blocks):
+def reference_mark_sacked(queue, blocks):
     """Mark every queued segment, one MSS long, that one SACK block covers.
     The sender's sequence numbers and SACK edges are unwrapped integers."""
     for bstart, bend in blocks:
-        for seg in state.retransmit_queue:
+        for seg in queue:
             if bstart <= seg.seq and seg.seq + MSS <= bend:
                 seg.sacked = True
+
+
+class ShadowRecord:
+    """One segment of ``ShadowQueue``: its seq and the sender's two flags."""
+
+    __slots__ = ("seq", "sacked", "retransmitted")
+
+    def __init__(self, seq):
+        self.seq = seq
+        self.sacked = self.retransmitted = False
+
+
+class ShadowQueue:
+    """The sender's queue of segment records, one per unacknowledged
+    segment, as the sender kept it before it kept only the flight's edges.
+    It is rebuilt beside a run from what the sender is given and what it
+    sends: ``sent`` appends each seq at or past the queue's own
+    ``next_send_seq`` and flags any other as resent; ``ack`` marks what an
+    ACK's SACK blocks cover, by ``reference_mark_sacked``, then pops every
+    segment the ACK covers.  ``check`` asserts that a sender's two edges
+    and two integers say what the records do."""
+
+    def __init__(self, next_send_seq):
+        self.records = deque()
+        self.next_send_seq = next_send_seq
+
+    def sent(self, seqs):
+        records = self.records
+        for seq in seqs:
+            if seq >= self.next_send_seq:
+                assert seq == self.next_send_seq, (seq, self.next_send_seq)
+                records.append(ShadowRecord(seq))
+                self.next_send_seq = seq + MSS
+            else:
+                (resent,) = [r for r in records if r.seq == seq]
+                resent.retransmitted = True
+
+    def ack(self, ack):
+        records = self.records
+        reference_mark_sacked(records, ack.sack_blocks)
+        while records and records[0].seq + MSS <= ack.ack_seq:
+            records.popleft()
+
+    def check(self, state):
+        records = self.records
+        above = list(islice(records, 1, None))
+        assert [r.seq for r in records] == list(range(state.snd_una, state.next_send_seq, MSS))
+        assert not any(r.retransmitted for r in above)
+        assert (records[0].retransmitted if records else False) == (state.rtx_seq == state.snd_una)
+        assert any(r.sacked for r in above) == (state.high_sacked >= state.snd_una + MSS)
+        # high_sacked is the highest segment a block covered: in flight, the
+        # highest marked record; below snd_una, none is marked.
+        top = max((r.seq for r in records if r.sacked), default=None)
+        assert top == (state.high_sacked if state.high_sacked >= state.snd_una else None)
 
 
 def reference_sorted_insert(lst, p):
@@ -588,8 +644,8 @@ class ReferenceLoopSim(_ReferenceRingSim):
                     path.arrive(payload, t, self.reorder.arrive(payload))
                 else:
                     before = self.sender.snd_una
-                    for seg in sender_on_ack(self.sender, payload, t):
-                        self._transmit(seg.seq)
+                    for seq in sender_on_ack(self.sender, payload, t):
+                        self._transmit(seq)
                     if self.sender.snd_una != before:
                         self._arm_rto()
             elif rto_t < t:
@@ -625,13 +681,13 @@ class EagerTimerSim(_ReferenceRingSim):
 
     def _on_ack(self, ack):
         before = self.sender.snd_una
-        for seg in sender_on_ack(self.sender, ack, self.now):
-            self._transmit(seg.seq)
+        for seq in sender_on_ack(self.sender, ack, self.now):
+            self._transmit(seq)
         if self.sender.snd_una != before:
             self._arm_rto()
 
     def _arm_rto(self):
-        if not self.sender.retransmit_queue:
+        if self.sender.next_send_seq == self.sender.snd_una:
             self._deadline = float("inf")
             return
         self._deadline = self.now + self.sender.rto_us()

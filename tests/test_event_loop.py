@@ -18,7 +18,10 @@ ACKs give the same metrics in both arms.  Each packet comes back from the
 receive path once, with the tag it arrived with, and the path keeps only
 the packets the sorter holds.  A finished stream is freed by reference
 counting alone, and replacements installed at the loop's patch points see
-every call and every channel draw.
+every call and every channel draw.  The sender's two edges say what the
+record queue they replaced would (``oracles.ShadowQueue``), and the
+receiver's ACK and SACK edges lie on the segment grid the sender relies
+on.
 """
 
 import gc
@@ -27,6 +30,7 @@ import math
 import weakref
 from collections import Counter, deque
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +42,7 @@ from oracles import (
     EagerTimerSim,
     RecordingSim,
     ReferenceLoopSim,
+    ShadowQueue,
     reference_first_copies,
     reference_report,
 )
@@ -651,3 +656,113 @@ def test_in_order_arrivals_give_the_same_metrics_in_both_arms(cfg, seed):
     off = run_transfer(cfg, seed=seed, srpic=False)[0]
     on = run_transfer(cfg, seed=seed, srpic=True)[0]
     assert replace(on, max_hold_delay_us=0.0) == replace(off, max_hold_delay_us=0.0)
+
+
+# Drops with SACK on a small window: at seed 2, in both arms, a partial ACK
+# in recovery finds the highest SACKed segment just above the new head.
+SACK_EDGE = ScenarioConfig(
+    name="unit",
+    duration=0.01,
+    fwd=PathConfig(alpha_ms=0.5, beta=0.0, drop_rate=0.05),
+    rev=PathConfig(alpha_ms=0.5, beta=0.0, drop_rate=0.0),
+    sack_enabled=True,
+    srpic=SrpicSettings(block_size=8, ringbuffer_size=16),
+    coalescing=CoalescingParams(t_intr_us=30.0, r_sn_pps=3e5),
+    max_cwnd=8,
+    segment_spacing_us=4.0,
+)
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+def test_the_sender_queue_is_its_two_edges(srpic_on):
+    """``oracles.ShadowQueue`` keeps the sender's earlier record queue
+    beside the run, from what the sender is given and sends; after every
+    call the sender's state must say what the records do.  A partial ACK
+    in recovery resends the head only if no record flags it as resent, and
+    with SACK exactly when a record above the head is marked SACKed."""
+    partial_sack_acks = Counter()  # "resent", "held", and "edge" for SACK_EDGE's case
+    start, on_ack, on_timeout = tcp.sender_start, tcp.sender_on_ack, tcp.sender_on_timeout
+
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(cfg=small_configs(), seed=st.integers(0, 2**16))
+    @example(cfg=SACK_EDGE, seed=2)
+    def check(cfg, seed):
+        shadow = ShadowQueue(cfg.isn)
+
+        def sent_by(call, state, *args):
+            # A retransmission is a seq below next_send_seq from before the
+            # call; at most one per call, and it comes first.
+            before = state.next_send_seq
+            sent = call(state, *args)
+            resent = [s for s in sent if s < before]
+            assert len(resent) <= 1 and sent[: len(resent)] == resent
+            return sent, resent
+
+        def checked_start(state, now=0.0):
+            sent, _ = sent_by(start, state, now)
+            shadow.sent(sent)
+            shadow.check(state)
+            return sent
+
+        def checked_on_ack(state, ack, now):
+            una, recovering, recover_point = state.snd_una, state.in_recovery, state.recover_point
+            sent, resent = sent_by(on_ack, state, ack, now)
+            shadow.ack(ack)
+            records = shadow.records
+            if recovering and una < ack.ack_seq < recover_point and records:
+                head_resent = records[0].retransmitted
+                assert not (resent and head_resent)
+                if state.sack_aware:
+                    evidence = any(r.sacked for r in islice(records, 1, None))
+                    assert bool(resent) == (evidence and not head_resent)
+                    partial_sack_acks["resent" if resent else "held"] += 1
+                    partial_sack_acks["edge"] += state.high_sacked == ack.ack_seq + MSS
+            shadow.sent(sent)
+            shadow.check(state)
+            return sent
+
+        def checked_on_timeout(state, now):
+            sent, _ = sent_by(on_timeout, state, now)
+            shadow.sent(sent)
+            shadow.check(state)
+            return sent
+
+        with (
+            mock.patch.object(tcp, "sender_start", checked_start),
+            mock.patch.object(tcp, "sender_on_ack", checked_on_ack),
+            mock.patch.object(tcp, "sender_on_timeout", checked_on_timeout),
+        ):
+            _StreamSim(cfg, seed, 0, srpic_on).run()
+
+    check()
+    assert all(partial_sack_acks[k] > 0 for k in ("resent", "held", "edge")), partial_sack_acks
+
+
+@pytest.mark.parametrize("srpic_on", [False, True])
+def test_acks_and_sack_edges_lie_on_sent_segment_edges(srpic_on):
+    """What the sender's edges rely on: every ACK and SACK edge the
+    receiver returns lies on ``isn + k * MSS``, at or below the sender's
+    ``next_send_seq``, and every SACK block is nonempty.  The configs draw
+    an ``isn`` just below 2**32, so runs cross the wrap."""
+    blocks_seen = Counter()
+    on_segment = tcp.receiver_on_segment
+
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(cfg=small_configs(), seed=st.integers(0, 2**16))
+    def check(cfg, seed):
+        sim = _StreamSim(cfg, seed, 0, srpic_on)
+
+        def checked(state, seg):
+            ack = on_segment(state, seg)
+            edges = [ack.ack_seq, *(e for block in ack.sack_blocks for e in block)]
+            assert all((e - cfg.isn) % MSS == 0 for e in edges), edges
+            assert max(edges) <= sim.sender.next_send_seq
+            assert all(s < e for s, e in ack.sack_blocks)
+            blocks_seen["blocks"] += len(ack.sack_blocks)
+            return ack
+
+        with mock.patch.object(tcp, "receiver_on_segment", checked):
+            sim.run()
+
+    check()
+    assert blocks_seen["blocks"] > 0

@@ -795,6 +795,19 @@ class TestCli:
         assert "latin1.yaml: " in err and "utf-8" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "line",
+        ["seeds: " + "[" * 3000 + "]" * 3000, "fwd: " + "{a: " * 3000 + "1" + "}" * 3000],
+        ids=["3000-deep-list", "3000-deep-mapping"],
+    )
+    def test_deeply_nested_scenario_exits_2(self, line, tmp_path, capsys, no_run):
+        # PyYAML composes nested nodes recursively and runs out of stack.
+        path = tmp_path / "deep.yaml"
+        path.write_text(f"name: deep\nduration: 0.01\n{line}\n", encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "deep.yaml: nesting too deep" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "line", ["max_cwnd: 1" + "0" * 5000, "name: 2020-13-45"], ids=["5001-digit-int", "month-13"]
     )
     def test_value_yaml_cannot_build_exits_2(self, line, tmp_path, capsys, no_run):
