@@ -30,8 +30,9 @@ is ``_run[0]`` (none while ``_run`` is empty), or ``_heap[0]`` when that
 is smaller, and the loop pops it from the side it came from.  ``_run``
 stays strictly increasing and event numbers make every item distinct, so
 items pop in exactly a single heap's order.  Without jitter almost every
-push takes the FIFO.  The timer is one RFC 6298-style timer, re-armed
-whenever the cumulative ACK advances.
+push takes the FIFO.  The timer is one RFC 6298-style deadline, re-armed
+whenever the cumulative ACK advances: it expires one RTO after its last
+arming, and armings at one instant share that expiry.
 
 The path hands each packet on as it arrives, stamped with its closed-form
 fetch instant, so no event runs per fetch.  The results are those of a
@@ -456,7 +457,6 @@ class _StreamSim:
         self._run: deque[tuple] = deque()  # strictly increasing items
         self._evseq = 0
         self._rto_t = _INF  # next timeout instant; inf while disarmed
-        self._rto_snapshot = 0  # snd_una when the timer was armed for _rto_t
         self._last_send_time = -self.spacing_us
         self.reorder = FirstCopyReports()
 
@@ -490,17 +490,16 @@ class _StreamSim:
             heapq.heappush(self._heap, item)
 
     def _arm_rto(self) -> None:
-        # One timer: re-arming supersedes the previous instant.
-        if self.sender.next_send_seq == self.sender.snd_una:  # nothing in flight
-            self._rto_t = _INF
-            return
-        deadline = self.now + self.sender.rto_us()
-        # An expiry is due from 1e-9 before the latest deadline, so a pending
-        # instant in [deadline - 1e-9, deadline] stays, and judges progress
-        # by the snd_una snapshot of its own arming.
-        if not deadline - 1e-9 <= self._rto_t <= deadline:
-            self._rto_t = deadline
-            self._rto_snapshot = self.sender.snd_una
+        """Arm the one timer to expire one RTO from now, or disarm it while
+        nothing is in flight.  It is armed at the start, on every advance of
+        the cumulative ACK and at every expiry, and only an advance can
+        empty the flight or refill an empty one.  So the timer runs exactly
+        while data is in flight, and at its expiry nothing has been
+        acknowledged since its last arming: a timeout is due.
+        """
+        sender = self.sender
+        in_flight = sender.next_send_seq != sender.snd_una
+        self._rto_t = self.now + sender.rto_us() if in_flight else _INF
 
     # -- receive path -------------------------------------------------------
 
@@ -526,8 +525,7 @@ class _StreamSim:
     # -- sender events -------------------------------------------------------
 
     def _on_rto(self) -> None:
-        if self.sender.snd_una == self._rto_snapshot:
-            self._emit_actions(sender_on_timeout(self.sender, self.now))
+        self._emit_actions(sender_on_timeout(self.sender, self.now))
         self._arm_rto()
 
     # -- main loop ------------------------------------------------------------

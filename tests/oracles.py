@@ -3,9 +3,11 @@
 These deliberately avoid the package's incremental algorithms: the
 reordering checks restate the definitions as quadratic scans over plain
 integers, and the coalescing walk steps one service quantum at a time.
-The ``reference_*`` functions, ``ReferenceEngine``, ``ReferenceRing``,
-``ReferenceLoopSim`` and ``EagerTimerSim`` are the straightforward earlier
-forms of code that was since rewritten for speed or size;
+The ``reference_*`` functions, ``ReferenceEngine``, ``ReferenceRing`` and
+``ReferenceLoopSim`` are the straightforward earlier forms of code that
+was since rewritten for speed or size; ``EagerTimerSim`` keeps the
+retransmission timer as the textbook lazy-deletion timer, one queued
+event per arming, in place of the run's one deadline;
 ``ShadowQueue`` rebuilds the sender's earlier queue of segment records
 beside a run.
 ``reference_report`` is the whole-trace walk that kept one offset per
@@ -662,19 +664,20 @@ class ReferenceLoopSim(_ReferenceRingSim):
 
 
 class EagerTimerSim(_ReferenceRingSim):
-    """TCP stream whose retransmission timer queues one timeout event per
-    arming, carrying the snd_una of that arming.
+    """TCP stream whose retransmission timer is the textbook lazy-deletion
+    timer: each arming queues one timeout event carrying its arming
+    number, and a popped event fires only if it belongs to the latest
+    arming; the others were superseded.  Disarming supersedes them all.
 
     Timeouts sort after packet and ACK arrivals at one instant (heap
-    priority 3), ring service comes before every heap event, and a popped
-    timeout is ignored while the latest deadline is more than 1e-9 away.
-    The loop below is the two-source loop (ring service, then the heap)
-    that this timer ran under, dispatching on each item's kind through a
-    table of handlers, on one heap alone: at the top of each iteration
-    it moves the items its pushes left in ``_run`` into ``_heap``.
+    priority 3), and ring service comes before every heap event.  The loop
+    below is the two-source loop (ring service, then the heap) that this
+    timer ran under, dispatching on each item's kind through a table of
+    handlers, on one heap alone: at the top of each iteration it moves the
+    items its pushes left in ``_run`` into ``_heap``.
     """
 
-    _deadline = float("inf")
+    _armings = 0  # the latest arming's number
 
     def _on_arrival(self, p):
         self.path.arrive(p, self.now, self.reorder.arrive(p))
@@ -687,18 +690,17 @@ class EagerTimerSim(_ReferenceRingSim):
             self._arm_rto()
 
     def _arm_rto(self):
+        self._armings += 1
         if self.sender.next_send_seq == self.sender.snd_una:
-            self._deadline = float("inf")
             return
-        self._deadline = self.now + self.sender.rto_us()
+        deadline = self.now + self.sender.rto_us()
         self._evseq += 1
-        heapq.heappush(self._heap, (self._deadline, 3, self._evseq, "rto", self.sender.snd_una))
+        heapq.heappush(self._heap, (deadline, 3, self._evseq, "rto", self._armings))
 
-    def _on_timeout_event(self, snapshot):
-        if self.now + 1e-9 < self._deadline:
+    def _on_timeout_event(self, arming):
+        if arming != self._armings:
             return
-        if self.sender.snd_una == snapshot:
-            self._emit_actions(sender_on_timeout(self.sender, self.now))
+        self._emit_actions(sender_on_timeout(self.sender, self.now))
         self._arm_rto()
 
     def run(self):

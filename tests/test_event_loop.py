@@ -6,12 +6,16 @@ timeout), breaks ties in that order, and ends a run once every pending
 instant is past the hard stop, which a property checks.  These tests tie
 it to independent references: the loop that served the ring one fetch at
 a time (``oracles.ReferenceLoopSim``), exactly, on random small configs;
-the offline coalescing replay of the loop's own arrival times (on shipped
-scenarios and on random small configs), the exact timeout schedule of a
-path that drops everything, the timer that queued one timeout event per
-arming (``oracles.EagerTimerSim``) on random small configs, an ACK at
-exactly the timeout instant, the outcome of a run whose ACKs re-arm the timer several
-times at one instant, and the sorter seen from outside: each cycle
+the offline coalescing replay of the loop's own arrival times (on
+shipped scenarios and on random small configs), the exact timeout
+schedule of a path that drops everything, the textbook lazy-deletion
+timer, which queues one timeout event per arming and fires only the
+latest (``oracles.EagerTimerSim``), on random small configs, each
+timeout coming one RTO after its last arming with nothing acknowledged
+since, an ACK at exactly the timeout instant, the retransmission at the
+shared deadline of ACKs that re-arm the timer several times at one
+instant, window bursts cut into cycles of the CBR block size when
+nothing jitters or drops, and the sorter seen from outside: each cycle
 delivers what it fetched, within the hold bound, it never leaves a run
 more reordered than it found it, and in-order arrivals with slow constant
 ACKs give the same metrics in both arms.  Each packet comes back from the
@@ -30,7 +34,7 @@ import math
 import weakref
 from collections import Counter, deque
 from dataclasses import replace
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from unittest import mock
 
@@ -48,7 +52,12 @@ from oracles import (
 )
 from srpicsim import tcp
 from srpicsim.channel import PathConfig
-from srpicsim.coalescing import CoalescingParams, hold_delay_bound, simulate_coalescing
+from srpicsim.coalescing import (
+    CoalescingParams,
+    block_size_cbr,
+    hold_delay_bound,
+    simulate_coalescing,
+)
 from srpicsim.packets import SEQ_MOD, Packet
 from srpicsim.scenario import ScenarioConfig, SrpicSettings, load_scenario
 from srpicsim.sorter import SrpicEngine
@@ -126,6 +135,56 @@ def test_cycle_sizes_match_offline_coalescing_on_small_configs(srpic_on, cfg, se
     sim = RecordingSim(cfg, seed, 0, srpic_on)
     sim.run()
     _assert_cycles_match_replay(sim)
+
+
+def _burst_cycles(window, k):
+    return [k] * (window // k) + ([window % k] if window % k else [])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(spacing=st.floats(3.5, 40.0), srpic_on=st.booleans())
+@example(spacing=8.0, srpic_on=False)
+@example(spacing=8.0, srpic_on=True)
+@example(spacing=6.0, srpic_on=False)
+@example(spacing=6.0, srpic_on=True)
+@example(spacing=4.0, srpic_on=False)
+@example(spacing=4.0, srpic_on=True)
+def test_window_bursts_are_cut_into_cycles_of_the_cbr_block_size(spacing, srpic_on):
+    """Without jitter or drops, each window goes out as one burst of
+    segments ``spacing`` us apart, and a round trip is far longer than the
+    burst.  The receive path drains a burst in cycles of ``k =
+    block_size_cbr(1e6 / spacing)`` packets and a last cycle of the rest,
+    so after slow start's windows of 10, 20 and 40, every window of
+    ``max_cwnd`` 64 forms ``[k] * (64 // k) + [64 % k]``.  At an exact tie
+    (``t_intr / (spacing - quantum)`` whole, as at 6 us) float sums fall
+    either side of it, and a window may form cycles of ``k + 1``.  A
+    window the data deadline cuts short is not checked."""
+    cfg = replace(
+        load_scenario(str(SCENARIOS / "table4_analog.yaml")),
+        duration=0.1,
+        fwd=IN_TIME,
+        rev=IN_TIME,
+        segment_spacing_us=spacing,
+    )
+    sim = RecordingSim(cfg, 1, 0, srpic_on)
+    sim.run()
+    sizes = sim.path.cycle_sizes
+    ends = list(accumulate(sizes))
+    assert {10, 30, 70} <= set(ends)
+    params = cfg.coalescing
+    k = block_size_cbr(1e6 / spacing, params)
+    allowed = [_burst_cycles(64, k)]
+    quotient = params.t_intr_us / (spacing - params.quantum_us)
+    if math.isclose(quotient, round(quotient)):
+        allowed.append(_burst_cycles(64, k + 1))
+    bursts, burst = [], []
+    for size in sizes[ends.index(70) + 1 :]:
+        burst.append(size)
+        if sum(burst) >= 64:
+            bursts.append(burst)
+            burst = []
+    assert len(bursts) >= 10
+    assert all(b in allowed for b in bursts), (k, allowed, bursts)
 
 
 @pytest.mark.parametrize("srpic_on", [False, True])
@@ -505,23 +564,89 @@ def test_a_run_stops_once_every_pending_instant_is_past_the_hard_stop(srpic_on):
     assert any(finite_pending)
 
 
-def test_rearms_at_one_instant_keep_the_first_expiry():
-    # With no reverse delay, the ACKs of one sorter flush all arrive at the
-    # flush instant, and each re-arms the timer to the same deadline.  The
-    # expiry of the first of those armings fires, sees that snd_una moved
-    # after it was armed, and restarts the timer instead of retransmitting.
-    cfg = ScenarioConfig(
-        name="unit",
-        duration=0.3,
-        fwd=PathConfig(alpha_ms=0.0, beta=0.2, drop_rate=0.02),
-        rev=PathConfig(alpha_ms=0.0, beta=0.3, drop_rate=0.0),
-        srpic=SrpicSettings(block_size=32, ringbuffer_size=32),
-        coalescing=CoalescingParams(t_intr_us=0.0, r_sn_pps=1e5),
-        max_cwnd=2,
-        segment_spacing_us=0.5,
-    )
-    m = run_transfer(cfg, seed=136, srpic=True)[0]
-    assert (m.pkts_retrans, m.segments_sent, m.bytes_acked) == (1, 23, 31856)
+# With no reverse delay, the ACKs of one sorter flush all arrive at the
+# flush instant, and each re-arms the timer to the same deadline.
+REARMS_AT_ONE_INSTANT = ScenarioConfig(
+    name="unit",
+    duration=0.3,
+    fwd=PathConfig(alpha_ms=0.0, beta=0.2, drop_rate=0.02),
+    rev=PathConfig(alpha_ms=0.0, beta=0.3, drop_rate=0.0),
+    srpic=SrpicSettings(block_size=32, ringbuffer_size=32),
+    coalescing=CoalescingParams(t_intr_us=0.0, r_sn_pps=1e5),
+    max_cwnd=2,
+    segment_spacing_us=0.5,
+)
+
+
+def _record_timer(sim):
+    """Wrap ``sim``'s own timer steps on the instance.  Each arming appends
+    ``(now, snd_una, deadline)`` to the first list returned, the deadline
+    one RTO from now while data is in flight and ``inf`` otherwise.  Each
+    expiry appends ``(now, snd_una, in flight, retransmissions sent,
+    latest arming)`` to the second."""
+    armings, expiries = [], []
+    arm, on_rto, sender = sim._arm_rto, sim._on_rto, sim.sender
+
+    def recording_arm():
+        arm()
+        in_flight = sender.next_send_seq != sender.snd_una
+        deadline = sim.now + sender.rto_us() if in_flight else math.inf
+        armings.append((sim.now, sender.snd_una, deadline))
+
+    def recording_on_rto():
+        now, una, before = sim.now, sender.snd_una, sender.pkts_retrans
+        in_flight = sender.next_send_seq != una
+        latest = armings[-1]
+        on_rto()
+        expiries.append((now, una, in_flight, sender.pkts_retrans - before, latest))
+
+    sim._arm_rto, sim._on_rto = recording_arm, recording_on_rto
+    return armings, expiries
+
+
+def test_the_expiry_after_rearms_at_one_instant_retransmits():
+    # At seed 136 the sorter's flush at 200 us acks two segments, and the
+    # segment after them is lost.  Both ACKs re-arm the timer to one
+    # deadline, 200 us + RTO, and the expiry there retransmits the head
+    # (RFC 6298, 5.4), as the timer that queues one event per arming does,
+    # and as the sorter-off arm does, whose ACKs come 10 us apart.
+    sim = _StreamSim(REARMS_AT_ONE_INSTANT, 136, 0, True)
+    armings, expiries = _record_timer(sim)
+    m = sim.run()
+    deadline = 200.0 + tcp.MIN_RTO_US
+    assert [a[2] for a in armings].count(deadline) == 2
+    assert [(e[0], e[3]) for e in expiries] == [(deadline, 1), (400220.0, 1)]
+    assert (m.pkts_retrans, m.segments_sent, m.bytes_acked) == (2, 27, 36200)
+    assert m == EagerTimerSim(REARMS_AT_ONE_INSTANT, 136, 0, True).run()
+
+
+def test_each_timeout_fires_one_rto_after_its_last_arming():
+    """The proof in ``_StreamSim._arm_rto``, run by run: every expiry comes
+    exactly at its latest arming's deadline, nothing was acknowledged since
+    that arming, data is in flight and the expiry retransmits.  Some run
+    must re-arm the timer two or more times at one instant, which a timer
+    that judged progress by the snapshot of an older arming at that
+    deadline would not retransmit on; the drawn examples rarely reach it,
+    so ``REARMS_AT_ONE_INSTANT`` is run in both arms as well."""
+    shared = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(cfg=small_configs(), seed=st.integers(0, 2**16), srpic_on=st.booleans())
+    @example(cfg=REARMS_AT_ONE_INSTANT, seed=136, srpic_on=False)
+    @example(cfg=REARMS_AT_ONE_INSTANT, seed=136, srpic_on=True)
+    def check(cfg, seed, srpic_on):
+        sim = _StreamSim(cfg, seed, 0, srpic_on)
+        armings, expiries = _record_timer(sim)
+        sim.run()
+        for now, una, in_flight, sent, (_t, armed_una, deadline) in expiries:
+            assert now == deadline
+            assert una == armed_una
+            assert in_flight and sent == 1
+        at = Counter(t for t, _una, deadline in armings if deadline < math.inf)
+        shared.append(max(at.values(), default=0) >= 2)
+
+    check()
+    assert any(shared)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)
@@ -582,6 +707,8 @@ def test_each_cycle_delivers_a_permutation_of_its_fetch_order(
 
 @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16), srpic_on=st.booleans())
+@example(cfg=REARMS_AT_ONE_INSTANT, seed=136, srpic_on=False)
+@example(cfg=REARMS_AT_ONE_INSTANT, seed=136, srpic_on=True)
 def test_loop_matches_one_timeout_event_per_arming(cfg, seed, srpic_on):
     expected = EagerTimerSim(cfg, seed, 0, srpic_on).run()
     assert _StreamSim(cfg, seed, 0, srpic_on).run() == expected
