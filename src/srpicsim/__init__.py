@@ -8,97 +8,48 @@ the per-flow block sorter, the coalescing cycle dynamics, a netem-style
 delay/drop channel, RFC-4737-style reordering metrics, and a simplified
 TCP sender/receiver pair driven by a deterministic event loop.
 
-``import srpicsim`` loads the receive-path layers: ``packets``, ``sorter``,
-``coalescing``, ``channel`` and ``metrics``.  The TCP loop (``tcp``, with
-``hashlib`` and ``heapq``) and the scenario layer (``scenario``, with YAML
-and ``csv``) load on first use of a name they define, such as
-``srpicsim.run_transfer`` or ``srpicsim.load_scenario``.  That cuts the
-bare import to about 34 ms from 78-93 ms with no bytecode written, and to
-about 21 ms from about 63 ms with compiled bytecode present (medians of
-15 fresh interpreters on a shared 2-vCPU x86_64 host, Python 3.11).
+``import srpicsim`` loads no submodule.  ``_EXPORTS`` names each public
+name once, under the submodule that defines it.  The first use of a name,
+such as ``srpicsim.load_scenario``, or of a submodule, such as
+``srpicsim.sorter``, imports that submodule (PEP 562).  A name is looked
+up in its submodule on every use, never cached here.  Medians of 15 fresh
+interpreters on a shared 2-vCPU x86_64 host, Python 3.11, put the bare
+import at about 0.5 ms with no bytecode written and 0.2 ms with compiled
+bytecode present, and import plus ``load_scenario`` on ``table4_analog``
+at about 41 ms and 37 ms.
 """
 
 import importlib
 
-from .packets import FlowKey, Packet, TcpFlags, is_suitable, payload_end, seq_cmp
-from .sorter import SrpicEngine, SrpicManager
-from .coalescing import (
-    CoalescingParams,
-    CycleRecord,
-    ReceiverSaturationError,
-    block_size_cbr,
-    block_size_closed_form,
-    hold_delay_bound,
-    simulate_coalescing,
-)
-from .channel import PathConfig, apply_path
-from .metrics import (
-    OverlappingSegmentsError,
-    PartitionError,
-    ReorderReport,
-    classify_block_reordering,
-    reorder_report,
-)
-
-# The names that load their submodule on first use (PEP 562).
-_LAZY = {
-    "AckRecord": "tcp",
-    "ReceiverState": "tcp",
-    "SenderState": "tcp",
-    "TransferMetrics": "tcp",
-    "receiver_on_segment": "tcp",
-    "run_transfer": "tcp",
-    "sender_on_ack": "tcp",
-    "ConfigError": "scenario",
-    "ScenarioConfig": "scenario",
-    "compare": "scenario",
-    "load_scenario": "scenario",
-    "run_scenario": "scenario",
+# Each submodule and the public names it defines, in ``__all__`` order.
+_EXPORTS = {
+    "packets": ("FlowKey", "Packet", "TcpFlags", "is_suitable", "payload_end", "seq_cmp"),
+    "sorter": ("SrpicEngine", "SrpicManager"),
+    "coalescing": (
+        "CoalescingParams", "CycleRecord", "ReceiverSaturationError", "block_size_cbr",
+        "block_size_closed_form", "hold_delay_bound", "simulate_coalescing",
+    ),
+    "channel": ("PathConfig", "apply_path"),
+    "metrics": (
+        "OverlappingSegmentsError", "PartitionError", "ReorderReport",
+        "classify_block_reordering", "reorder_report",
+    ),
+    "tcp": (
+        "AckRecord", "ReceiverState", "SenderState", "TransferMetrics",
+        "receiver_on_segment", "run_transfer", "sender_on_ack",
+    ),
+    "scenario": ("ConfigError", "ScenarioConfig", "compare", "load_scenario", "run_scenario"),
 }
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_LAZY)
 
 
 def __getattr__(name: str):
-    """Import the submodule that defines ``name`` and return its current
-    binding, uncached, so a replacement installed there is what this returns."""
+    """Return a submodule named in ``_EXPORTS``, or the current binding of
+    a public name in its submodule, uncached, so a replacement installed
+    there is what this returns."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __name__)
-    return getattr(module, name)
-
-
-__all__ = [
-    "FlowKey",
-    "Packet",
-    "TcpFlags",
-    "is_suitable",
-    "payload_end",
-    "seq_cmp",
-    "SrpicEngine",
-    "SrpicManager",
-    "CoalescingParams",
-    "CycleRecord",
-    "ReceiverSaturationError",
-    "block_size_cbr",
-    "block_size_closed_form",
-    "hold_delay_bound",
-    "simulate_coalescing",
-    "PathConfig",
-    "apply_path",
-    "OverlappingSegmentsError",
-    "PartitionError",
-    "ReorderReport",
-    "classify_block_reordering",
-    "reorder_report",
-    "AckRecord",
-    "ReceiverState",
-    "SenderState",
-    "TransferMetrics",
-    "receiver_on_segment",
-    "run_transfer",
-    "sender_on_ack",
-    "ConfigError",
-    "ScenarioConfig",
-    "compare",
-    "load_scenario",
-    "run_scenario",
-]
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

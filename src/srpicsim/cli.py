@@ -59,6 +59,8 @@ def cmd_run(args) -> int:
             cfg = replace(cfg, seeds=tuple(range(1, args.seed_count + 1)))
         except ConfigError as exc:  # ScenarioConfig's nonempty-seeds rule
             raise ConfigError(f"--seed-count {args.seed_count}: {exc}") from exc
+        except OverflowError as exc:  # more seeds than a tuple can hold
+            raise ConfigError(f"--seed-count {args.seed_count}: too many seeds") from exc
     points = [cfg]
     if args.param is not None:
         try:

@@ -322,13 +322,15 @@ def _on_advance(state: SenderState, ack: AckRecord, now: float, sent: list) -> N
         if ack_seq >= state.recover_point:  # snd_una is ack_seq by now
             state.in_recovery = False
             state.cwnd = state.ssthresh
-        elif state.next_send_seq != ack_seq:
-            # Partial ack: retransmit the next hole rather than waiting for
-            # the timeout, but only with evidence that it is actually lost.
-            # With SACK that means data above the hole was selectively
-            # acked; without SACK, pace by the RTT since holes fill one
-            # round trip apart and faster "partial" acks are just echoes of
-            # data that was never lost.
+        else:
+            # Partial ack, so data is still in flight: ack_seq is below
+            # recover_point, which was next_send_seq when recovery began,
+            # and next_send_seq never decreases.  Retransmit the next hole
+            # rather than waiting for the timeout, but only with evidence
+            # that it is actually lost.  With SACK that means data above the
+            # hole was selectively acked; without SACK, pace by the RTT since
+            # holes fill one round trip apart and faster "partial" acks are
+            # just echoes of data that was never lost.
             if state.sack_aware:
                 evidence = state.high_sacked >= ack_seq + MSS
             else:

@@ -355,7 +355,8 @@ class ShadowQueue:
     ``next_send_seq`` and flags any other as resent; ``ack`` marks what an
     ACK's SACK blocks cover, by ``reference_mark_sacked``, then pops every
     segment the ACK covers.  ``check`` asserts that a sender's two edges
-    and two integers say what the records do."""
+    and two integers say what the records do, and that a sender in
+    recovery has not sent less than its recovery point."""
 
     def __init__(self, next_send_seq):
         self.records = deque()
@@ -389,6 +390,9 @@ class ShadowQueue:
         # highest marked record; below snd_una, none is marked.
         top = max((r.seq for r in records if r.sacked), default=None)
         assert top == (state.high_sacked if state.high_sacked >= state.snd_una else None)
+        # recover_point was next_send_seq when recovery began, and
+        # next_send_seq never decreases: a partial ACK leaves data in flight.
+        assert not state.in_recovery or state.recover_point <= state.next_send_seq
 
 
 def reference_sorted_insert(lst, p):

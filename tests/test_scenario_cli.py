@@ -1057,14 +1057,19 @@ class TestCli:
         assert main(["compare", str(path)]) == 0
         assert "goodput_proxy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "count, message",
+        # 10**20 seeds overflow a tuple's length before any is allocated.
+        [("0", "seeds: "), (str(10**20), "too many seeds")],
+    )
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_seed_count_zero_exits_2(self, command, tiny_config, capsys, no_run):
-        args = [command, str(tiny_config), "--seed-count", "0"]
+    def test_seed_count_zero_exits_2(self, command, count, message, tiny_config, capsys, no_run):
+        args = [command, str(tiny_config), "--seed-count", count]
         if command == "sweep":
             args += ["--param", "beta", "--values", "0.01"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "--seed-count 0: seeds: " in err and "Traceback" not in err
+        assert f"--seed-count {count}: {message}" in err and "Traceback" not in err
 
     def test_sweep_over_a_section_names_it(self, tiny_config, capsys, no_run):
         with pytest.raises(ConfigError, match="^fwd: "):
@@ -1117,20 +1122,25 @@ class TestCli:
 
 
 def test_import_loads_neither_scipy_nor_numpy():
-    # A bare ``import srpicsim`` loads the receive-path layers only; the
-    # TCP loop and the scenario layer load on first use of their names.
+    # A bare ``import srpicsim`` loads no submodule; each public name and
+    # each submodule in the export table loads on first use.
     code = """
 import sys
 before = set(sys.modules)
 import srpicsim
 added = set(sys.modules) - before
-eager = {"srpicsim.tcp", "srpicsim.scenario", "yaml", "csv", "hashlib"} & added
-assert not eager, sorted(eager)
+assert added == {"srpicsim"}, sorted(added)
+exports = srpicsim._EXPORTS
+assert srpicsim.__all__ == [name for names in exports.values() for name in names]
+for module in exports:
+    assert getattr(srpicsim, module) is sys.modules["srpicsim." + module], module
 for name in srpicsim.__all__:
     module = sys.modules[getattr(srpicsim, name).__module__]
     assert getattr(srpicsim, name) is getattr(module, name), name
-marker = srpicsim.scenario.load_scenario = object()
-assert srpicsim.load_scenario is marker, "a lazy name was cached"
+for module, name in (("scenario", "load_scenario"), ("packets", "seq_cmp")):
+    marker = object()
+    setattr(getattr(srpicsim, module), name, marker)
+    assert getattr(srpicsim, name) is marker, f"{name} was cached"
 try:
     srpicsim.nope
 except AttributeError:
