@@ -102,13 +102,13 @@ class PathStreams:
     """
 
     def __init__(self, cfg: PathConfig):
-        self._drop_rng = random.Random(f"{cfg.seed}:drop")
-        self._delay_rng = random.Random(f"{cfg.seed}:delay")
+        drop_rng = random.Random(f"{cfg.seed}:drop")
+        delay_rng = random.Random(f"{cfg.seed}:delay")
         rate = cfg.drop_rate
         mean = cfg.alpha_ms * 1000.0
         std = cfg.beta * mean
         if rate > 0.0:
-            self.drops = chain.from_iterable(_drop_chunks(self._drop_rng, rate))
+            self.drops = chain.from_iterable(_drop_chunks(drop_rng, rate))
         else:
             self.drops = repeat(False)
         if std > 0.0:
@@ -117,7 +117,7 @@ class PathStreams:
             # mean + std * NormalDist().inv_cdf(u).  With a zero std-dev
             # inv_cdf raises, so that stream repeats the mean instead.
             at = NormalDist(mean, std).inv_cdf
-            self.delays = chain.from_iterable(_delay_chunks(self._delay_rng, at))
+            self.delays = chain.from_iterable(_delay_chunks(delay_rng, at))
         else:
             self.delays = repeat(mean)
 

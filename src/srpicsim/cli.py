@@ -23,7 +23,7 @@ from .scenario import (
 
 
 def _check_out(out: str | None) -> None:
-    """Fail with a ConfigError if ``--out`` cannot be written.
+    """Fail with a ConfigError if ``--out`` cannot be opened for writing.
 
     Commands call it after validating their input and before running, so
     an unwritable path is not a traceback after the whole simulation.
@@ -38,11 +38,16 @@ def _check_out(out: str | None) -> None:
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write the CSV to ``out``; a write that fails after the run (a full
+    disk, ``/dev/full``) is a ConfigError too."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror or exc}") from exc
 
 
 def cmd_run(args) -> int:

@@ -68,10 +68,6 @@ class ReorderReport:
     inter_block: int | None = None
 
 
-def _ratio(count: int, total: int) -> float:
-    return count / total if total else 0.0
-
-
 def _no_payload(p: Packet) -> ValueError:
     return ValueError(f"packet send_index={p.send_index} has no payload")
 
@@ -217,7 +213,7 @@ class _RangeWalk:
     def report(self, blocks: bool = False) -> ReorderReport:
         n, count, inter = sum(self.counts), self.count, self.inter
         split = (count - inter, inter) if blocks else (None, None)
-        return ReorderReport(n, count, _ratio(count, n), self.best, *split)
+        return ReorderReport(n, count, count / n if n else 0.0, self.best, *split)
 
 
 class FirstCopyReports:

@@ -337,8 +337,8 @@ def _child_cpus() -> set[int]:
 
 
 def _start_child(arm_rows, cpus: set[int]) -> tuple[int, int]:
-    """Fork a child that runs ``arm_rows()`` and writes the pickled pair
-    ``(ok, rows or exception)`` to a pipe; return its pid and the pipe's
+    """Fork a child that runs ``arm_rows()`` and writes its pickled rows,
+    or the exception it raised, to a pipe; return its pid and the pipe's
     read end.  An exception that does not pickle and load back travels as
     a ``RuntimeError`` of its repr.  The child leaves only through
     ``os._exit``, so it never returns into the caller's stack, runs no
@@ -368,13 +368,13 @@ def _start_child(arm_rows, cpus: set[int]) -> tuple[int, int]:
         except OSError:  # placement only: run wherever the child is
             pass
         try:
-            data = pickle.dumps((True, arm_rows()))
+            data = pickle.dumps(arm_rows())
         except BaseException as exc:
             try:
-                data = pickle.dumps((False, exc))
+                data = pickle.dumps(exc)
                 pickle.loads(data)  # some exceptions pickle but do not load
             except BaseException:
-                data = pickle.dumps((False, RuntimeError(repr(exc))))
+                data = pickle.dumps(RuntimeError(repr(exc)))
         with os.fdopen(write_fd, "wb") as fh:
             fh.write(data)
         status = 0
@@ -394,10 +394,10 @@ def _child_rows(pid: int, read_fd: int) -> list[dict]:
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise SimulationError(f"the sorter-off arm's process ended with no result, exit status {code}")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
+    rows = pickle.loads(data)
+    if isinstance(rows, BaseException):
+        raise rows
+    return rows
 
 
 def run_scenario(*cfgs: ScenarioConfig) -> list[dict]:

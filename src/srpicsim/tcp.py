@@ -464,10 +464,6 @@ class _StreamSim:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _emit_actions(self, sent: list[int]) -> None:
-        for seq in sent:
-            self._transmit(seq)
-
     def _transmit(self, seq: int) -> None:
         now = self.now
         st = self._last_send_time + self.spacing_us
@@ -524,23 +520,18 @@ class _StreamSim:
         else:
             heapq.heappush(self._heap, item)
 
-    # -- sender events -------------------------------------------------------
-
-    def _on_rto(self) -> None:
-        self._emit_actions(sender_on_timeout(self.sender, self.now))
-        self._arm_rto()
-
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> TransferMetrics:
-        self._emit_actions(sender_start(self.sender, 0.0))
+        sender, transmit = self.sender, self._transmit
+        for seq in sender_start(sender, 0.0):
+            transmit(seq)
         self._arm_rto()
         heap, run = self._heap, self._run
         popleft = run.popleft
         path, deliver = self.path, self._deliver_one
         hard_stop, fetch = path.hard_stop_us, path.arrive
-        sender, arrive = self.sender, self.reorder.arrive
-        transmit = self._transmit
+        arrive = self.reorder.arrive
         while True:
             t = path.cycle_end
             rto_t = self._rto_t
@@ -568,7 +559,9 @@ class _StreamSim:
                         self._arm_rto()
             elif rto_t < t:
                 self.now = rto_t
-                self._on_rto()
+                for seq in sender_on_timeout(sender, rto_t):
+                    transmit(seq)
+                self._arm_rto()
             else:
                 path.end_cycle(deliver)
         return self._metrics()

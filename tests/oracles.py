@@ -555,6 +555,8 @@ class ReferenceEngine(SrpicEngine):
         self.global_packet_cnt = 0
         return out
 
+    end_cycle = flush_all  # SrpicEngine's is bound to its own flush_all
+
 
 class ReferenceRing:
     """The receive path that served its ring one fetch at a time: a deque
@@ -632,7 +634,8 @@ class ReferenceLoopSim(_ReferenceRingSim):
         super()._deliver_one(p, stamp, now, s)
 
     def run(self):
-        self._emit_actions(sender_start(self.sender, 0.0))
+        for seq in sender_start(self.sender, 0.0):
+            self._transmit(seq)
         self._arm_rto()
         heap, run, path, hard_stop = self._heap, self._run, self.path, self.hard_stop_us
         while True:
@@ -658,7 +661,9 @@ class ReferenceLoopSim(_ReferenceRingSim):
                 if rto_t > hard_stop:
                     break
                 self.now = rto_t
-                self._on_rto()
+                for seq in sender_on_timeout(self.sender, rto_t):
+                    self._transmit(seq)
+                self._arm_rto()
             elif t > hard_stop:
                 break
             else:
@@ -704,11 +709,13 @@ class EagerTimerSim(_ReferenceRingSim):
     def _on_timeout_event(self, arming):
         if arming != self._armings:
             return
-        self._emit_actions(sender_on_timeout(self.sender, self.now))
+        for seq in sender_on_timeout(self.sender, self.now):
+            self._transmit(seq)
         self._arm_rto()
 
     def run(self):
-        self._emit_actions(sender_start(self.sender, 0.0))
+        for seq in sender_start(self.sender, 0.0):
+            self._transmit(seq)
         self._arm_rto()
         handlers = {
             "arr": self._on_arrival,

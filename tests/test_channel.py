@@ -3,12 +3,14 @@ import math
 import random
 import statistics
 from itertools import count, islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srpicsim import channel
 from srpicsim.channel import _CHUNK, PathConfig, PathStreams, apply_path
 from srpicsim.metrics import reorder_report
 from srpicsim.packets import FlowKey, Packet, TcpFlags
@@ -21,6 +23,22 @@ from oracles import (
 )
 
 FLOW = FlowKey(9, 8, 7, 6)
+
+
+@pytest.fixture
+def seeded_rngs(monkeypatch):
+    """The ``random.Random`` instances that ``PathStreams`` seeds during
+    the test, in order: each one's drop stream's, then its delay
+    stream's.  Only the chunk generators hold them."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(channel, "random", SimpleNamespace(Random=Recorded))
+    return made
 
 
 def cbr_trace(n, spacing_us=10.0, payload=1448):
@@ -290,7 +308,7 @@ class TestPathConfig:
 
     @pytest.mark.parametrize("at", [0, _CHUNK])
     @pytest.mark.parametrize("alpha_ms, beta", [(2.5, 0.02), (0.001, 50.0)])
-    def test_a_zero_uniform_draws_zero_delay_and_shifts_nothing(self, alpha_ms, beta, at):
+    def test_a_zero_uniform_draws_zero_delay_and_shifts_nothing(self, alpha_ms, beta, at, seeded_rngs):
         # random() may return exactly 0.0, outside inv_cdf's domain.  That
         # draw is 0.0, the clamp's limit as u -> 0, and it takes one value
         # of the stream like any other: every other draw is that of an
@@ -299,23 +317,25 @@ class TestPathConfig:
         expected = list(islice(PathStreams(cfg).delays, at + 3))
         expected[at] = 0.0
         streams = PathStreams(cfg)
-        real = streams._delay_rng.random
+        delay_rng = seeded_rngs[-1]
+        real = delay_rng.random
         calls = count()
 
         def random_giving_zero_at():
             u = real()
             return 0.0 if next(calls) == at else u
 
-        streams._delay_rng.random = random_giving_zero_at
+        delay_rng.random = random_giving_zero_at
         got = [streams.next_delay_us()] + list(islice(streams.delays, at + 2))
         assert got == expected
 
     @pytest.mark.parametrize("alpha_ms, beta", [(2.5, 0.0), (0.0, 0.3), (0.0, 0.0)])
-    def test_a_zero_std_dev_gives_the_mean_and_draws_nothing(self, alpha_ms, beta):
+    def test_a_zero_std_dev_gives_the_mean_and_draws_nothing(self, alpha_ms, beta, seeded_rngs):
         streams = PathStreams(PathConfig(alpha_ms=alpha_ms, beta=beta, seed=5))
-        state = streams._delay_rng.getstate()
+        delay_rng = seeded_rngs[-1]
+        state = delay_rng.getstate()
         assert [streams.next_delay_us() for _ in range(20)] == [alpha_ms * 1000.0] * 20
-        assert streams._delay_rng.getstate() == state
+        assert delay_rng.getstate() == state
 
 
 class TestDrawStreams:
@@ -344,12 +364,12 @@ class TestDrawStreams:
             got.append((dropped, delay))
         assert got == list(islice(reference_draws(cfg), n))
 
-    def test_a_stream_holds_at_most_one_chunk_of_pending_draws(self):
+    def test_a_stream_holds_at_most_one_chunk_of_pending_draws(self, seeded_rngs):
         # Nothing is drawn before the first next(); after k draws, a stream
         # has drawn the whole chunks that cover them, and no more.
         cfg = PathConfig(alpha_ms=2.5, beta=0.02, drop_rate=0.01, seed=3)
         streams = PathStreams(cfg)
-        rngs = (streams._drop_rng, streams._delay_rng)
+        rngs = tuple(seeded_rngs)
         refs = (random.Random("3:drop"), random.Random("3:delay"))
         assert [r.getstate() for r in rngs] == [r.getstate() for r in refs]
         drawn = 0

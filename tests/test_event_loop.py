@@ -33,6 +33,7 @@ import heapq
 import math
 import weakref
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import accumulate, islice
 from pathlib import Path
@@ -578,14 +579,17 @@ REARMS_AT_ONE_INSTANT = ScenarioConfig(
 )
 
 
+@contextmanager
 def _record_timer(sim):
-    """Wrap ``sim``'s own timer steps on the instance.  Each arming appends
-    ``(now, snd_una, deadline)`` to the first list returned, the deadline
-    one RTO from now while data is in flight and ``inf`` otherwise.  Each
-    expiry appends ``(now, snd_una, in flight, retransmissions sent,
-    latest arming)`` to the second."""
+    """Record ``sim``'s timer steps while the block runs: its own
+    ``_arm_rto``, wrapped on the instance, and the expiries its loop hands
+    to ``tcp.sender_on_timeout``.  Each arming appends ``(now, snd_una,
+    deadline)`` to the first list yielded, the deadline one RTO from now
+    while data is in flight and ``inf`` otherwise.  Each expiry appends
+    ``(now, snd_una, in flight, retransmissions sent, latest arming)`` to
+    the second."""
     armings, expiries = [], []
-    arm, on_rto, sender = sim._arm_rto, sim._on_rto, sim.sender
+    arm, on_timeout, sender = sim._arm_rto, tcp.sender_on_timeout, sim.sender
 
     def recording_arm():
         arm()
@@ -593,15 +597,39 @@ def _record_timer(sim):
         deadline = sim.now + sender.rto_us() if in_flight else math.inf
         armings.append((sim.now, sender.snd_una, deadline))
 
-    def recording_on_rto():
-        now, una, before = sim.now, sender.snd_una, sender.pkts_retrans
-        in_flight = sender.next_send_seq != una
+    def recording_on_timeout(state, now):
+        una, before = state.snd_una, state.pkts_retrans
+        in_flight = state.next_send_seq != una
         latest = armings[-1]
-        on_rto()
-        expiries.append((now, una, in_flight, sender.pkts_retrans - before, latest))
+        sent = on_timeout(state, now)
+        expiries.append((now, una, in_flight, state.pkts_retrans - before, latest))
+        return sent
 
-    sim._arm_rto, sim._on_rto = recording_arm, recording_on_rto
-    return armings, expiries
+    sim._arm_rto = recording_arm
+    with mock.patch.object(tcp, "sender_on_timeout", recording_on_timeout):
+        yield armings, expiries
+
+
+def _check_expiries(cfg, seed, srpic_on):
+    """Run one stream and check its timer against ``_arm_rto``'s proof:
+    every expiry comes exactly at its latest arming's deadline, nothing
+    was acknowledged since that arming, data is in flight and the expiry
+    retransmits.  A deadline the loop reached shows as an arming at that
+    instant with ``snd_una`` unchanged (an advance changes it), and each
+    must be a recorded expiry, so none passes without reaching the
+    sender.  Returns whether the timer was armed two or more times at one
+    instant while data was in flight."""
+    sim = _StreamSim(cfg, seed, 0, srpic_on)
+    with _record_timer(sim) as (armings, expiries):
+        sim.run()
+    for now, una, in_flight, sent, (_t, armed_una, deadline) in expiries:
+        assert now == deadline
+        assert una == armed_una
+        assert in_flight and sent == 1
+    due = [b[0] for a, b in zip(armings, armings[1:]) if b[0] == a[2] and b[1] == a[1]]
+    assert [e[0] for e in expiries] == due
+    at = Counter(t for t, _una, deadline in armings if deadline < math.inf)
+    return max(at.values(), default=0) >= 2
 
 
 def test_the_expiry_after_rearms_at_one_instant_retransmits():
@@ -611,8 +639,8 @@ def test_the_expiry_after_rearms_at_one_instant_retransmits():
     # (RFC 6298, 5.4), as the timer that queues one event per arming does,
     # and as the sorter-off arm does, whose ACKs come 10 us apart.
     sim = _StreamSim(REARMS_AT_ONE_INSTANT, 136, 0, True)
-    armings, expiries = _record_timer(sim)
-    m = sim.run()
+    with _record_timer(sim) as (armings, expiries):
+        m = sim.run()
     deadline = 200.0 + tcp.MIN_RTO_US
     assert [a[2] for a in armings].count(deadline) == 2
     assert [(e[0], e[3]) for e in expiries] == [(deadline, 1), (400220.0, 1)]
@@ -649,19 +677,32 @@ def test_each_timeout_fires_one_rto_after_its_last_arming():
     @example(case=(REARMS_AT_ONE_INSTANT, True), seed=136)
     def check(case, seed):
         cfg, srpic_on = case
-        sim = _StreamSim(cfg, seed, 0, srpic_on)
-        armings, expiries = _record_timer(sim)
-        sim.run()
-        for now, una, in_flight, sent, (_t, armed_una, deadline) in expiries:
-            assert now == deadline
-            assert una == armed_una
-            assert in_flight and sent == 1
+        reached = _check_expiries(cfg, seed, srpic_on)
         if cfg is not REARMS_AT_ONE_INSTANT:
-            at = Counter(t for t, _una, deadline in armings if deadline < math.inf)
-            shared.append(max(at.values(), default=0) >= 2)
+            shared.append(reached)
 
     check()
     assert any(shared)
+
+
+def test_timeouts_after_rearms_at_one_instant_fire_one_rto_after_them():
+    """The checks of ``test_each_timeout_fires_one_rto_after_its_last_arming``
+    on drawn runs alone, each with the sorter on and no reverse delay,
+    where a flush that acks two or more segments re-arms the timer that
+    often at its instant.  Neither path drops everything, as a path that
+    does re-arms nothing at one instant.  A third of the runs must reach
+    that case."""
+    shared = []
+    fwd = PATHS.filter(lambda path: path.drop_rate < 1.0)
+    rev = st.builds(PathConfig, alpha_ms=st.just(0.0), drop_rate=st.floats(0.0, 0.1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @given(cfg=small_configs(fwd=fwd, rev=rev), seed=st.integers(0, 2**16))
+    def check(cfg, seed):
+        shared.append(_check_expiries(cfg, seed, True))
+
+    check()
+    assert 3 * sum(shared) >= len(shared), (sum(shared), len(shared))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)

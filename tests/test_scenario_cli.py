@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 import random
@@ -93,6 +94,26 @@ def numeric_points():
                 yield key, float(old + 1)
             elif isinstance(old, float):
                 yield key, old * 0.5 + 0.25
+
+
+# Values at the edges a YAML value can reach: zeros and signs, subnormals,
+# floats near overflow, integers past a float or a C long, each other
+# type, NaN and infinity.
+EDGE_VALUES = (
+    0, 1, -1, 1e-320, 5e-324, 1e-300, 1e300, 1.7e308, 2**63, 10**30, -0.0,
+    True, False, "x", None, [], {}, math.nan, math.inf, 10**400,
+)
+
+
+def settable_keys():
+    """Every key a scenario may set, a section's own keys dotted after
+    it, read from ``scenario._settable``: a new key is covered with no
+    test edit."""
+    for key in scenario._settable(ScenarioConfig):
+        yield key
+        if key in scenario._SECTIONS:
+            leaves = scenario._settable(type(scenario._SECTIONS[key]))
+            yield from (f"{key}.{leaf}" for leaf in leaves)
 
 
 def arm_rows(**changes):
@@ -255,6 +276,25 @@ class TestConfigLoading:
             swept = None
         assert loaded == swept
         assert (loaded is None) == key.endswith(".seed")
+
+    def test_every_key_at_every_edge_value_loads_or_is_a_config_error(self):
+        # Each settable key, on top of the least scenario, set to each
+        # edge value: scenario_from_mapping returns a config or raises
+        # ConfigError, and nothing else escapes.
+        escaped = []
+        for key, value in itertools.product(settable_keys(), EDGE_VALUES):
+            doc = {"name": "edge", "duration": 0.01}
+            section, _, leaf = key.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[leaf] = value
+            try:
+                cfg = scenario_from_mapping(doc)
+            except ConfigError:
+                continue
+            except Exception as exc:
+                escaped.append((key, value, repr(exc)))
+                continue
+            assert isinstance(cfg, ScenarioConfig)
+        assert escaped == []
 
     def test_override_param_validates_result(self):
         cfg = tiny_cfg()
@@ -733,21 +773,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "tiny[beta=0.01]" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
-    def test_unwritable_out_exits_2(self, command, tiny_config, tmp_path, capsys, no_run):
-        out = tmp_path / "missing" / "x.csv"
+    @staticmethod
+    def command_args(command, tiny_config, tmp_path):
+        """Arguments of ``command`` on the tiny scenario, or for
+        ``compare`` on the rows of ``arm_rows()``, with no ``--out``."""
         if command == "compare":
             rows_csv = tmp_path / "rows.csv"
             rows_csv.write_text(rows_to_csv(arm_rows()), encoding="utf-8")
-            args = ["compare", str(rows_csv)]
-        else:
-            args = [command, str(tiny_config)]
-            if command == "sweep":
-                args += ["--param", "beta", "--values", "0.0,0.01"]
+            return ["compare", str(rows_csv)]
+        args = [command, str(tiny_config)]
+        if command == "sweep":
+            args += ["--param", "beta", "--values", "0.0,0.01"]
+        return args
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_unwritable_out_exits_2(self, command, tiny_config, tmp_path, capsys, no_run):
+        out = tmp_path / "missing" / "x.csv"
+        args = self.command_args(command, tiny_config, tmp_path)
         assert main(args + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_out_whose_write_fails_exits_2(self, command, tiny_config, tmp_path, capsys, monkeypatch):
+        # /dev/full opens for writing, so it passes the check before the
+        # run, and the write after the run fails with ENOSPC.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        monkeypatch.setattr(cli, "run_scenario", lambda *cfgs: arm_rows())
+        args = self.command_args(command, tiny_config, tmp_path)
+        assert main(args + ["--out", "/dev/full"]) == 2
+        assert "error: --out /dev/full: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("device", ["/dev/null", "/dev/stdout"])
     def test_out_may_be_a_device(self, device, tmp_path):

@@ -59,8 +59,14 @@ class TestManagerGolden:
         m, _ = self.states()
         assert seqs(m.flush()) == [1, 2, 3, 4, 5, 6, 7]
         assert m.packet_cnt == 0
-        assert m.next_exp == 0
         assert m.prev_list == m.curr_list == m.after_list == []
+        # next_exp still holds the flushed block's 6, and means nothing
+        # with packet_cnt 0: the next packet, 2, seeds curr_list and
+        # next_exp as in a new manager.
+        eng = SrpicEngine(block_size=8)
+        eng.managers[FLOW] = m
+        assert eng.ingest(make_trace([2])[0]) == []
+        assert state(m) == ([], [2], [], 3)
 
     def test_ingest_flushes_at_block_size(self):
         eng = SrpicEngine(block_size=7)
