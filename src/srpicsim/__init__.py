@@ -12,11 +12,17 @@ TCP sender/receiver pair driven by a deterministic event loop.
 name once, under the submodule that defines it.  The first use of a name,
 such as ``srpicsim.load_scenario``, or of a submodule, such as
 ``srpicsim.sorter``, imports that submodule (PEP 562).  A name is looked
-up in its submodule on every use, never cached here.  Medians of 15 fresh
-interpreters on a shared 2-vCPU x86_64 host, Python 3.11, put the bare
-import at about 0.5 ms with no bytecode written and 0.2 ms with compiled
-bytecode present, and import plus ``load_scenario`` on ``table4_analog``
-at about 41 ms and 37 ms.
+up in its submodule on every use, never cached here.  ``load_scenario``
+loads ``scenario`` and ``config``, which holds the section types a
+scenario sets, and no simulator module; a run loads the rest at its first
+``run_scenario``.  Medians of 15 fresh interpreters on a shared 2-vCPU
+x86_64 host, Python 3.11, put the bare import at about 0.5 ms with no
+bytecode written and 0.2 ms with compiled bytecode present.  Import plus
+``load_scenario`` on ``table4_analog``, timed by ``perfbench/probe.py`` in
+20 fresh interpreters run alternately with the code before ``config``
+existed, had medians of 33 ms with no bytecode (``python -B``, no
+``__pycache__``; 43 ms before) and 24 ms with compiled bytecode present
+(30 ms before).
 """
 
 import importlib
@@ -25,11 +31,12 @@ import importlib
 _EXPORTS = {
     "packets": ("FlowKey", "Packet", "TcpFlags", "is_suitable", "payload_end", "seq_cmp"),
     "sorter": ("SrpicEngine", "SrpicManager"),
+    "config": ("PathConfig", "CoalescingParams"),
     "coalescing": (
-        "CoalescingParams", "CycleRecord", "ReceiverSaturationError", "block_size_cbr",
+        "CycleRecord", "ReceiverSaturationError", "block_size_cbr",
         "block_size_closed_form", "hold_delay_bound", "simulate_coalescing",
     ),
-    "channel": ("PathConfig", "apply_path"),
+    "channel": ("apply_path",),
     "metrics": (
         "OverlappingSegmentsError", "PartitionError", "ReorderReport",
         "classify_block_reordering", "reorder_report",

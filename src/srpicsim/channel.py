@@ -16,13 +16,12 @@ draw would give.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
 from statistics import NormalDist
 
+from .config import PathConfig
 from .packets import Packet
 
 _SEND_INDEX = attrgetter("send_index")
@@ -30,34 +29,6 @@ _ARRIVAL_TIME = attrgetter("arrival_time")
 # Draws per chunk of a path stream.
 _CHUNK = 256
 _CHUNK_RANGE = range(_CHUNK)
-
-
-@dataclass(frozen=True)
-class PathConfig:
-    """One direction of the emulated path."""
-
-    alpha_ms: float = 2.5  # mean one-way delay
-    beta: float = 0.0  # relative std-dev factor; std-dev = beta * alpha
-    drop_rate: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.alpha_ms < 0:
-            raise ValueError("alpha_ms must be >= 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        # A draw is mean + x * std, |x| <= 8.21 for random() > 0: 9 std-devs bound it.
-        mean_us = self.alpha_ms * 1000.0
-        if not math.isfinite(mean_us + 9.0 * (self.beta * mean_us)):
-            raise ValueError("alpha_ms * 1000 + 9 * beta * alpha_ms * 1000 (in us) must be finite")
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError("drop_rate must be in [0, 1]")
-
-    @property
-    def earliest_us(self) -> float:
-        """The earliest delay draw, in us: 9 std-devs below the mean, bar a
-        random() of exactly 0.0 (odds 2**-53), and never below 0."""
-        return max(0.0, self.alpha_ms * 1000.0 * (1.0 - 9.0 * self.beta))
 
 
 def _drop_chunks(rng: random.Random, rate: float):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Callable, Sequence
 
+from .config import CoalescingParams
 from .packets import Packet
 from .sorter import SrpicEngine
 
@@ -30,30 +31,6 @@ class ReceiverSaturationError(ValueError):
 
 class SimulationError(RuntimeError):
     """An internal invariant (e.g. a sorter hold-delay bound) was violated."""
-
-
-@dataclass(frozen=True)
-class CoalescingParams:
-    """Receive-path timing constants.
-
-    ``t_intr_us``: hardware interrupt dispatch+service delay before the
-    drain starts.  ``r_sn_pps``: softirq packet service rate.
-    """
-
-    t_intr_us: float = 100.0
-    r_sn_pps: float = 1e5
-
-    def __post_init__(self):
-        if self.r_sn_pps <= 0:
-            raise ValueError("r_sn_pps must be > 0")
-        if self.t_intr_us < 0:
-            raise ValueError("t_intr_us must be >= 0")
-        if not math.isfinite(self.t_intr_us + self.quantum_us):
-            raise ValueError("t_intr_us + 1e6 / r_sn_pps (in us) must be finite")
-
-    @property
-    def quantum_us(self) -> float:
-        return 1e6 / self.r_sn_pps
 
 
 @dataclass(frozen=True)

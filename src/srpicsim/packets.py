@@ -6,8 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-SEQ_MOD = 1 << 32
-SEQ_HALF = 1 << 31
+from .config import SEQ_HALF, SEQ_MOD
 
 
 class TcpFlags(enum.Flag):

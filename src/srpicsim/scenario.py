@@ -26,10 +26,7 @@ from typing import Any, Iterable
 
 import yaml
 
-from .channel import PathConfig
-from .coalescing import CoalescingParams, SimulationError
-from .packets import SEQ_MOD
-from .sorter import DEFAULT_BLOCK_SIZE, DEFAULT_RINGBUFFER_SIZE
+from .config import SEQ_MOD, CoalescingParams, PathConfig, SrpicSettings
 
 
 # A run stops this long after ``duration``: the drain, in which data
@@ -39,18 +36,6 @@ DRAIN_GRACE_US = 2_000_000.0
 
 class ConfigError(ValueError):
     """Scenario configuration is invalid; message names the offending key."""
-
-
-@dataclass(frozen=True)
-class SrpicSettings:
-    block_size: int = DEFAULT_BLOCK_SIZE
-    ringbuffer_size: int = DEFAULT_RINGBUFFER_SIZE
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.ringbuffer_size < self.block_size:
-            raise ValueError("ringbuffer_size must be >= block_size")
 
 
 @dataclass(frozen=True)
@@ -385,6 +370,8 @@ def _start_child(arm_rows, cpus: set[int]) -> tuple[int, int]:
 def _child_rows(pid: int, read_fd: int) -> list[dict]:
     """Read the child's rows, or raise its error, after reaping it."""
     import pickle
+
+    from .coalescing import SimulationError
 
     try:
         with os.fdopen(read_fd, "rb") as fh:

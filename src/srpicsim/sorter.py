@@ -21,6 +21,16 @@ global packet count reaches the ring-buffer size, so no flow stalls
 another flow's delivery beyond one ring of service time; ``end_cycle``
 flushes every manager at the end of each coalescing cycle.
 
+Identity B: when no batch holds two copies of one segment, every flush
+batch leaves in sequence order, since each list is sorted, ``prev_list``
+lies below ``curr_list``'s first byte and ``after_list`` above
+``next_exp``.  One flow's batches leave in arrival order, so a delivered
+packet is reordered exactly when an earlier batch holds a greater one.
+The precondition matters: a copy that arrives once ``curr_list`` has
+reached its segment appends there, while an earlier copy waits in
+``after_list``, so arrivals at segments 0, 3, 1, 2, 3, 4 flush as 0, 1,
+2, 3, 4, 3.
+
 Serial order is ``packets.seq_cmp``'s, and suitability is
 ``packets.is_suitable``'s.  The per-packet paths write both out inline,
 and the tests check each inline form against its definition.
@@ -28,10 +38,8 @@ and the tests check each inline form against its definition.
 
 from __future__ import annotations
 
-from .packets import _DISQUALIFYING_BITS, SEQ_HALF, SEQ_MOD, FlowKey, Packet
-
-DEFAULT_BLOCK_SIZE = 32
-DEFAULT_RINGBUFFER_SIZE = 512
+from .config import DEFAULT_BLOCK_SIZE, DEFAULT_RINGBUFFER_SIZE, SEQ_HALF, SEQ_MOD
+from .packets import _DISQUALIFYING_BITS, FlowKey, Packet
 
 
 def _sorted_insert(lst: list[Packet], p: Packet) -> None:

@@ -1213,17 +1213,49 @@ assert not heavy, heavy
     assert proc.returncode == 0, proc.stderr
 
 
+def test_config_names_are_the_config_modules():
+    # Each section type and constant is defined once, in srpicsim.config,
+    # and every module that used to define one hands out that object.
+    from srpicsim import channel, coalescing, config, packets, sorter
+
+    for module, names in (
+        (channel, ("PathConfig",)),
+        (coalescing, ("CoalescingParams",)),
+        (sorter, ("DEFAULT_BLOCK_SIZE", "DEFAULT_RINGBUFFER_SIZE", "SEQ_MOD", "SEQ_HALF")),
+        (packets, ("SEQ_MOD", "SEQ_HALF")),
+        (scenario, ("PathConfig", "CoalescingParams", "SrpicSettings", "SEQ_MOD")),
+    ):
+        for name in names:
+            assert getattr(module, name) is getattr(config, name), (module.__name__, name)
+
+
 def test_scenario_layer_and_cli_load_no_tcp_loop():
-    # compare reads a CSV and never runs a transfer, so the scenario layer
-    # and the command line load the TCP loop (and hashlib) only in a run,
-    # and pickle, which carries a forked arm's rows, too.
-    code = f"""
+    # compare reads a CSV and never runs a transfer, and a scenario's
+    # sections are srpicsim.config's types, so the scenario layer and the
+    # command line load the simulator (the TCP loop, the receive path, the
+    # sorter, the channel and statistics, which it draws delays through,
+    # the packets and the metrics) only in a run, and pickle, which carries
+    # a forked arm's rows, too.  A run loads every simulator module.
+    simulator = {
+        "srpicsim.tcp", "srpicsim.channel", "srpicsim.coalescing", "srpicsim.sorter",
+        "srpicsim.packets", "srpicsim.metrics", "statistics",
+    }
+    load = f"""
 import sys
+from dataclasses import replace
 import srpicsim.cli, srpicsim.scenario
-srpicsim.scenario.load_scenario({str(SCENARIO_DIR / "table4_analog.yaml")!r})
-loaded = {{"srpicsim.tcp", "pickle"}} & set(sys.modules)
+cfg = srpicsim.scenario.load_scenario({str(SCENARIO_DIR / "table4_analog.yaml")!r})
+"""
+    not_loaded = load + f"""
+loaded = {sorted(simulator | {"pickle"})!r} & sys.modules.keys()
 assert not loaded, sorted(loaded)
 """
+    run = load + f"""
+srpicsim.scenario.run_scenario(replace(cfg, duration=0.01, seeds=(1,)))
+missing = {sorted(simulator)!r} - sys.modules.keys()
+assert not missing, sorted(missing)
+"""
     env = os.environ | {"PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    for code in (not_loaded, run):
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

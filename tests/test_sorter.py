@@ -1,15 +1,17 @@
 import itertools
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srpicsim.metrics import reorder_report
+from srpicsim.metrics import FirstCopyReports, reorder_report
 from srpicsim.packets import FlowKey, Packet, TcpFlags, is_suitable
 from srpicsim.sorter import SrpicEngine, SrpicManager
 
 from oracles import FLOW, ReferenceEngine, make_trace, sort_cycle
 
 FLOW_B = FlowKey(3, 4, 1111, 2222)
+_SEND_INDEX = attrgetter("send_index")
 
 
 def seqs(packets):
@@ -303,3 +305,154 @@ class TestEngineMatchesReference:
                 assert eng.global_packet_cnt == ref.global_packet_cnt
             assert eng.end_cycle() == ref.end_cycle()
             assert list(eng.managers) == list(ref.managers)
+
+
+# A base sequence number just below 2**32: segment 1 spans the wrap, so
+# every run of two or more segments crosses it.
+WRAP_BASE = 2**32 - 150
+
+
+def _cut_sets(n):
+    """Every set of positions, among ``1 .. n - 1``, at which a new cycle
+    starts in ``n`` arrivals; a cycle always ends after the last one."""
+    return [c for k in range(n) for c in itertools.combinations(range(1, n), k)]
+
+
+def _cycles(trace, cuts):
+    """``trace`` split into the cycles that start at 0 and at each cut."""
+    return [trace[a:b] for a, b in zip((0, *cuts), (*cuts, len(trace)))]
+
+
+def _flush_batches(engine, cycles):
+    """The non-empty lists ``ingest`` and ``end_cycle`` hand up, in order,
+    with ``end_cycle`` after each cycle's arrivals."""
+    batches = []
+    ingest, end_cycle = engine.ingest, engine.end_cycle
+    for cycle in cycles:
+        for p in cycle:
+            out = ingest(p)
+            if out:
+                batches.append(out)
+        out = end_cycle()
+        if out:
+            batches.append(out)
+    return batches
+
+
+def _arrival_indices(batches):
+    """The batches as tuples of their packets' ``send_index``."""
+    return tuple([tuple(map(_SEND_INDEX, b)) for b in batches])
+
+
+def _small_world(n_max, duplicate):
+    """Every arrival order of one flow's 100-byte segments ``0 .. n - 1``
+    (``n <= n_max``), plus a second copy of one of them if ``duplicate``,
+    through every block size and every set of cycle ends, once at base
+    sequence 0 and once at ``WRAP_BASE``.
+
+    An order's arrival walk must count the same at both bases, a run's
+    batches must be the same at both bases, and at ``WRAP_BASE``
+    they must be ``oracles.ReferenceEngine``'s, packet for packet.  Yields
+    ``(order, pre, outcomes)`` per order: ``order`` the segment of each
+    arrival, ``pre`` the number of reordered first copies in arrival order,
+    and ``outcomes`` maps each distinct list of flush batches the runs of
+    the order gave, as tuples of arrival indices (each packet's
+    ``send_index``), to the number of runs that gave it and the number of
+    reordered first copies in its delivery order at each base.  The walks
+    are functions of the arrival and delivery orders, so each runs once
+    per order and base, and once per distinct delivery order and base.
+    """
+    for n in range(1, n_max + 1):
+        for segments in [[*range(n), d] for d in range(n)] if duplicate else [range(n)]:
+            for order in itertools.permutations(segments):
+                traces, offsets, pres = [], [], set()
+                for base in (0, WRAP_BASE):
+                    trace = [
+                        Packet(FLOW, (base + 100 * s) % 2**32, 100, TcpFlags.ACK, send_index=i)
+                        for i, s in enumerate(order)
+                    ]
+                    reports = FirstCopyReports()
+                    offsets.append([reports.arrive(p) for p in trace])
+                    traces.append(trace)
+                    pres.add(reports.pre.count)
+                (pre,) = pres
+                splits = [
+                    [_cycles(trace, cuts) for trace in traces] for cuts in _cut_sets(len(order))
+                ]
+                outcomes = {}
+                for block in range(1, len(order) + 1):
+                    for unwrapped_cycles, wrapped_cycles in splits:
+                        wrapped = _flush_batches(SrpicEngine(block), wrapped_cycles)
+                        assert wrapped == _flush_batches(ReferenceEngine(block), wrapped_cycles)
+                        batches = _arrival_indices(wrapped)
+                        unwrapped = _flush_batches(SrpicEngine(block), unwrapped_cycles)
+                        assert _arrival_indices(unwrapped) == batches
+                        if batches in outcomes:
+                            outcomes[batches][0] += 1
+                            continue
+                        posts = []
+                        for trace, offset in zip(traces, offsets):
+                            post = FirstCopyReports()
+                            for i in itertools.chain.from_iterable(batches):
+                                post.deliver(trace[i], offset[i])
+                            posts.append(post.post.count)
+                        outcomes[batches] = [1, posts]
+                yield order, pre, outcomes
+
+
+class TestSmallWorldExhaustive:
+    """Every arrival order of up to six segments of one flow, through every
+    block size and every set of cycle ends, below and across the wrap."""
+
+    def test_distinct_segments(self):
+        runs = 0
+        for order, pre, outcomes in _small_world(6, duplicate=False):
+            for batches, (count, posts) in outcomes.items():
+                runs += count
+                assert sorted(itertools.chain.from_iterable(batches)) == list(range(len(order)))
+                # Identity B: a delivered packet is reordered exactly when
+                # an earlier batch holds a greater one.  Every batch leaves
+                # in sequence order, so it adds none within itself.
+                across, top = 0, -1
+                for b in batches:
+                    segs = [order[i] for i in b]
+                    assert segs == sorted(segs)
+                    across += sum(s < top for s in segs)
+                    top = max(top, segs[-1])
+                assert posts == [across, across]
+                assert across <= pre
+        assert runs == 148_689
+
+    def test_one_duplicate_copy(self):
+        # Output a permutation of the input and no added reordering only:
+        # a batch holding both copies may leave out of sequence order
+        # (test_duplicate_copy_flushes_after_the_next_segment), so identity
+        # B does not hold there.
+        runs = 0
+        for order, pre, outcomes in _small_world(4, duplicate=True):
+            for batches, (count, posts) in outcomes.items():
+                runs += count
+                assert sorted(itertools.chain.from_iterable(batches)) == list(range(len(order)))
+                assert max(posts) <= pre
+        assert runs == 40_856
+
+
+def test_duplicate_copy_flushes_after_the_next_segment():
+    # Records today's behaviour, which nothing requires: arrivals at
+    # segments 0, 3, 1, 2, 3, 4 (block 32, one cycle).  The second copy of
+    # 3 arrives when curr_list has reached 3, so it appends there, while
+    # the first copy waits in after_list, which leaves after curr_list.
+    # The first copy of 3 then leaves after 4, and the delivery walk counts
+    # it reordered, where identity B, whose precondition this batch
+    # breaks, would count none.  A change to how the sorter handles
+    # duplicates shows up as an edit here.
+    order = [0, 3, 1, 2, 3, 4]
+    trace = [Packet(FLOW, 100 * s, 100, TcpFlags.ACK, send_index=i) for i, s in enumerate(order)]
+    batches = _flush_batches(SrpicEngine(32), [trace])
+    assert [[order[p.send_index] for p in b] for b in batches] == [[0, 1, 2, 3, 4, 3]]
+    assert _arrival_indices(batches) == ((0, 2, 3, 4, 5, 1),)  # the later copy of 3 first
+    reports = FirstCopyReports()
+    offsets = [reports.arrive(p) for p in trace]
+    for p in batches[0]:
+        reports.deliver(p, offsets[p.send_index])
+    assert (reports.pre.count, reports.post.count) == (2, 1)
